@@ -222,11 +222,15 @@ def verify_desarguesian_equivalence(m: int) -> bool:
     pool = candidate_pool(spec, 1)
     # a + X has kernel E_a; X itself is the a = 0 case
     graph_of = [p.coeffs[0] for p in pool.members]
-    kernels = [kernel(build_matrix(p, 1)).vectors for p in pool.members]
+    # each subspace as an int with bit v set for every (distinct) member v
+    lrs_masks = [sum(1 << v for v in kernel(build_matrix(p, 1)).vectors) for p in pool.members]
+    ds_masks = [sum(1 << v for v in graphs[a].vectors) for a in graph_of]
     t = 1 << (m - 1)
     for combo in itertools.combinations(range(len(pool.members)), t):
-        lrs_union = set().union(*(kernels[i] for i in combo))
-        ds_union = set().union(*(graphs[graph_of[i]].vectors for i in combo))
+        lrs_union = ds_union = 0
+        for i in combo:
+            lrs_union |= lrs_masks[i]
+            ds_union |= ds_masks[i]
         if lrs_union != ds_union:
             return False
     return True

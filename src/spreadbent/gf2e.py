@@ -12,10 +12,22 @@ re-indexes inputs by a fixed GF(2)-linear bijection, which preserves both
 the Walsh multiset and the rank of the derived incidence matrix. The
 canonical moduli below therefore pin the byte-level outputs without
 affecting any of the reported invariants.
+
+Multiplication and inversion go through discrete-log tables (Lidl and
+Niederreiter, Finite Fields, ch. 9). Each FieldSpec carries exp[i] = g^i
+for a generator g of the multiplicative group, stored twice over so that a
+sum of two logs indexes it without reduction, and log, its inverse on the
+nonzero elements. The generator is the least element of full order q - 1:
+alpha itself for the primitive moduli up to l = 7, but 3 for 0x11B at
+l = 8. The tables are built from the shift-and-reduce product when the
+spec is constructed, and field(l) builds each spec once per process, so
+importing this module computes nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 from .errors import ZeroInverse
@@ -35,6 +47,14 @@ class FieldSpec:
 
     l: int
     modulus: int
+    # Derived from (l, modulus), so left out of equality, hashing and repr.
+    exp: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
+    log: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        exp, log = _exp_log_tables(self.l, self.modulus)
+        object.__setattr__(self, "exp", exp)
+        object.__setattr__(self, "log", log)
 
     @property
     def q(self) -> int:
@@ -54,6 +74,23 @@ def _bitpoly_mulmod(x: int, y: int, mod: int, deg: int) -> int:
     return acc
 
 
+def _exp_log_tables(l: int, mod: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # powers of the least generator, doubled; log[0] is a placeholder
+    q = 1 << l
+    for g in range(1, q):
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(_bitpoly_mulmod(powers[-1], g, mod, l))
+        if len(set(powers)) == q - 1 and 0 not in powers:
+            break
+    else:
+        raise ValueError(f"modulus {hex(mod)} does not define a field of degree {l}")
+    log = [0] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    return tuple(powers * 2), tuple(log)
+
+
 def _bitpoly_irreducible(f: int, deg: int) -> bool:
     # trial division by every polynomial of degree 1..deg//2
     for d in range(1, deg // 2 + 1):
@@ -66,12 +103,14 @@ def _bitpoly_irreducible(f: int, deg: int) -> bool:
     return True
 
 
+@functools.cache
 def field(l: int) -> FieldSpec:
     """Return GF(2^l) with its canonical defining polynomial.
 
     Degrees 1 through 4 use the fixed table above; larger degrees take the
     irreducible with the smallest integer encoding, found by search. The
-    choice is deterministic either way.
+    choice is deterministic either way. The spec, tables included, is built
+    once per degree and shared by every caller.
     """
     if l < 1:
         raise ValueError(f"extension degree must be positive, got {l}")
@@ -89,22 +128,17 @@ def fe_add(spec: FieldSpec, x: int, y: int) -> int:
 
 
 def fe_mul(spec: FieldSpec, x: int, y: int) -> int:
-    """Field multiplication by shift-and-reduce against the modulus."""
-    return _bitpoly_mulmod(x, y, spec.modulus, spec.l)
+    """Field multiplication: add the discrete logs, look the sum up."""
+    if x and y:
+        return spec.exp[spec.log[x] + spec.log[y]]
+    return 0
 
 
 def fe_inv(spec: FieldSpec, x: int) -> int:
-    """Multiplicative inverse via x^(q-2) (square and multiply)."""
+    """Multiplicative inverse: g^(q-1-log x)."""
     if x == 0:
         raise ZeroInverse("0 has no multiplicative inverse")
-    e = spec.q - 2
-    out, base = 1, x
-    while e:
-        if e & 1:
-            out = fe_mul(spec, out, base)
-        base = fe_mul(spec, base, base)
-        e >>= 1
-    return out
+    return spec.exp[spec.q - 1 - spec.log[x]]
 
 
 def describe(spec: FieldSpec) -> str:

@@ -45,7 +45,7 @@ class Subspace:
     """An m-dimensional GF(2) subspace of F_2^n, fully enumerated.
 
     vectors holds all 2^m flattened elements, sorted; basis is one choice of
-    m independent vectors extracted from them.
+    m independent vectors spanning them.
     """
 
     n: int
@@ -128,7 +128,11 @@ def _rref(spec: FieldSpec, rows: list[list[int]]) -> list[int]:
 
 
 def kernel(m: LrsMap) -> Subspace:
-    """All q^b solutions of the banded system, flattened and sorted."""
+    """All q^b solutions of the banded system, flattened and sorted.
+
+    Solves only for the l*b GF(2) generators (each free coordinate set in
+    turn to alpha^j, the others to zero) and spans the rest by XOR.
+    """
     spec = m.poly.spec
     rows = [list(r) for r in m.rows]
     pivots = _rref(spec, rows)
@@ -136,22 +140,21 @@ def kernel(m: LrsMap) -> Subspace:
         raise DegenerateMap(f"recurrence matrix has rank {len(pivots)} < {m.b}")
     ncols = 2 * m.b
     free = [c for c in range(ncols) if c not in pivots]
-    vectors = []
-    for assignment in itertools.product(range(spec.q), repeat=len(free)):
-        x = [0] * ncols
-        for c, v in zip(free, assignment):
-            x[c] = v
-        for row, pc in zip(rows, pivots):
-            acc = 0
-            for c in free:
-                if row[c]:
-                    acc ^= fe_mul(spec, row[c], x[c])
-            x[pc] = acc  # char 2: -acc == acc
-        vectors.append(flatten(x, spec))
+    basis = []
+    for c in free:
+        for j in range(spec.l):
+            x = [0] * ncols
+            x[c] = 1 << j
+            for row, pc in zip(rows, pivots):
+                x[pc] = fe_mul(spec, row[c], x[c])  # char 2: -v == v
+            basis.append(flatten(x, spec))
+    vectors = [0]
+    for v in basis:
+        vectors += [w ^ v for w in vectors]
     vectors.sort()
     n = 2 * spec.l * m.b
     dim = spec.l * m.b
-    return Subspace(n=n, m=dim, basis=gf2_basis(vectors), vectors=tuple(vectors))
+    return Subspace(n=n, m=dim, basis=tuple(basis), vectors=tuple(vectors))
 
 
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:

@@ -13,6 +13,7 @@ polynomial X^2 + aX + a^2 over GF(4) is `[3,2,1]`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -92,23 +93,39 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     return poly(spec, out)
 
 
+def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> list[int]:
+    """Divide the coefficient list r by the nonzero g in place.
+
+    r is left holding the remainder, trailing zeros stripped; the quotient
+    is returned as a list. Works on the spec's log tables directly, so the
+    Euclidean loops build no Poly per step.
+    """
+    exp, log, order = spec.exp, spec.log, spec.q - 1
+    dg = len(g) - 1
+    lead_log = log[g[-1]]
+    tail = [(j, log[c]) for j, c in enumerate(g[:-1]) if c]
+    quot = [0] * max(len(r) - dg, 0)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        top = r[k + dg]
+        if top:
+            e = (log[top] - lead_log) % order
+            quot[k] = exp[e]
+            for j, lc in tail:
+                r[k + j] ^= exp[e + lc]
+    del r[dg:]
+    while r and not r[-1]:
+        r.pop()
+    return quot
+
+
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: f = q*g + r with deg r < deg g."""
     spec = _same_spec(f, g)
     if g.is_zero:
         raise DivisionByZeroPoly("division by the zero polynomial")
     r = list(f.coeffs)
-    q = [0] * max(len(f.coeffs) - len(g.coeffs) + 1, 0)
-    lead_inv = fe_inv(spec, g.coeffs[-1])
-    dg = len(g.coeffs) - 1
-    for k in range(len(r) - 1 - dg, -1, -1):
-        c = fe_mul(spec, r[k + dg], lead_inv)
-        if c == 0:
-            continue
-        q[k] = c
-        for j, b in enumerate(g.coeffs):
-            r[k + j] ^= fe_mul(spec, c, b)
-    return poly(spec, q), poly(spec, r)
+    q = _reduce(spec, r, g.coeffs)
+    return Poly(spec, tuple(q)), Poly(spec, tuple(r))
 
 
 def monic(f: Poly) -> Poly:
@@ -120,12 +137,14 @@ def monic(f: Poly) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(f, 0) = monic(f)."""
-    _same_spec(f, g)
+    spec = _same_spec(f, g)
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, poly_divmod(f, g)[1]
-    return monic(f)
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        _reduce(spec, a, b)
+        a, b = b, a
+    return monic(Poly(spec, tuple(a)))
 
 
 def _monic_of_degree(spec: FieldSpec, d: int):

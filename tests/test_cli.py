@@ -1,8 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spreadbent
 from spreadbent import TruthTable, anf, algebraic_degree, development_rank, is_bent
 from spreadbent.cli import main
 
@@ -144,5 +149,19 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.strip().splitlines() if line]
+    assert len(lines) == 11
+    assert all(line.endswith(": PASS") for line in lines)
+
+
+def test_python_m_spreadbent_verify():
+    src = str(Path(spreadbent.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spreadbent", "verify"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
     assert len(lines) == 11
     assert all(line.endswith(": PASS") for line in lines)

@@ -4,6 +4,7 @@ import pytest
 
 from spreadbent import (
     CANONICAL_MODULI,
+    FieldSpec,
     ZeroInverse,
     describe,
     fe_add,
@@ -11,6 +12,7 @@ from spreadbent import (
     fe_mul,
     field,
 )
+from spreadbent.gf2e import _bitpoly_mulmod
 
 
 def test_canonical_moduli_are_used():
@@ -87,3 +89,26 @@ def test_gf4_known_products():
 def test_describe_format():
     assert describe(field(2)) == "GF(2^2)/modulus=0x7"
     assert describe(field(4)) == "GF(2^4)/modulus=0x13"
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_tables_match_shift_and_reduce(l):
+    spec = field(l)
+    for x, y in itertools.product(range(spec.q), repeat=2):
+        assert fe_mul(spec, x, y) == _bitpoly_mulmod(x, y, spec.modulus, l)
+    for x in range(1, spec.q):
+        assert _bitpoly_mulmod(x, fe_inv(spec, x), spec.modulus, l) == 1
+
+
+def test_tables_stay_out_of_equality_and_repr():
+    spec = field(8)
+    assert field(8) is spec
+    fresh = FieldSpec(8, spec.modulus)
+    assert fresh == spec and hash(fresh) == hash(spec)
+    assert repr(spec) == "FieldSpec(l=8, modulus=283)"
+    assert spec.exp[1] == 3  # alpha has order 51 under 0x11B, so g = 3
+
+
+def test_reducible_modulus_rejected():
+    with pytest.raises(ValueError):
+        FieldSpec(2, 0b101)  # X^2 + 1 = (X + 1)^2

@@ -9,6 +9,7 @@ from spreadbent import (
     UnsupportedParameters,
     build_matrix,
     build_partial_spread,
+    candidate_pool,
     field,
     flatten,
     gf2_basis,
@@ -22,6 +23,7 @@ from spreadbent import (
     window,
     x_power,
 )
+from spreadbent.gf2e import _bitpoly_mulmod
 
 GF2 = field(1)
 GF4 = field(2)
@@ -75,6 +77,35 @@ def test_kernel_sizes_and_closure():
         for x, y in itertools.product(list(vectors)[:8], repeat=2):
             assert x ^ y in vectors  # additive closure of the flattened kernel
         assert len(ker.basis) == spec.l * b
+
+
+@pytest.mark.parametrize("l,b", [(1, 2), (1, 3), (2, 2), (3, 1), (4, 1)])
+def test_kernel_matches_brute_force(l, b):
+    # scan every vector of F_q^(2b), in flattened order, against the rows
+    spec = field(l)
+    for f in candidate_pool(spec, b).members:
+        m = build_matrix(f, b)
+        solutions = tuple(
+            x
+            for x in range(1 << (2 * l * b))
+            if all(
+                _dot(spec, row, unflatten(x, spec, 2 * b)) == 0 for row in m.rows
+            )
+        )
+        ker = kernel(m)
+        assert ker.vectors == solutions
+        assert len(ker.basis) == l * b
+        spanned = {0}
+        for v in ker.basis:
+            spanned |= {s ^ v for s in spanned}
+        assert spanned == set(ker.vectors)
+
+
+def _dot(spec, row, vec):
+    acc = 0
+    for a, v in zip(row, vec):
+        acc ^= _bitpoly_mulmod(a, v, spec.modulus, spec.l)
+    return acc
 
 
 def test_gf2_basis_spans():
