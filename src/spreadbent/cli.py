@@ -143,7 +143,7 @@ def _sweep_catalog(spec, b, sizes, jobs, include_e_infinity=False):
     member_index = {p: i for i, p in enumerate(pool.members)}
     all_families, all_results = [], []
     for t in sizes:
-        families = enumerate_families(pool, t)
+        families = list(enumerate_families(pool, t))
         print(f"catalog l={spec.l} b={b} t={t}: {len(families)} families", file=sys.stderr)
         all_families.extend(families)
         all_results.extend(_run_sweep(families, kernels, member_index, jobs))
@@ -225,16 +225,16 @@ def cmd_build(args):
     t = (1 << (m - 1)) + (1 if plus else 0)
     if args.family_id is not None:
         pool = candidate_pool(spec, args.b, include_e_infinity=args.include_e_infinity)
-        families = enumerate_families(pool, t)
-        if not 0 <= args.family_id < len(families):
+        catalog = enumerate_families(pool, t)
+        if not 0 <= args.family_id < catalog.size:
             print(
                 f"error: family id {args.family_id} out of range: the "
-                f"l={args.l} b={args.b} {families[0].spread_type if families else args.type} "
-                f"catalog has {len(families)} families",
+                f"l={args.l} b={args.b} {catalog.spread_type} "
+                f"catalog has {catalog.size} families",
                 file=sys.stderr,
             )
             return 2
-        fs = families[args.family_id]
+        fs = catalog[args.family_id]
     else:
         polys = tuple(parse_poly(spec, text) for text in args.polys.split(";"))
         fs = FamilySpec(
@@ -325,6 +325,13 @@ def _check_goldens():
 def _check_triangle(spec, maxdeg):
     polys = _nonzero_polys(spec, maxdeg)
     unit = one(spec)
+    kernels = {}
+
+    def kernel_of(p, b):
+        if (p, b) not in kernels:
+            kernels[p, b] = kernel(build_matrix(p, b))
+        return kernels[p, b]
+
     pairs = 0
     for f, g in itertools.combinations_with_replacement(polys, 2):
         if f.degree == 0 and g.degree == 0:
@@ -332,7 +339,7 @@ def _check_triangle(spec, maxdeg):
         b = int(max(f.degree, g.degree))
         coprime = poly_gcd(f, g) == unit
         invertible = sylvester_resultant_nonzero(f, g, b)
-        disjoint = trivial_intersection(kernel(build_matrix(f, b)), kernel(build_matrix(g, b)))
+        disjoint = trivial_intersection(kernel_of(f, b), kernel_of(g, b))
         if not (coprime == invertible == disjoint):
             return False, (
                 f"{format_poly(f)} vs {format_poly(g)}: gcd=1 is {coprime}, "
@@ -403,7 +410,7 @@ def _check_window3_catalog():
     plus = enumerate_families(pool, 5)
     if (len(minus), len(plus)) != (5, 1):
         return False, f"counts ({len(minus)}, {len(plus)}), want (5, 1)"
-    for fs in minus + plus:
+    for fs in itertools.chain(minus, plus):
         tt = build_bent(fs)
         want_weight = 32 + (4 if fs.spread_type == "PS+" else -4)
         if tt.weight() != want_weight:
@@ -512,6 +519,13 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 2
+        if args.command == "build" and l * b == 8:
+            print(
+                "error: build at l*b = 8 (n = 16) is refused: its 2^16 x 2^16 "
+                "development matrix needs a 32 GiB index temporary",
+                file=sys.stderr,
+            )
+            return 2
     try:
         return args.func(args)
     except CONSTRUCTION_ERRORS as exc:
@@ -527,3 +541,7 @@ def main(argv=None):
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -19,11 +19,24 @@ Such products each conflict with two of the squares and with one another,
 so the catalog admits them only as completions of the full irreducible
 block. coprime_subsets exposes the unrestricted filter for exploration and
 for the closed-form count cross-checks.
+
+The catalog is never listed up front. Both it and coprime_subsets walk the
+compatibility graph of the pool (one int bitmask of coprime later members
+per member), branching on the lowest candidate: take it, or skip it. Since
+the irreducibles come before the products in pool order, the admissibility
+rule is a single clause of that walk: skipping an irreducible clears every
+product. A memoized count of each (candidates, still-to-pick) state gives
+the catalog size without listing it, finds family k in |pool| steps, and
+prunes the depth-first listing to branches that still hold a family. The
+walk takes before it skips, so families come in lexicographic index order,
+and family_id k is the k-th of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .boolfun import TruthTable, from_spread, is_bent
@@ -111,55 +124,147 @@ def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) ->
     return CandidatePool(spec=spec, b=b, members=tuple(members), tags=tuple(tags))
 
 
+class _Cliques:
+    """Size-t sets of pairwise-coprime members, as sorted index tuples.
+
+    A state (mask, r) stands for every way to pick r more indices from the
+    set bits of mask. Bit j of after[i] is set when j > i and members i and
+    j are coprime, so taking the lowest candidate i leaves mask & after[i].
+    Skipping an index in the bitmask gate also drops every index in gated.
+    """
+
+    def __init__(self, members, t, gate=0, gated=0):
+        n = len(members)
+        unit = one(members[0].spec) if members else None
+        self.after = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if poly_gcd(members[i], members[j]) == unit:
+                self.after[i] |= 1 << j
+        self.t = t
+        self.full = (1 << n) - 1
+        self.gate = gate
+        self.keep = ~gated
+        self._memo = {}
+
+    def skip(self, mask, low):
+        mask ^= low
+        return mask & self.keep if low & self.gate else mask
+
+    def count(self, mask, r):
+        if r == 0:
+            return 1
+        if mask.bit_count() < r:
+            return 0
+        key = (mask, r)
+        hit = self._memo.get(key)
+        if hit is None:
+            low = mask & -mask
+            taken = mask & self.after[low.bit_length() - 1]
+            hit = self.count(taken, r - 1) + self.count(self.skip(mask, low), r)
+            self._memo[key] = hit
+        return hit
+
+    def unrank(self, k):
+        """The k-th index tuple, 0 <= k < count(full, t)."""
+        mask, r, combo = self.full, self.t, []
+        while r:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            taken = mask & self.after[i]
+            below = self.count(taken, r - 1)
+            if k < below:
+                combo.append(i)
+                mask, r = taken, r - 1
+            else:
+                k -= below
+                mask = self.skip(mask, low)
+        return tuple(combo)
+
+    def walk(self, mask, r, prefix=()):
+        """Depth-first, take before skip: lexicographic order."""
+        if r == 0:
+            yield prefix
+            return
+        while self.count(mask, r):
+            low = mask & -mask
+            i = low.bit_length() - 1
+            yield from self.walk(mask & self.after[i], r - 1, prefix + (i,))
+            mask = self.skip(mask, low)
+
+
 def coprime_subsets(members: list[Poly], t: int):
-    """Yield every size-t index tuple whose members are pairwise coprime.
+    """Yield every size-t index tuple whose members are pairwise coprime,
+    in lexicographic order.
 
     This is the unrestricted filter; enumerate_families layers the catalog
     admissibility rule on top of it.
     """
-    n = len(members)
-    unit = one(members[0].spec) if members else None
-    compat = [[False] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        compat[i][j] = compat[j][i] = poly_gcd(members[i], members[j]) == unit
-    for combo in itertools.combinations(range(n), t):
-        if all(compat[i][j] for i, j in itertools.combinations(combo, 2)):
-            yield combo
+    cliques = _Cliques(members, t)
+    yield from cliques.walk(cliques.full, t)
 
 
-def enumerate_families(pool: CandidatePool, t: int) -> list[FamilySpec]:
+class Catalog(Sequence):
+    """The admissible size-t families of a pool, indexed by family_id.
+
+    Indexing unranks one family and iteration walks them in order; neither
+    lists the catalog. size is the exact count and may exceed sys.maxsize,
+    where len() cannot report it.
+    """
+
+    def __init__(self, pool: CandidatePool, t: int):
+        m = pool.spec.l * pool.b
+        if t == 1 << (m - 1):
+            self.spread_type = "PS-"
+        elif t == (1 << (m - 1)) + 1:
+            self.spread_type = "PS+"
+        else:
+            raise UnsupportedParameters(
+                f"family size {t} matches neither spread type at m={m}"
+            )
+        self.pool, self.m = pool, m
+        irreducibles = sum(1 << i for i in pool.indices_of(TAG_IRREDUCIBLE))
+        products = sum(1 << i for i in pool.indices_of(TAG_PRODUCT))
+        self._cliques = _Cliques(list(pool.members), t, irreducibles, products)
+        self.size = self._cliques.count(self._cliques.full, t)
+
+    def _family(self, family_id, combo):
+        return FamilySpec(
+            l=self.pool.spec.l,
+            b=self.pool.b,
+            m=self.m,
+            n=2 * self.m,
+            polys=tuple(self.pool.members[i] for i in combo),
+            spread_type=self.spread_type,
+            family_id=family_id,
+        )
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self.size))]
+        k = operator.index(k)
+        if k < 0:
+            k += self.size
+        if not 0 <= k < self.size:
+            raise IndexError(f"family id {k} out of range for {self.size} families")
+        return self._family(k, self._cliques.unrank(k))
+
+    def __iter__(self):
+        walk = self._cliques.walk(self._cliques.full, self._cliques.t)
+        for family_id, combo in enumerate(walk):
+            yield self._family(family_id, combo)
+
+
+def enumerate_families(pool: CandidatePool, t: int) -> Catalog:
     """The catalog: admissible size-t families in lexicographic index order.
 
     t must be the negative-type size 2^(m-1) or the positive-type size
     2^(m-1) + 1 for m = l*b. family_id is the zero-based position in the
     enumeration order and is stable across runs.
     """
-    m = pool.spec.l * pool.b
-    if t == 1 << (m - 1):
-        spread_type = "PS-"
-    elif t == (1 << (m - 1)) + 1:
-        spread_type = "PS+"
-    else:
-        raise UnsupportedParameters(
-            f"family size {t} matches neither spread type at m={m}"
-        )
-    irr = set(pool.indices_of(TAG_IRREDUCIBLE))
-    out = []
-    for combo in coprime_subsets(list(pool.members), t):
-        if any(pool.tags[i] == TAG_PRODUCT for i in combo) and not irr <= set(combo):
-            continue
-        out.append(
-            FamilySpec(
-                l=pool.spec.l,
-                b=pool.b,
-                m=m,
-                n=2 * m,
-                polys=tuple(pool.members[i] for i in combo),
-                spread_type=spread_type,
-                family_id=len(out),
-            )
-        )
-    return out
+    return Catalog(pool, t)
 
 
 def nonzero_constant_members(pool: CandidatePool) -> list[Poly]:

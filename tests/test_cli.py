@@ -1,14 +1,17 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import spreadbent
 from spreadbent import TruthTable, anf, algebraic_degree, development_rank, is_bent
+from spreadbent import cli
 from spreadbent.cli import main
 
 
@@ -16,6 +19,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this command must be refused before any work")
+
+
+@pytest.fixture
+def guarded(monkeypatch):
+    """Fail fast, instead of allocating, if a refused command starts work."""
+    for name in ("candidate_pool", "enumerate_families", "build_bent", "development_rank"):
+        monkeypatch.setattr(cli, name, forbidden)
 
 
 def test_polys_listing(capsys):
@@ -75,6 +89,81 @@ def test_build_family_id_out_of_range(capsys):
     code, _, err = run(capsys, "build", "--l", "1", "--b", "2", "--family-id", "99")
     assert code == 2
     assert "out of range" in err
+
+
+def test_build_family_id_l3_b2(capsys):
+    # the catalog has 437997 families; the lookup must not list them
+    code, out, _ = run(capsys, "build", "--l", "3", "--b", "2", "--family-id", "0")
+    assert code == 0
+    assert "bent=true" in out
+    assert "rank=308" in out
+
+
+def test_build_family_id_beyond_huge_catalog(capsys, monkeypatch):
+    # C(128, 64) exceeds sys.maxsize, so the range check cannot use len()
+    monkeypatch.setattr(cli, "build_bent", forbidden)
+    size = math.comb(128, 64)
+    code, out, err = run(capsys, "build", "--l", "7", "--b", "1", "--family-id", str(size))
+    assert code == 2
+    assert out == ""
+    assert f"out of range: the l=7 b=1 PS- catalog has {size} families" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--l", "8", "--b", "1", "--family-id", "0"),
+    ("--l", "4", "--b", "2", "--family-id", "0"),
+    ("--l", "8", "--b", "1", "--polys", "[1,1];[2,1]"),
+])
+def test_n16_builds_refused(capsys, guarded, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", *argv)
+    assert code == 2
+    assert out == ""
+    assert "n = 16" in err
+    assert time.perf_counter() - start < 5
+
+
+# Every (l, b) with l*b <= 8, and the exit code of `build --family-id 0`.
+BUILD_SHAPES = {
+    **{(l, 1): 0 for l in range(1, 7)},
+    (8, 1): 2,  # n=16
+    (1, 2): 0, (2, 2): 0, (3, 2): 0,
+    (4, 2): 2,  # n=16
+    (1, 3): 0,
+    (2, 3): 2,  # window 3 only over GF(2)
+    **{(1, b): 2 for b in range(4, 9)},  # no pool beyond window 3
+    (2, 4): 2,  # n=16
+}
+
+
+class LookupDone(Exception):
+    pass
+
+
+@pytest.mark.parametrize("plus", [False, True], ids=["ps-", "ps+"])
+@pytest.mark.parametrize("l,b", sorted(BUILD_SHAPES) + [(7, 1)])
+def test_every_build_shape_finishes_or_is_refused(capsys, monkeypatch, l, b, plus):
+    argv = ["build", "--l", str(l), "--b", str(b),
+            "--type", "ps+" if plus else "ps-", "--family-id", "0"]
+    start = time.perf_counter()
+    if (l, b) == (7, 1):
+        # n=14: the lookup is checked, the build (a 2 GiB rank temporary) is not run
+        def stop(fs):
+            raise LookupDone(fs)
+        monkeypatch.setattr(cli, "build_bent", stop)
+        with pytest.raises(LookupDone) as done:
+            main(argv)
+        fs = done.value.args[0]
+        assert fs.family_id == 0 and len(fs.polys) == 64 + plus
+    else:
+        if BUILD_SHAPES[l, b] == 2:
+            for name in ("build_bent", "development_rank"):
+                monkeypatch.setattr(cli, name, forbidden)
+        code, out, err = run(capsys, *argv)
+        assert code == BUILD_SHAPES[l, b], err
+        if code == 0:
+            assert "bent=true" in out
+    assert time.perf_counter() - start < 10
 
 
 def test_capacity_limit(capsys):
@@ -153,15 +242,23 @@ def test_verify_passes(capsys):
     assert all(line.endswith(": PASS") for line in lines)
 
 
-def test_python_m_spreadbent_verify():
+def assert_module_verifies(module):
     src = str(Path(spreadbent.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "spreadbent", "verify"],
+        [sys.executable, "-m", module, "verify"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 11
     assert all(line.endswith(": PASS") for line in lines)
+
+
+def test_python_m_spreadbent_verify():
+    assert_module_verifies("spreadbent")
+
+
+def test_python_m_spreadbent_cli_verify():
+    assert_module_verifies("spreadbent.cli")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from spreadbent import (
@@ -86,6 +88,32 @@ def test_catalog_sizes():
     assert len(enumerate_families(candidate_pool(GF4, 2), 9)) == 64
     assert len(enumerate_families(candidate_pool(GF2, 3), 4)) == 5
     assert len(enumerate_families(candidate_pool(GF2, 3), 5)) == 1
+
+
+def test_catalog_indexing():
+    catalog = enumerate_families(candidate_pool(GF4, 2), 9)
+    listed = list(catalog)
+    assert catalog[-1] == listed[-1] == catalog[63]
+    assert catalog[10:13] == listed[10:13]
+    assert catalog[::20] == listed[::20]
+    for k in (64, -65):
+        with pytest.raises(IndexError):
+            catalog[k]
+
+
+def test_catalog_size_beyond_maxsize():
+    # 255 linears a + X plus X itself: all coprime, so every subset counts
+    catalog = enumerate_families(candidate_pool(field(8), 1), 128)
+    assert catalog.size == math.comb(256, 128)
+
+
+def test_last_family_at_l7_is_the_pool_tail():
+    pool = candidate_pool(field(7), 1)
+    catalog = enumerate_families(pool, 64)
+    last = catalog[catalog.size - 1]
+    assert last.family_id == math.comb(128, 64) - 1
+    assert last.polys == pool.members[-64:]
+    assert catalog[0].polys == pool.members[:64]
 
 
 def test_catalog_rejects_other_sizes():

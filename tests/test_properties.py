@@ -1,14 +1,24 @@
-"""Property tests for the polynomial layer over GF(2^l), l <= 4.
+"""Property tests for the polynomial layer over GF(2^l), l <= 4, and for
+the family catalog built on it.
 
 The references here work at the Poly level through poly_mul and poly_add,
 so they share no code with the list-based division inside poly_divmod and
-poly_gcd.
+poly_gcd. The catalog reference scans every index tuple, so it shares no
+code with the clique walk.
 """
+
+import itertools
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spreadbent import (
+    TAG_IRREDUCIBLE,
+    TAG_PRODUCT,
+    CandidatePool,
+    candidate_pool,
+    coprime_subsets,
+    enumerate_families,
     Poly,
     build_matrix,
     fe_inv,
@@ -103,3 +113,72 @@ def test_coprimality_triangle(pair):
     invertible = sylvester_resultant_nonzero(f, g, b)
     disjoint = trivial_intersection(kernel(build_matrix(f, b)), kernel(build_matrix(g, b)))
     assert coprime == invertible == disjoint
+
+
+# ------------------------------------------------------------ catalog
+
+CATALOG_POOLS = [
+    candidate_pool(field(2), 2),
+    candidate_pool(field(3), 1),
+    candidate_pool(field(3), 1, include_e_infinity=True),
+    candidate_pool(field(4), 1),
+]
+
+
+@st.composite
+def sub_pools(draw):
+    """An order-preserving sub-pool of one of CATALOG_POOLS. At most five
+    members are dropped, so that most sub-pools still hold families."""
+    pool = draw(st.sampled_from(CATALOG_POOLS))
+    dropped = draw(st.sets(st.integers(0, len(pool.members) - 1), max_size=5))
+    chosen = [i for i in range(len(pool.members)) if i not in dropped]
+    return CandidatePool(
+        spec=pool.spec,
+        b=pool.b,
+        members=tuple(pool.members[i] for i in chosen),
+        tags=tuple(pool.tags[i] for i in chosen),
+    )
+
+
+def oracle_subsets(members, t):
+    """Every size-t index tuple, kept when its members are pairwise coprime."""
+    coprime = {
+        (i, j): poly_gcd(members[i], members[j]) == one(members[i].spec)
+        for i, j in itertools.combinations(range(len(members)), 2)
+    }
+    return [
+        combo
+        for combo in itertools.combinations(range(len(members)), t)
+        if all(coprime[pair] for pair in itertools.combinations(combo, 2))
+    ]
+
+
+def oracle_catalog(pool, t):
+    """oracle_subsets, then: a product member needs every irreducible."""
+    irreducibles = set(pool.indices_of(TAG_IRREDUCIBLE))
+    return [
+        tuple(pool.members[i] for i in combo)
+        for combo in oracle_subsets(pool.members, t)
+        if not any(pool.tags[i] == TAG_PRODUCT for i in combo) or irreducibles <= set(combo)
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(sub_pools(), st.booleans(), st.data())
+def test_catalog_matches_brute_force(pool, plus, data):
+    t = (1 << (pool.spec.l * pool.b - 1)) + plus
+    cat = enumerate_families(pool, t)
+    want = oracle_catalog(pool, t)
+    listed = list(cat)
+    assert [fs.polys for fs in listed] == want
+    assert [fs.family_id for fs in listed] == list(range(len(want)))
+    assert cat.size == len(want)
+    if want:
+        for k in data.draw(st.lists(st.integers(0, len(want) - 1), max_size=5)):
+            assert cat[k] == listed[k]
+
+
+@settings(deadline=None, max_examples=60)
+@given(sub_pools(), st.integers(0, 10))
+def test_coprime_subsets_match_brute_force(pool, t):
+    assert list(coprime_subsets(list(pool.members), t)) == oracle_subsets(pool.members, t)
