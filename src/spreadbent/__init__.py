@@ -19,6 +19,7 @@ from .boolfun import (
     format_anf,
     from_spread,
     is_bent,
+    is_flat,
     mobius,
     nonlinearity,
     truth_table_of_anf,
@@ -50,7 +51,9 @@ from .families import (
     TAG_SQUARE,
     TAG_XPOW,
     CandidatePool,
+    Catalog,
     FamilySpec,
+    bent_from_kernels,
     build_bent,
     candidate_pool,
     coprime_subsets,

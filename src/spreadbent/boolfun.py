@@ -159,12 +159,15 @@ def nonlinearity(spectrum: WalshSpectrum) -> int:
     return (1 << (spectrum.n - 1)) - int(np.abs(spectrum.values).max()) // 2
 
 
-def is_bent(tt: TruthTable) -> bool:
+def is_flat(spectrum: WalshSpectrum) -> bool:
     """Flat spectrum test: every |W(a)| equals 2^(n/2)."""
-    if tt.n % 2:
-        raise OddArity(f"bentness needs even arity, got n={tt.n}")
-    w = walsh_transform(tt).values
-    return bool((np.abs(w) == 1 << (tt.n // 2)).all())
+    if spectrum.n % 2:
+        raise OddArity(f"bentness needs even arity, got n={spectrum.n}")
+    return bool((np.abs(spectrum.values) == 1 << (spectrum.n // 2)).all())
+
+
+def is_bent(tt: TruthTable) -> bool:
+    return is_flat(walsh_transform(tt))
 
 
 def anf(tt: TruthTable) -> Anf:

@@ -21,15 +21,7 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
-from .boolfun import (
-    algebraic_degree,
-    anf,
-    format_anf,
-    from_spread,
-    walsh_transform,
-)
+from .boolfun import algebraic_degree, anf, format_anf, from_spread, nonlinearity
 from .errors import (
     BentCheckFailed,
     BothZero,
@@ -44,7 +36,7 @@ from .families import (
     TAG_PRODUCT,
     TAG_SQUARE,
     FamilySpec,
-    build_bent,
+    bent_from_kernels,
     candidate_pool,
     coprime_subsets,
     enumerate_families,
@@ -92,29 +84,19 @@ def _init_worker(kernels):
 
 
 def _analyze_item(item):
-    """(family_id, plus_type, member indices) -> analysis tuple.
+    """(family_id, spread type, member indices) -> analysis tuple.
 
     Runs in worker processes; everything heavy (kernels) comes from the
     initializer, so the item itself stays tiny.
     """
-    fid, plus, idxs = item
-    tt = from_spread([_KERNELS[i] for i in idxs], plus_type=plus)
-    m = tt.n // 2
-    spectrum = walsh_transform(tt)
-    mags = np.abs(spectrum.values)
-    if mags.min() != (1 << m) or mags.max() != (1 << m):
-        raise BentCheckFailed(f"family {fid} produced a non-flat spectrum")
-    nl = (1 << (tt.n - 1)) - (1 << (m - 1))
+    fid, spread_type, idxs = item
+    tt, spectrum = bent_from_kernels([_KERNELS[i] for i in idxs], spread_type, fid)
     degree = algebraic_degree(anf(tt))
     rank = development_rank(tt)
-    return (fid, tt.hex(), tt.weight(), degree, nl, rank, classify(rank, m))
+    return (tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2))
 
 
-def _run_sweep(families, kernels, member_index, jobs):
-    items = [
-        (fs.family_id, fs.spread_type == "PS+", tuple(member_index[p] for p in fs.polys))
-        for fs in families
-    ]
+def _run_sweep(items, kernels, jobs):
     results = []
     if jobs == 1:
         _init_worker(kernels)
@@ -133,33 +115,28 @@ def _run_sweep(families, kernels, member_index, jobs):
 
 
 def _sweep_catalog(spec, b, sizes, jobs, include_e_infinity=False):
-    """Enumerate, build, and analyze the full catalog for each family size.
+    """Walk, build, and analyze the full catalog for each family size.
 
-    Returns (families, analysis rows) with both lists concatenated over
-    sizes in the given order, preserving per-catalog numbering.
+    Returns the CSV records concatenated over sizes in the given order,
+    preserving per-catalog numbering.
     """
     pool = candidate_pool(spec, b, include_e_infinity=include_e_infinity)
-    kernels = [kernel(build_matrix(p, b)) for p in pool.members]
-    member_index = {p: i for i, p in enumerate(pool.members)}
-    all_families, all_results = [], []
-    for t in sizes:
-        families = list(enumerate_families(pool, t))
-        print(f"catalog l={spec.l} b={b} t={t}: {len(families)} families", file=sys.stderr)
-        all_families.extend(families)
-        all_results.extend(_run_sweep(families, kernels, member_index, jobs))
-    return all_families, all_results
-
-
-def _records(families, results):
     rows = []
-    for fs, (fid, tt_hex, weight, degree, nl, rank, cls) in zip(families, results):
-        assert fid == fs.family_id
-        polys = ";".join(format_poly(p) for p in fs.polys)
-        rows.append(
-            [fs.family_id, fs.spread_type, fs.l, fs.b, polys,
-             tt_hex, weight, degree, nl, rank, cls]
-        )
+    for t in sizes:
+        catalog = enumerate_families(pool, t)
+        print(f"catalog l={spec.l} b={b} t={t}: {catalog.size} families", file=sys.stderr)
+        items = [(fid, catalog.spread_type, combo) for fid, combo in catalog.walk()]
+        kernels = [catalog.kernel(i) for i in range(len(pool.members))]
+        rows.extend(_records(pool, items, _run_sweep(items, kernels, jobs)))
     return rows
+
+
+def _records(pool, items, results):
+    names = [format_poly(p) for p in pool.members]
+    return [
+        [fid, spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *result]
+        for (fid, spread_type, combo), result in zip(items, results)
+    ]
 
 
 def _histogram_text(rows):
@@ -234,23 +211,24 @@ def cmd_build(args):
                 file=sys.stderr,
             )
             return 2
-        fs = catalog[args.family_id]
+        combo = catalog.indices(args.family_id)
+        fs = catalog.family(args.family_id, combo)
+        tt, spectrum = catalog.build(args.family_id, combo)
     else:
         polys = tuple(parse_poly(spec, text) for text in args.polys.split(";"))
         fs = FamilySpec(
             l=args.l, b=args.b, m=m, n=2 * m, polys=polys,
             spread_type="PS+" if plus else "PS-", family_id=-1,
         )
-    tt = build_bent(fs)
-    spectrum = walsh_transform(tt)
-    nl = (1 << (tt.n - 1)) - int(np.abs(spectrum.values).max()) // 2
+        spread = build_partial_spread(list(polys), b=args.b)
+        tt, spectrum = bent_from_kernels(spread, fs.spread_type, fs.family_id)
     a = anf(tt)
     rank = development_rank(tt)
     print(manifest_line(fs))
     print(f"tt_hex={tt.hex()}")
     print(f"weight={tt.weight()}")
     print(f"degree={algebraic_degree(a)}")
-    print(f"nonlinearity={nl}")
+    print(f"nonlinearity={nonlinearity(spectrum)}")
     print("bent=true")
     print(f"anf={format_anf(a)}")
     print(f"rank={rank}")
@@ -260,18 +238,14 @@ def cmd_build(args):
 
 def cmd_table1(args):
     jobs = _resolve_jobs(args.jobs)
-    families, results = _sweep_catalog(
-        field(4), 1, (8,), jobs, include_e_infinity=args.include_e_infinity
-    )
-    rows = _records(families, results)
+    rows = _sweep_catalog(field(4), 1, (8,), jobs, include_e_infinity=args.include_e_infinity)
     _emit(_csv_text(rows) if args.format == "csv" else _histogram_text(rows), args.out)
     return 0
 
 
 def cmd_table2(args):
     jobs = _resolve_jobs(args.jobs)
-    families, results = _sweep_catalog(field(2), 2, (8, 9), jobs)
-    rows = _records(families, results)
+    rows = _sweep_catalog(field(2), 2, (8, 9), jobs)
     _emit(_csv_text(rows) if args.format == "csv" else _histogram_text(rows), args.out)
     return 0
 
@@ -379,26 +353,26 @@ def _check_graph_equivalence(m):
 
 def _check_window2_catalog():
     pool = candidate_pool(field(2), 2)
-    tag_of = dict(zip(pool.members, pool.tags))
     observed = {}
     for spread_type, t, want in (("PS-", 8, (165, 3, 6)), ("PS+", 9, (55, 6, 3))):
-        families = enumerate_families(pool, t)
-        supports = {build_bent(fs).hex() for fs in families}
-        if len(supports) != len(families):
-            return False, f"{spread_type}: duplicate supports among {len(families)} families"
+        catalog = enumerate_families(pool, t)
+        supports = set()
         no_product = with_square = without_square = 0
-        for fs in families:
-            tags = [tag_of[p] for p in fs.polys]
+        for fid, combo in catalog.walk():
+            supports.add(catalog.build(fid, combo)[0].hex())
+            tags = [pool.tags[i] for i in combo]
             if TAG_PRODUCT not in tags:
                 no_product += 1
             elif TAG_SQUARE in tags:
                 with_square += 1
             else:
                 without_square += 1
+        if len(supports) != len(catalog):
+            return False, f"{spread_type}: duplicate supports among {len(catalog)} families"
         got = (no_product, with_square, without_square)
         if got != want:
             return False, f"{spread_type}: buckets {got}, want {want}"
-        observed[spread_type] = len(families)
+        observed[spread_type] = len(catalog)
     if (observed["PS-"], observed["PS+"]) != (174, 64):
         return False, f"catalog sizes {observed}"
     return True, "174 = 165+3+6 and 64 = 55+6+3, all supports distinct"
@@ -410,13 +384,14 @@ def _check_window3_catalog():
     plus = enumerate_families(pool, 5)
     if (len(minus), len(plus)) != (5, 1):
         return False, f"counts ({len(minus)}, {len(plus)}), want (5, 1)"
-    for fs in itertools.chain(minus, plus):
-        tt = build_bent(fs)
-        want_weight = 32 + (4 if fs.spread_type == "PS+" else -4)
-        if tt.weight() != want_weight:
-            return False, f"family {fs.family_id} weight {tt.weight()}"
-        if algebraic_degree(anf(tt)) != 3:
-            return False, f"family {fs.family_id} degree != 3"
+    for catalog in (minus, plus):
+        want_weight = 32 + (4 if catalog.spread_type == "PS+" else -4)
+        for fid, combo in catalog.walk():
+            tt, _ = catalog.build(fid, combo)
+            if tt.weight() != want_weight:
+                return False, f"family {fid} weight {tt.weight()}"
+            if algebraic_degree(anf(tt)) != 3:
+                return False, f"family {fid} degree != 3"
     return True, "5 negative + 1 positive, all bent of degree 3"
 
 

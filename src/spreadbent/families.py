@@ -30,6 +30,16 @@ the catalog size without listing it, finds family k in |pool| steps, and
 prunes the depth-first listing to branches that still hold a family. The
 walk takes before it skips, so families come in lexicographic index order,
 and family_id k is the k-th of them.
+
+A catalog builds its functions from its own kernels: each pool member's
+kernel is solved once, on first use, and bent_from_kernels turns a family's
+kernels into the table and its Walsh spectrum. Coprimality is not re-run
+per family: the gcd pass over the pool's pairs already proved it for every
+pair a clique can hold. Only the constant 1 has degree below b in a pool,
+so coprime members have kernels that meet only in zero, and from_spread's
+union-size check confirms that on the kernels themselves.
+build_bent is the from-scratch path for ad-hoc families: it re-derives the
+kernels and checks every pair through build_partial_spread first.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .boolfun import TruthTable, from_spread, is_bent
+from .boolfun import TruthTable, WalshSpectrum, from_spread, is_flat, walsh_transform
 from .errors import BentCheckFailed, UnsupportedParameters
 from .gf2e import FieldSpec, fe_mul, field
 from .lrs import Subspace, build_matrix, build_partial_spread, gf2_basis, kernel
@@ -208,7 +218,9 @@ class Catalog(Sequence):
 
     Indexing unranks one family and iteration walks them in order; neither
     lists the catalog. size is the exact count and may exceed sys.maxsize,
-    where len() cannot report it.
+    where len() cannot report it. walk() yields (family_id, member indices)
+    pairs without building a FamilySpec, and build() turns such a pair into
+    its checked bent function from the pool's kernels.
     """
 
     def __init__(self, pool: CandidatePool, t: int):
@@ -226,8 +238,25 @@ class Catalog(Sequence):
         products = sum(1 << i for i in pool.indices_of(TAG_PRODUCT))
         self._cliques = _Cliques(list(pool.members), t, irreducibles, products)
         self.size = self._cliques.count(self._cliques.full, t)
+        self._kernels = [None] * len(pool.members)
 
-    def _family(self, family_id, combo):
+    def kernel(self, i: int) -> Subspace:
+        """Kernel of pool member i, solved on first use."""
+        if self._kernels[i] is None:
+            self._kernels[i] = kernel(build_matrix(self.pool.members[i], self.pool.b))
+        return self._kernels[i]
+
+    def indices(self, k: int) -> tuple[int, ...]:
+        """Pool indices of the members of family k, 0 <= k < size."""
+        if not 0 <= k < self.size:
+            raise IndexError(f"family id {k} out of range for {self.size} families")
+        return self._cliques.unrank(k)
+
+    def walk(self):
+        """(family_id, member indices) for every family, in catalog order."""
+        return enumerate(self._cliques.walk(self._cliques.full, self._cliques.t))
+
+    def family(self, family_id: int, combo: tuple[int, ...]) -> FamilySpec:
         return FamilySpec(
             l=self.pool.spec.l,
             b=self.pool.b,
@@ -238,6 +267,11 @@ class Catalog(Sequence):
             family_id=family_id,
         )
 
+    def build(self, family_id: int, combo: tuple[int, ...]) -> tuple[TruthTable, WalshSpectrum]:
+        """The checked function of a (family_id, member indices) pair."""
+        spread = [self.kernel(i) for i in combo]
+        return bent_from_kernels(spread, self.spread_type, family_id)
+
     def __len__(self):
         return self.size
 
@@ -247,14 +281,11 @@ class Catalog(Sequence):
         k = operator.index(k)
         if k < 0:
             k += self.size
-        if not 0 <= k < self.size:
-            raise IndexError(f"family id {k} out of range for {self.size} families")
-        return self._family(k, self._cliques.unrank(k))
+        return self.family(k, self.indices(k))
 
     def __iter__(self):
-        walk = self._cliques.walk(self._cliques.full, self._cliques.t)
-        for family_id, combo in enumerate(walk):
-            yield self._family(family_id, combo)
+        for family_id, combo in self.walk():
+            yield self.family(family_id, combo)
 
 
 def enumerate_families(pool: CandidatePool, t: int) -> Catalog:
@@ -277,13 +308,28 @@ def nonzero_constant_members(pool: CandidatePool) -> list[Poly]:
     ]
 
 
+def bent_from_kernels(
+    spread: list[Subspace], spread_type: str, family_id: int = -1
+) -> tuple[TruthTable, WalshSpectrum]:
+    """The checked constructor: member kernels -> bent table and its spectrum.
+
+    from_spread checks the member count for spread_type ("PS-" or "PS+"),
+    every member's size, and the size of the union, which is
+    t*(2^m - 1) + 1 exactly when the members meet pairwise only in zero.
+    One Walsh transform then checks the spectrum flat.
+    """
+    tt = from_spread(spread, plus_type=spread_type == "PS+")
+    spectrum = walsh_transform(tt)
+    if not is_flat(spectrum):
+        raise BentCheckFailed(f"family {family_id} produced a non-flat spectrum")
+    return tt, spectrum
+
+
 def build_bent(family: FamilySpec) -> TruthTable:
-    """Union-of-kernels function for the family; checked flat before return."""
+    """Union-of-kernels function for the family, from scratch: kernels solved
+    and pairs checked by build_partial_spread, then bent_from_kernels."""
     spread = build_partial_spread(list(family.polys), b=family.b)
-    tt = from_spread(spread, plus_type=family.spread_type == "PS+")
-    if not is_bent(tt):
-        raise BentCheckFailed(f"family {family.family_id} produced a non-flat spectrum")
-    return tt
+    return bent_from_kernels(spread, family.spread_type, family.family_id)[0]
 
 
 def manifest_line(family: FamilySpec) -> str:

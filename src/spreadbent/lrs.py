@@ -191,10 +191,13 @@ def trivial_intersection(a: Subspace, b: Subspace) -> bool:
 def build_partial_spread(family: list[Poly], b: int | None = None) -> list[Subspace]:
     """Kernels of all family members, checked pairwise for trivial overlap.
 
-    The gcd test is the production check; the set-intersection re-check stays
-    on because coprimality is only a faithful proxy when at most one member
-    has degree below the window size (two short windows can share solutions
-    despite coprime polynomials).
+    This is the from-scratch path for ad-hoc families: the pairwise gcd test
+    rejects shared factors, and the set-intersection re-check stays on
+    because coprimality is only a faithful proxy when at most one member has
+    degree below the window size (two short windows can share solutions
+    despite coprime polynomials). Catalog families skip both: the catalog's
+    gcd pass over its pool settles coprimality once per pair, and
+    from_spread's union-size check covers the overlap.
     """
     if not family:
         raise ValueError("empty family")

@@ -13,6 +13,7 @@ import spreadbent
 from spreadbent import TruthTable, anf, algebraic_degree, development_rank, is_bent
 from spreadbent import cli
 from spreadbent.cli import main
+from spreadbent.families import Catalog
 
 
 def run(capsys, *argv):
@@ -25,11 +26,19 @@ def forbidden(*args, **kwargs):
     raise AssertionError("this command must be refused before any work")
 
 
+def forbid_builds(monkeypatch):
+    """Make both build paths fail: the catalog's and the ad-hoc one."""
+    monkeypatch.setattr(Catalog, "build", forbidden)
+    for name in ("build_partial_spread", "bent_from_kernels", "development_rank"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
 @pytest.fixture
 def guarded(monkeypatch):
     """Fail fast, instead of allocating, if a refused command starts work."""
-    for name in ("candidate_pool", "enumerate_families", "build_bent", "development_rank"):
+    for name in ("candidate_pool", "enumerate_families"):
         monkeypatch.setattr(cli, name, forbidden)
+    forbid_builds(monkeypatch)
 
 
 def test_polys_listing(capsys):
@@ -101,7 +110,7 @@ def test_build_family_id_l3_b2(capsys):
 
 def test_build_family_id_beyond_huge_catalog(capsys, monkeypatch):
     # C(128, 64) exceeds sys.maxsize, so the range check cannot use len()
-    monkeypatch.setattr(cli, "build_bent", forbidden)
+    monkeypatch.setattr(Catalog, "build", forbidden)
     size = math.comb(128, 64)
     code, out, err = run(capsys, "build", "--l", "7", "--b", "1", "--family-id", str(size))
     assert code == 2
@@ -148,17 +157,16 @@ def test_every_build_shape_finishes_or_is_refused(capsys, monkeypatch, l, b, plu
     start = time.perf_counter()
     if (l, b) == (7, 1):
         # n=14: the lookup is checked, the build (a 2 GiB rank temporary) is not run
-        def stop(fs):
-            raise LookupDone(fs)
-        monkeypatch.setattr(cli, "build_bent", stop)
+        def stop(catalog, family_id, combo):
+            raise LookupDone(catalog.family(family_id, combo))
+        monkeypatch.setattr(Catalog, "build", stop)
         with pytest.raises(LookupDone) as done:
             main(argv)
         fs = done.value.args[0]
         assert fs.family_id == 0 and len(fs.polys) == 64 + plus
     else:
         if BUILD_SHAPES[l, b] == 2:
-            for name in ("build_bent", "development_rank"):
-                monkeypatch.setattr(cli, name, forbidden)
+            forbid_builds(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert code == BUILD_SHAPES[l, b], err
         if code == 0:

@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from spreadbent import (
+    BentCheckFailed,
+    OverlapDetected,
+    Subspace,
     TAG_IRREDUCIBLE,
     TAG_MIXED,
     TAG_ONE,
@@ -13,17 +17,21 @@ from spreadbent import (
     WrongSpreadSize,
     algebraic_degree,
     anf,
+    bent_from_kernels,
     build_bent,
+    build_matrix,
     candidate_pool,
     closed_form_family_count,
     coprime_subsets,
     desarguesian_spread,
     enumerate_families,
     field,
+    kernel,
     manifest_line,
     nonzero_constant_members,
     pairwise_coprime,
     verify_desarguesian_equivalence,
+    walsh_transform,
 )
 
 GF2 = field(1)
@@ -198,3 +206,60 @@ def test_build_bent_raises_on_wrong_size():
     )
     with pytest.raises(WrongSpreadSize):
         build_bent(broken)
+
+
+# Every catalog small enough to rebuild from scratch, as (l, b, include_e_infinity).
+SMALL_CATALOGS = [
+    (1, 2, False), (2, 2, False), (1, 3, False), (2, 1, False), (3, 1, False),
+    (1, 1, True), (2, 1, True), (3, 1, True),
+]
+
+
+@pytest.mark.parametrize("plus", [False, True], ids=["ps-", "ps+"])
+@pytest.mark.parametrize("l,b,e_inf", SMALL_CATALOGS)
+def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
+    pool = candidate_pool(field(l), b, include_e_infinity=e_inf)
+    catalog = enumerate_families(pool, (1 << (l * b - 1)) + plus)
+    built = 0
+    for fid, combo in catalog.walk():
+        fs = catalog[fid]
+        assert fs == catalog.family(fid, combo)
+        tt, spectrum = catalog.build(fid, combo)
+        assert tt == build_bent(fs)
+        assert np.array_equal(spectrum.values, walsh_transform(tt).values)
+        built += 1
+    assert built == catalog.size > 0
+
+
+def test_catalog_solves_each_kernel_once():
+    catalog = enumerate_families(candidate_pool(GF4, 2), 8)
+    first = catalog.kernel(3)
+    assert catalog.kernel(3) is first
+    assert first == kernel(build_matrix(catalog.pool.members[3], 2))
+    with pytest.raises(IndexError):
+        catalog.indices(catalog.size)
+
+
+def test_bent_from_kernels_checks():
+    catalog = enumerate_families(candidate_pool(GF2, 2), 2)
+    spread = [catalog.kernel(i) for i in catalog.indices(0)]
+    tt, spectrum = bent_from_kernels(spread, "PS-")
+    assert tt.hex() == build_bent(catalog[0]).hex()
+    assert np.array_equal(spectrum.values, walsh_transform(tt).values)
+    with pytest.raises(OverlapDetected):
+        bent_from_kernels([spread[0], spread[0]], "PS-")
+    with pytest.raises(WrongSpreadSize):
+        bent_from_kernels(spread[:1], "PS-")
+    with pytest.raises(WrongSpreadSize):
+        bent_from_kernels(spread, "PS+")
+
+
+def test_bent_from_kernels_rejects_non_flat_spectrum():
+    # Two 4-sets meeting only in zero pass every size check, but they are
+    # not subspaces and their union minus zero is not bent.
+    fake = [
+        Subspace(n=4, m=2, basis=(), vectors=(0, 1, 2, 4)),
+        Subspace(n=4, m=2, basis=(), vectors=(0, 3, 5, 6)),
+    ]
+    with pytest.raises(BentCheckFailed):
+        bent_from_kernels(fake, "PS-", family_id=7)

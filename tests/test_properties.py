@@ -4,9 +4,12 @@ the family catalog built on it.
 The references here work at the Poly level through poly_mul and poly_add,
 so they share no code with the list-based division inside poly_divmod and
 poly_gcd. The catalog reference scans every index tuple, so it shares no
-code with the clique walk.
+code with the clique walk. The last test checks the development rank's
+EA-invariance on catalog functions, the property the classification rests
+on.
 """
 
+import functools
 import itertools
 
 from hypothesis import assume, given, settings
@@ -16,7 +19,9 @@ from spreadbent import (
     TAG_IRREDUCIBLE,
     TAG_PRODUCT,
     CandidatePool,
+    TruthTable,
     candidate_pool,
+    development_rank,
     coprime_subsets,
     enumerate_families,
     Poly,
@@ -24,6 +29,8 @@ from spreadbent import (
     fe_inv,
     fe_mul,
     field,
+    gf2_basis,
+    is_bent,
     kernel,
     monic,
     one,
@@ -182,3 +189,48 @@ def test_catalog_matches_brute_force(pool, plus, data):
 @given(sub_pools(), st.integers(0, 10))
 def test_coprime_subsets_match_brute_force(pool, t):
     assert list(coprime_subsets(list(pool.members), t)) == oracle_subsets(pool.members, t)
+
+
+# ------------------------------------------------------------ EA-invariance
+
+# The window-2 catalogs at n=8 and the window-3 catalogs at n=6, as (l, b, t).
+EA_CATALOGS = [(2, 2, 8), (2, 2, 9), (1, 3, 4), (1, 3, 5)]
+
+
+@functools.cache
+def catalog_of(l, b, t):
+    return enumerate_families(candidate_pool(field(l), b), t)
+
+
+@st.composite
+def catalog_functions(draw):
+    catalog = catalog_of(*draw(st.sampled_from(EA_CATALOGS)))
+    fid = draw(st.integers(0, catalog.size - 1))
+    return catalog.build(fid, catalog.indices(fid))[0]
+
+
+def invertible_matrices(n):
+    """n x n matrices over GF(2), one int per row, bit j = column j."""
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return rows.filter(lambda a: len(gf2_basis(a)) == n)
+
+
+def parity(x):
+    return x.bit_count() & 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(catalog_functions(), st.data())
+def test_development_rank_is_ea_invariant(f, data):
+    """rank of f(Ax + b) + <c, x> + d equals rank of f."""
+    n = f.n
+    a = data.draw(invertible_matrices(n))
+    b, c = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1))
+    d = data.draw(st.integers(0, 1))
+
+    def image(x):
+        return sum(parity(row & x) << i for i, row in enumerate(a))
+
+    g = TruthTable(n, [f.bits[image(x) ^ b] ^ parity(c & x) ^ d for x in range(1 << n)])
+    assert is_bent(g)
+    assert development_rank(g) == development_rank(f)
