@@ -102,14 +102,12 @@ from .rank2 import (
     BEYOND_DS,
     BEYOND_MM,
     WITHIN_MM_RANGE,
-    RankReport,
     classify,
     development_matrix,
     development_rank,
     ds_rank_bounds,
     mm_rank_bounds,
     rank_gf2,
-    report,
 )
 
 __version__ = "0.1.0"

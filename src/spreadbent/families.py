@@ -12,7 +12,8 @@ GF(2^l), each carrying a provenance tag:
   b=3   over GF(2) only: the two irreducible cubics, the product of the
         admissible linear with the irreducible quadratic, and 1, X^3.
 
-A family is a size-t subset whose members are pairwise coprime. One extra
+A family is a size-t subset whose members are pairwise coprime, so that
+their kernels meet pairwise only in zero. One extra
 admissibility rule shapes the catalog: a subset containing a product of two
 distinct linears must also contain every degree-b irreducible of the pool.
 Such products each conflict with two of the squares and with one another,
@@ -20,30 +21,33 @@ so the catalog admits them only as completions of the full irreducible
 block. coprime_subsets exposes the unrestricted filter for exploration and
 for the closed-form count cross-checks.
 
-The catalog is never listed up front. Both it and coprime_subsets walk the
-compatibility graph of the pool (one int bitmask of coprime later members
-per member), branching on the lowest candidate: take it, or skip it. Since
-the irreducibles come before the products in pool order, the admissibility
-rule is a single clause of that walk: skipping an irreducible clears every
-product. A memoized count of each (candidates, still-to-pick) state gives
-the catalog size without listing it, finds family k in |pool| steps, and
-prunes the depth-first listing to branches that still hold a family. The
-walk takes before it skips, so families come in lexicographic index order,
-and family_id k is the k-th of them.
+The catalog is never listed up front. Both it and coprime_subsets walk a
+compatibility graph of the pool (one int bitmask of compatible later
+members per member), branching on the lowest candidate: take it, or skip
+it. Since the irreducibles come before the products in pool order, the
+admissibility rule is a single clause of that walk: skipping an irreducible
+clears every product. A memoized count of each (candidates, still-to-pick)
+state gives the catalog size without listing it, finds family k in |pool|
+steps, and prunes the depth-first listing to branches that still hold a
+family. The walk takes before it skips, so families come in lexicographic
+index order, and family_id k is the k-th of them.
 
-A catalog builds its functions from its own kernels: each pool member's
-kernel is solved once, on first use, and bent_from_kernels turns a family's
-kernels into the table and its Walsh spectrum. Coprimality is not re-run
-per family: the gcd pass over the pool's pairs already proved it for every
-pair a clique can hold. Only the constant 1 has degree below b in a pool,
-so coprime members have kernels that meet only in zero, and from_spread's
-union-size check confirms that on the kernels themselves.
+The catalog's graph comes from the kernels themselves: two members are
+compatible when their kernels meet only in zero, which is the
+partial-spread condition. coprime_subsets builds its graph from poly_gcd
+instead, so the closed-form counts check coprimality without the kernels.
+A pool solves each member's kernel and builds the kernel graph once, and
+every catalog over it shares both. A catalog builds its functions from
+those kernels: bent_from_kernels turns a family's kernels into the table
+and its Walsh spectrum, and from_spread's union-size check confirms on the
+kernels once more that they meet pairwise only in zero.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
 kernels and checks every pair through build_partial_spread first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Sequence
@@ -81,6 +85,23 @@ class CandidatePool:
 
     def indices_of(self, tag: str) -> tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.tags) if t == tag)
+
+    @functools.cached_property
+    def kernels(self) -> tuple[Subspace, ...]:
+        """The kernel of every member at window size b, solved once per pool."""
+        return tuple(kernel(build_matrix(p, self.b)) for p in self.members)
+
+    @functools.cached_property
+    def disjoint_after(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when j > i and the kernels of members i
+        and j meet only in 0: the partial-spread condition, read off the
+        kernels' indicator bitmasks. Computed once per pool and shared by
+        every catalog over it."""
+        masks = [_indicator(k) for k in self.kernels]
+        return tuple(
+            sum(1 << j for j in range(i + 1, len(masks)) if masks[i] & masks[j] == 1)
+            for i in range(len(masks))
+        )
 
 
 @dataclass(frozen=True)
@@ -135,23 +156,19 @@ def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) ->
 
 
 class _Cliques:
-    """Size-t sets of pairwise-coprime members, as sorted index tuples.
+    """Size-t cliques of a compatibility graph, as sorted index tuples.
 
     A state (mask, r) stands for every way to pick r more indices from the
     set bits of mask. Bit j of after[i] is set when j > i and members i and
-    j are coprime, so taking the lowest candidate i leaves mask & after[i].
-    Skipping an index in the bitmask gate also drops every index in gated.
+    j may share a family, so taking the lowest candidate i leaves
+    mask & after[i]. Skipping an index in the bitmask gate also drops every
+    index in gated.
     """
 
-    def __init__(self, members, t, gate=0, gated=0):
-        n = len(members)
-        unit = one(members[0].spec) if members else None
-        self.after = [0] * n
-        for i, j in itertools.combinations(range(n), 2):
-            if poly_gcd(members[i], members[j]) == unit:
-                self.after[i] |= 1 << j
+    def __init__(self, after, t, gate=0, gated=0):
+        self.after = after
         self.t = t
-        self.full = (1 << n) - 1
+        self.full = (1 << len(after)) - 1
         self.gate = gate
         self.keep = ~gated
         self._memo = {}
@@ -206,10 +223,17 @@ def coprime_subsets(members: list[Poly], t: int):
     """Yield every size-t index tuple whose members are pairwise coprime,
     in lexicographic order.
 
-    This is the unrestricted filter; enumerate_families layers the catalog
-    admissibility rule on top of it.
+    This is the unrestricted filter over the poly_gcd graph, the reference
+    the closed-form counts are checked against; enumerate_families walks
+    the kernel graph of its pool and layers the catalog admissibility rule
+    on top.
     """
-    cliques = _Cliques(members, t)
+    unit = one(members[0].spec) if members else None
+    after = [0] * len(members)
+    for i, j in itertools.combinations(range(len(members)), 2):
+        if poly_gcd(members[i], members[j]) == unit:
+            after[i] |= 1 << j
+    cliques = _Cliques(after, t)
     yield from cliques.walk(cliques.full, t)
 
 
@@ -236,15 +260,12 @@ class Catalog(Sequence):
         self.pool, self.m = pool, m
         irreducibles = sum(1 << i for i in pool.indices_of(TAG_IRREDUCIBLE))
         products = sum(1 << i for i in pool.indices_of(TAG_PRODUCT))
-        self._cliques = _Cliques(list(pool.members), t, irreducibles, products)
+        self._cliques = _Cliques(pool.disjoint_after, t, irreducibles, products)
         self.size = self._cliques.count(self._cliques.full, t)
-        self._kernels = [None] * len(pool.members)
 
     def kernel(self, i: int) -> Subspace:
-        """Kernel of pool member i, solved on first use."""
-        if self._kernels[i] is None:
-            self._kernels[i] = kernel(build_matrix(self.pool.members[i], self.pool.b))
-        return self._kernels[i]
+        """Kernel of pool member i, solved once per pool."""
+        return self.pool.kernels[i]
 
     def indices(self, k: int) -> tuple[int, ...]:
         """Pool indices of the members of family k, 0 <= k < size."""
@@ -340,6 +361,14 @@ def manifest_line(family: FamilySpec) -> str:
     )
 
 
+def _indicator(s: Subspace) -> int:
+    # the subspace as an int with bit v set for every member v
+    bits = bytearray(max(1 << s.n >> 3, 1))
+    for v in s.vectors:
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
+
+
 def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
     flattened with the canonical bit convention (first coordinate low)."""
@@ -373,9 +402,8 @@ def verify_desarguesian_equivalence(m: int) -> bool:
     pool = candidate_pool(spec, 1)
     # a + X has kernel E_a; X itself is the a = 0 case
     graph_of = [p.coeffs[0] for p in pool.members]
-    # each subspace as an int with bit v set for every (distinct) member v
-    lrs_masks = [sum(1 << v for v in kernel(build_matrix(p, 1)).vectors) for p in pool.members]
-    ds_masks = [sum(1 << v for v in graphs[a].vectors) for a in graph_of]
+    lrs_masks = [_indicator(k) for k in pool.kernels]
+    ds_masks = [_indicator(graphs[a]) for a in graph_of]
     t = 1 << (m - 1)
     for combo in itertools.combinations(range(len(pool.members)), t):
         lrs_union = ds_union = 0

@@ -13,10 +13,18 @@ of the integer is the alpha^j coefficient of coordinate i. Printed as an
 n-character bit string (index 0 last, i.e. the string is read coordinate 0
 rightmost), the kernel of X^2 over GF(2) at b=2 is {0000, 0001, 0010, 0011},
 the canonical ground truth this convention is locked to.
+
+The linear algebra runs over GF(2) on those flattened vectors. Multiplying
+by a field element c is GF(2)-linear on the l bits of an element, so each
+band row becomes l int rows, one per output bit. An F_q-linear map has the
+same kernel as its flattened GF(2) image and is invertible exactly when
+that image is, so kernels and the Sylvester check eliminate int rows by
+XOR, with no field multiplication.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,8 +35,8 @@ from .errors import (
     NotCoprime,
     UnsupportedParameters,
 )
-from .gf2e import FieldSpec, fe_inv, fe_mul
-from .poly import Poly, one, pairwise_coprime, poly_gcd
+from .gf2e import FieldSpec, fe_mul
+from .poly import Poly, one, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -91,78 +99,95 @@ def unflatten(x: int, spec: FieldSpec, length: int) -> tuple[int, ...]:
 
 
 def gf2_basis(vectors) -> tuple[int, ...]:
-    """Extract a GF(2) basis from a set of integers by bit elimination."""
-    basis: list[int] = []
-    pivots: list[int] = []
+    """Extract a GF(2) basis from a set of integers by bit elimination.
+
+    Each vector is reduced by the basis vector with its top bit until it
+    vanishes or brings a new top bit, which makes it a basis vector.
+    """
+    pivots: dict[int, int] = {}  # top bit -> basis vector
     for v in vectors:
-        for b, p in zip(basis, pivots):
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            basis.append(v)
-            pivots.append(v.bit_length() - 1)
-    return tuple(basis)
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return tuple(pivots.values())
 
 
-def _rref(spec: FieldSpec, rows: list[list[int]]) -> list[int]:
-    """In-place reduced row echelon form over F_q; returns pivot columns."""
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = fe_inv(spec, rows[r][col])
-        rows[r] = [fe_mul(spec, inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a ^ fe_mul(spec, c, v) for a, v in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+@functools.lru_cache(maxsize=16)
+def _mul_bits(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    # entry [c][j'] is the mask of input bits j for which bit j' of
+    # c*alpha^j is set: row j' of the GF(2) matrix of x -> c*x
+    images = [[fe_mul(spec, c, 1 << j) for j in range(spec.l)] for c in range(spec.q)]
+    return tuple(
+        tuple(sum(1 << j for j, y in enumerate(ys) if y >> jp & 1) for jp in range(spec.l))
+        for ys in images
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _gf2_rows(f: Poly, b: int) -> tuple[int, ...]:
+    """The b x 2b band matrix of f as b*l GF(2) rows over flattened vectors.
+
+    Band row i splits into l rows, one per output bit j': bit i'*l + j of
+    the GF(2) row is bit j' of c*alpha^j, where c is the entry in column i'.
+    Band row 0 is the window of f, and band row i is row 0 moved i
+    coordinates up, so its GF(2) rows are those of row 0 shifted by i*l bits.
+    """
+    l, table = f.spec.l, _mul_bits(f.spec)
+    low = [
+        sum(table[c][jp] << (k * l) for k, c in enumerate(window(f, b)) if c)
+        for jp in range(l)
+    ]
+    return tuple(row << (i * l) for i in range(b) for row in low)
 
 
 def kernel(m: LrsMap) -> Subspace:
     """All q^b solutions of the banded system, flattened and sorted.
 
-    Solves only for the l*b GF(2) generators (each free coordinate set in
-    turn to alpha^j, the others to zero) and spans the rest by XOR.
+    An F_q-linear map has the same kernel as its flattened GF(2) image, so
+    the b*l GF(2) rows are brought to reduced echelon form as ints. Each
+    free column c gives one of the l*b generators: bit c, plus the pivot
+    bit of every row that has bit c set. XOR spans the rest.
     """
     spec = m.poly.spec
-    rows = [list(r) for r in m.rows]
-    pivots = _rref(spec, rows)
-    if len(pivots) < m.b:
-        raise DegenerateMap(f"recurrence matrix has rank {len(pivots)} < {m.b}")
-    ncols = 2 * m.b
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        for j in range(spec.l):
-            x = [0] * ncols
-            x[c] = 1 << j
-            for row, pc in zip(rows, pivots):
-                x[pc] = fe_mul(spec, row[c], x[c])  # char 2: -v == v
-            basis.append(flatten(x, spec))
+    n = 2 * spec.l * m.b
+    dim = spec.l * m.b
+    pivots: dict[int, int] = {}  # pivot column -> its reduced row
+    for row in _gf2_rows(m.poly, m.b):
+        for c, p in pivots.items():
+            if row >> c & 1:
+                row ^= p
+        if row:
+            c = (row & -row).bit_length() - 1
+            for pc, p in list(pivots.items()):
+                if p >> c & 1:
+                    pivots[pc] = p ^ row
+            pivots[c] = row
+    if len(pivots) < dim:
+        raise DegenerateMap(f"recurrence matrix has GF(2) rank {len(pivots)} < {dim}")
+    basis = [
+        1 << c | sum(1 << pc for pc, p in pivots.items() if p >> c & 1)
+        for c in range(n)
+        if c not in pivots
+    ]
     vectors = [0]
     for v in basis:
         vectors += [w ^ v for w in vectors]
     vectors.sort()
-    n = 2 * spec.l * m.b
-    dim = spec.l * m.b
     return Subspace(n=n, m=dim, basis=tuple(basis), vectors=tuple(vectors))
 
 
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:
     """Invertibility of the 2b x 2b superposition of the two banded matrices.
 
-    Stacks the b-row window matrix of f on top of that of g and eliminates
-    over F_q. Full rank is equivalent to gcd(f, g) = 1 whenever at most one
-    of the two windows is degree-deficient.
+    Stacks the b*l GF(2) rows of f's band matrix on those of g's and tests
+    for rank 2*b*l by int-row elimination: an F_q-linear map is invertible
+    exactly when its flattened GF(2) image is. A zero polynomial has a zero
+    band, so the stack is singular. Full rank is equivalent to
+    gcd(f, g) = 1 whenever at most one of the two windows is
+    degree-deficient.
     """
     if f.is_zero and g.is_zero:
         raise BothZero("resultant of two zero polynomials")
@@ -170,15 +195,8 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:
         b = max(int(max(f.degree, g.degree, 1)), 1)
     if max(f.degree, g.degree) > b:
         raise UnsupportedParameters(f"degrees exceed window size b={b}")
-    rows = []
-    for h in (f, g):
-        w = window(h, b)
-        for i in range(b):
-            row = [0] * (2 * b)
-            for j, c in enumerate(w):
-                row[i + j] = c
-            rows.append(row)
-    return len(_rref(f.spec, rows)) == 2 * b
+    rows = _gf2_rows(f, b) + _gf2_rows(g, b)
+    return len(gf2_basis(rows)) == 2 * b * f.spec.l
 
 
 def trivial_intersection(a: Subspace, b: Subspace) -> bool:
@@ -195,9 +213,9 @@ def build_partial_spread(family: list[Poly], b: int | None = None) -> list[Subsp
     rejects shared factors, and the set-intersection re-check stays on
     because coprimality is only a faithful proxy when at most one member has
     degree below the window size (two short windows can share solutions
-    despite coprime polynomials). Catalog families skip both: the catalog's
-    gcd pass over its pool settles coprimality once per pair, and
-    from_spread's union-size check covers the overlap.
+    despite coprime polynomials). Catalog families skip both: their pool's
+    kernel graph settles the overlap once per pair, and from_spread's
+    union-size check confirms it.
     """
     if not family:
         raise ValueError("empty family")

@@ -155,14 +155,18 @@ def _monic_of_degree(spec: FieldSpec, d: int):
 def is_irreducible(f: Poly) -> bool:
     """Trial division against all monic polynomials of degree <= deg f / 2.
 
-    Only meant for desk-scale degrees; the loop count is q^(deg/2).
+    Each trial divides a copy of f's coefficient list in place through
+    _reduce, with no Poly per divisor. Only meant for desk-scale degrees;
+    the loop count is q^(deg/2).
     """
     if f.degree < 1:
         raise DegreeTooSmall(f"irreducibility needs degree >= 1, got {f.degree}")
     d = int(f.degree)
     for e in range(1, d // 2 + 1):
-        for g in _monic_of_degree(f.spec, e):
-            if poly_divmod(f, g)[1].is_zero:
+        for tail in itertools.product(range(f.spec.q), repeat=e):
+            r = list(f.coeffs)
+            _reduce(f.spec, r, tail + (1,))
+            if not r:
                 return False
     return True
 

@@ -115,6 +115,39 @@ def test_catalog_size_beyond_maxsize():
     assert catalog.size == math.comb(256, 128)
 
 
+# (l, b, include_e_infinity) -> catalog sizes (PS-, PS+). At b=1 every
+# pair of distinct members is coprime, so every subset of the pool counts.
+GRAPH_POOLS = {
+    **{
+        (l, 1, wide): (math.comb(q, q // 2), math.comb(q, q // 2 + 1))
+        for l in range(1, 8)
+        for wide, q in ((False, 1 << l), (True, (1 << l) + 1))
+    },
+    (1, 2, False): (6, 4),
+    (2, 2, False): (174, 64),
+    (3, 2, False): (437997, 68145),
+    (1, 3, False): (5, 1),
+}
+
+
+@pytest.mark.parametrize("l,b,wide", sorted(GRAPH_POOLS))
+def test_kernel_graph_is_the_gcd_graph(l, b, wide):
+    pool = candidate_pool(field(l), b, include_e_infinity=wide)
+    members = pool.members
+    gcd_graph = tuple(
+        sum(
+            1 << j
+            for j in range(i + 1, len(members))
+            if pairwise_coprime([members[i], members[j]])
+        )
+        for i in range(len(members))
+    )
+    assert pool.disjoint_after == gcd_graph
+    m = l * b
+    sizes = tuple(enumerate_families(pool, (1 << (m - 1)) + plus).size for plus in (0, 1))
+    assert sizes == GRAPH_POOLS[l, b, wide]
+
+
 def test_last_family_at_l7_is_the_pool_tail():
     pool = candidate_pool(field(7), 1)
     catalog = enumerate_families(pool, 64)
@@ -235,6 +268,10 @@ def test_catalog_solves_each_kernel_once():
     catalog = enumerate_families(candidate_pool(GF4, 2), 8)
     first = catalog.kernel(3)
     assert catalog.kernel(3) is first
+    # a second catalog over the same pool shares its kernels and graph
+    other = enumerate_families(catalog.pool, 9)
+    assert other.kernel(3) is first
+    assert other._cliques.after is catalog._cliques.after
     assert first == kernel(build_matrix(catalog.pool.members[3], 2))
     with pytest.raises(IndexError):
         catalog.indices(catalog.size)

@@ -1,5 +1,6 @@
-"""Property tests for the polynomial layer over GF(2^l), l <= 4, and for
-the family catalog built on it.
+"""Property tests for the polynomial layer over GF(2^l), l <= 4, for the
+GF(2) Sylvester and kernel tests of the LRS layer (l <= 5), and for the
+family catalog built on it.
 
 The references here work at the Poly level through poly_mul and poly_add,
 so they share no code with the list-based division inside poly_divmod and
@@ -120,6 +121,38 @@ def test_coprimality_triangle(pair):
     invertible = sylvester_resultant_nonzero(f, g, b)
     disjoint = trivial_intersection(kernel(build_matrix(f, b)), kernel(build_matrix(g, b)))
     assert coprime == invertible == disjoint
+
+
+@st.composite
+def windowed_pairs(draw):
+    """Nonzero f, g over GF(2^l), l = 1..5, half of them sharing a factor of
+    degree 0 or 1, with a window size b from max(deg) to max(deg) + 1. The
+    degrees keep l*b <= 10, so a kernel has at most 2^10 vectors."""
+    spec = field(draw(st.integers(1, 5)))
+    top = max(10 // spec.l - 1, 1)
+    share = draw(polys(spec, 1, nonzero=True)) if draw(st.booleans()) else one(spec)
+    rest = top - int(share.degree)
+    f = poly_mul(draw(polys(spec, rest, nonzero=True)), share)
+    g = poly_mul(draw(polys(spec, rest, nonzero=True)), share)
+    b = max(int(max(f.degree, g.degree)), 1) + draw(st.integers(0, 1))
+    return f, g, b
+
+
+@settings(deadline=None)
+@given(windowed_pairs())
+def test_gf2_sylvester_and_kernels_agree_with_gcd(case):
+    """With at most one degree-deficient window, the GF(2) Sylvester
+    verdict, gcd = 1 and trivial kernel intersection agree. Two deficient
+    windows both hold the vector with only the last coordinate set, so
+    neither the stack nor the kernels pass, whatever the gcd."""
+    f, g, b = case
+    invertible = sylvester_resultant_nonzero(f, g, b)
+    disjoint = trivial_intersection(kernel(build_matrix(f, b)), kernel(build_matrix(g, b)))
+    assert invertible == disjoint
+    if (f.degree < b) + (g.degree < b) <= 1:
+        assert invertible == (poly_gcd(f, g) == one(f.spec))
+    else:
+        assert not invertible
 
 
 # ------------------------------------------------------------ catalog

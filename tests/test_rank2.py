@@ -16,7 +16,6 @@ from spreadbent import (
     mm_rank_bounds,
     poly,
     rank_gf2,
-    report,
 )
 
 
@@ -83,8 +82,3 @@ def test_classification_thresholds():
     assert classify(42, 4) == BEYOND_MM
     assert classify(43, 4) == BEYOND_DS
     assert classify(6, 2) == WITHIN_MM_RANGE
-
-
-def test_report_bundles_fields():
-    r = report(44, 4)
-    assert (r.rank, r.m, r.classification) == (44, 4, BEYOND_DS)
