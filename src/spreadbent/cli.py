@@ -4,10 +4,10 @@ run the two benchmark sweeps, and self-check the whole pipeline.
 Exit codes: 0 success, 1 self-check failure, 2 bad arguments, 3 construction
 rejected (non-coprime family, wrong family size, overlapping kernels).
 
-Data goes to stdout or --out; progress goes to stderr. Sweep output is
-byte-identical for every --jobs setting: families are enumerated, numbered,
-and emitted in catalog order no matter how the per-family analysis is
-distributed across workers.
+Data goes to stdout or --out; progress goes to stderr. build prints the
+fields of families.analyze, and table1 and table2 are two presets of
+families.sweep, whose rows are byte-identical for every --jobs setting.
+verify never analyzes, so it does no rank work.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import argparse
 import csv
 import io
 import itertools
-import multiprocessing
 import os
 import sys
 from collections import Counter
 
-from .boolfun import algebraic_degree, anf, format_anf, from_spread, nonlinearity
+from .boolfun import algebraic_degree, anf, format_anf, from_spread
 from .errors import (
     BentCheckFailed,
     BothZero,
@@ -36,12 +35,14 @@ from .families import (
     TAG_PRODUCT,
     TAG_SQUARE,
     FamilySpec,
+    analyze,
     bent_from_kernels,
     candidate_pool,
     coprime_subsets,
     enumerate_families,
     manifest_line,
     nonzero_constant_members,
+    sweep,
     verify_desarguesian_equivalence,
 )
 from .gf2e import describe, fe_inv, fe_mul, field
@@ -56,7 +57,6 @@ from .poly import (
     poly,
     poly_gcd,
 )
-from .rank2 import classify, development_rank
 
 CSV_HEADER = (
     "family_id,type,l,b,polys,tt_hex,weight,degree,nonlinearity,rank,classification"
@@ -75,68 +75,8 @@ CONSTRUCTION_ERRORS = (
 
 # ---------------------------------------------------------------- sweeps
 
-_KERNELS = []  # per-process copy of the pool's kernels, set by _init_worker
-
-
-def _init_worker(kernels):
-    global _KERNELS
-    _KERNELS = kernels
-
-
-def _analyze_item(item):
-    """(family_id, spread type, member indices) -> analysis tuple.
-
-    Runs in worker processes; everything heavy (kernels) comes from the
-    initializer, so the item itself stays tiny.
-    """
-    fid, spread_type, idxs = item
-    tt, spectrum = bent_from_kernels([_KERNELS[i] for i in idxs], spread_type, fid)
-    degree = algebraic_degree(anf(tt))
-    rank = development_rank(tt)
-    return (tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2))
-
-
-def _run_sweep(items, kernels, jobs):
-    results = []
-    if jobs == 1:
-        _init_worker(kernels)
-        for done, item in enumerate(items, 1):
-            results.append(_analyze_item(item))
-            if done % 2000 == 0:
-                print(f"  analyzed {done}/{len(items)}", file=sys.stderr)
-    else:
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(kernels,)) as pool:
-            chunk = max(1, len(items) // (jobs * 8))
-            for done, row in enumerate(pool.imap(_analyze_item, items, chunksize=chunk), 1):
-                results.append(row)
-                if done % 2000 == 0:
-                    print(f"  analyzed {done}/{len(items)}", file=sys.stderr)
-    return results
-
-
-def _sweep_catalog(spec, b, sizes, jobs, include_e_infinity=False):
-    """Walk, build, and analyze the full catalog for each family size.
-
-    Returns the CSV records concatenated over sizes in the given order,
-    preserving per-catalog numbering.
-    """
-    pool = candidate_pool(spec, b, include_e_infinity=include_e_infinity)
-    rows = []
-    for t in sizes:
-        catalog = enumerate_families(pool, t)
-        print(f"catalog l={spec.l} b={b} t={t}: {catalog.size} families", file=sys.stderr)
-        items = [(fid, catalog.spread_type, combo) for fid, combo in catalog.walk()]
-        kernels = [catalog.kernel(i) for i in range(len(pool.members))]
-        rows.extend(_records(pool, items, _run_sweep(items, kernels, jobs)))
-    return rows
-
-
-def _records(pool, items, results):
-    names = [format_poly(p) for p in pool.members]
-    return [
-        [fid, spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *result]
-        for (fid, spread_type, combo), result in zip(items, results)
-    ]
+# The two benchmark sweeps: (l, b, family sizes) of the catalogs each runs.
+TABLES = {"table1": (4, 1, (8,)), "table2": (2, 2, (8, 9))}
 
 
 def _histogram_text(rows):
@@ -172,12 +112,9 @@ def _emit(text, out):
 
 
 def _resolve_jobs(requested):
-    if requested is None:
-        env = os.environ.get("SPREADBENT_JOBS", "")
-        requested = int(env) if env else 0
     if requested < 0:
         raise ValueError(f"--jobs must be >= 0, got {requested}")
-    return requested if requested else (os.cpu_count() or 1)
+    return requested or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------- commands
@@ -197,12 +134,10 @@ def cmd_polys(args):
 
 def cmd_build(args):
     spec = field(args.l)
-    m = args.l * args.b
     plus = args.type == "ps+"
-    t = (1 << (m - 1)) + (1 if plus else 0)
     if args.family_id is not None:
         pool = candidate_pool(spec, args.b, include_e_infinity=args.include_e_infinity)
-        catalog = enumerate_families(pool, t)
+        catalog = enumerate_families(pool, (1 << (args.l * args.b - 1)) + plus)
         if not 0 <= args.family_id < catalog.size:
             print(
                 f"error: family id {args.family_id} out of range: the "
@@ -217,35 +152,25 @@ def cmd_build(args):
     else:
         polys = tuple(parse_poly(spec, text) for text in args.polys.split(";"))
         fs = FamilySpec(
-            l=args.l, b=args.b, m=m, n=2 * m, polys=polys,
+            l=args.l, b=args.b, polys=polys,
             spread_type="PS+" if plus else "PS-", family_id=-1,
         )
         spread = build_partial_spread(list(polys), b=args.b)
-        tt, spectrum = bent_from_kernels(spread, fs.spread_type, fs.family_id)
-    a = anf(tt)
-    rank = development_rank(tt)
+        tt, spectrum = bent_from_kernels(spread, fs.spread_type)
+    # the CSV's analysis columns, with bent and anf printed before rank
+    fields = list(zip(CSV_HEADER[5:], analyze(tt, spectrum)))
+    fields[4:4] = [("bent", "true"), ("anf", format_anf(anf(tt)))]
     print(manifest_line(fs))
-    print(f"tt_hex={tt.hex()}")
-    print(f"weight={tt.weight()}")
-    print(f"degree={algebraic_degree(a)}")
-    print(f"nonlinearity={nonlinearity(spectrum)}")
-    print("bent=true")
-    print(f"anf={format_anf(a)}")
-    print(f"rank={rank}")
-    print(f"classification={classify(rank, m)}")
+    for key, value in fields:
+        print(f"{key}={value}")
     return 0
 
 
-def cmd_table1(args):
+def cmd_table(args):
     jobs = _resolve_jobs(args.jobs)
-    rows = _sweep_catalog(field(4), 1, (8,), jobs, include_e_infinity=args.include_e_infinity)
-    _emit(_csv_text(rows) if args.format == "csv" else _histogram_text(rows), args.out)
-    return 0
-
-
-def cmd_table2(args):
-    jobs = _resolve_jobs(args.jobs)
-    rows = _sweep_catalog(field(2), 2, (8, 9), jobs)
+    l, b, sizes = TABLES[args.command]
+    pool = candidate_pool(field(l), b, include_e_infinity=getattr(args, "include_e_infinity", False))
+    rows = sweep(pool, sizes, jobs)
     _emit(_csv_text(rows) if args.format == "csv" else _histogram_text(rows), args.out)
     return 0
 
@@ -302,9 +227,11 @@ def _check_triangle(spec, maxdeg):
     kernels = {}
 
     def kernel_of(p, b):
-        if (p, b) not in kernels:
-            kernels[p, b] = kernel(build_matrix(p, b))
-        return kernels[p, b]
+        # keyed by coefficients: hashing a Poly rehashes its FieldSpec
+        key = (p.coeffs, b)
+        if key not in kernels:
+            kernels[key] = kernel(build_matrix(p, b))
+        return kernels[key]
 
     pairs = 0
     for f, g in itertools.combinations_with_replacement(polys, 2):
@@ -445,8 +372,8 @@ def _build_parser():
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
         p.add_argument("--format", choices=("table", "csv"), default="table",
                        help="histogram table or full per-function CSV")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes; 0 = all cores (default from SPREADBENT_JOBS)")
+        p.add_argument("--jobs", type=int, default=0,
+                       help="worker processes; 0 = all cores (the default)")
 
     p = sub.add_parser("polys", help="list the candidate polynomial pool")
     add_params(p)
@@ -463,11 +390,11 @@ def _build_parser():
     p.add_argument("--include-e-infinity", action="store_true",
                    help="widen the pool with the constant 1 (off-catalog exploration)")
     add_output(p)
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("table2", help="rank distributions of both window-2 catalogs at n=8")
     add_output(p)
-    p.set_defaults(func=cmd_table2)
+    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the self-check suite")
     p.set_defaults(func=cmd_verify)

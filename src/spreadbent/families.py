@@ -42,7 +42,10 @@ those kernels: bent_from_kernels turns a family's kernels into the table
 and its Walsh spectrum, and from_spread's union-size check confirms on the
 kernels once more that they meet pairwise only in zero.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
-kernels and checks every pair through build_partial_spread first.
+kernels and checks every pair through build_partial_spread first. analyze
+reads a checked function's fields, and sweep builds and analyzes whole
+catalogs into CSV rows, in catalog order: the one path that build,
+table1/table2 and the acceptance goldens run.
 """
 
 from __future__ import annotations
@@ -50,13 +53,23 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .boolfun import TruthTable, WalshSpectrum, from_spread, is_flat, walsh_transform
+from .boolfun import (
+    TruthTable,
+    WalshSpectrum,
+    algebraic_degree,
+    anf,
+    from_spread,
+    is_flat,
+    nonlinearity,
+    walsh_transform,
+)
 from .errors import BentCheckFailed, UnsupportedParameters
 from .gf2e import FieldSpec, fe_mul, field
-from .lrs import Subspace, build_matrix, build_partial_spread, gf2_basis, kernel
+from .lrs import Subspace, build_matrix, build_partial_spread, kernel
 from .poly import (
     Poly,
     enumerate_irreducibles,
@@ -67,6 +80,7 @@ from .poly import (
     poly_mul,
     x_power,
 )
+from .rank2 import classify, development_rank
 
 TAG_IRREDUCIBLE = "irreducible-deg-b"
 TAG_SQUARE = "square-of-linear"
@@ -110,11 +124,17 @@ class FamilySpec:
 
     l: int
     b: int
-    m: int
-    n: int
     polys: tuple[Poly, ...]
     spread_type: str  # "PS-" or "PS+"
     family_id: int
+
+    @property
+    def m(self) -> int:
+        return self.l * self.b
+
+    @property
+    def n(self) -> int:
+        return 2 * self.m
 
 
 def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) -> CandidatePool:
@@ -257,15 +277,11 @@ class Catalog(Sequence):
             raise UnsupportedParameters(
                 f"family size {t} matches neither spread type at m={m}"
             )
-        self.pool, self.m = pool, m
+        self.pool = pool
         irreducibles = sum(1 << i for i in pool.indices_of(TAG_IRREDUCIBLE))
         products = sum(1 << i for i in pool.indices_of(TAG_PRODUCT))
         self._cliques = _Cliques(pool.disjoint_after, t, irreducibles, products)
         self.size = self._cliques.count(self._cliques.full, t)
-
-    def kernel(self, i: int) -> Subspace:
-        """Kernel of pool member i, solved once per pool."""
-        return self.pool.kernels[i]
 
     def indices(self, k: int) -> tuple[int, ...]:
         """Pool indices of the members of family k, 0 <= k < size."""
@@ -281,8 +297,6 @@ class Catalog(Sequence):
         return FamilySpec(
             l=self.pool.spec.l,
             b=self.pool.b,
-            m=self.m,
-            n=2 * self.m,
             polys=tuple(self.pool.members[i] for i in combo),
             spread_type=self.spread_type,
             family_id=family_id,
@@ -290,7 +304,7 @@ class Catalog(Sequence):
 
     def build(self, family_id: int, combo: tuple[int, ...]) -> tuple[TruthTable, WalshSpectrum]:
         """The checked function of a (family_id, member indices) pair."""
-        spread = [self.kernel(i) for i in combo]
+        spread = [self.pool.kernels[i] for i in combo]
         return bent_from_kernels(spread, self.spread_type, family_id)
 
     def __len__(self):
@@ -353,6 +367,65 @@ def build_bent(family: FamilySpec) -> TruthTable:
     return bent_from_kernels(spread, family.spread_type, family.family_id)[0]
 
 
+def analyze(tt: TruthTable, spectrum: WalshSpectrum) -> tuple:
+    """The CSV analysis fields of a checked function: hex table, weight,
+    degree, nonlinearity, development rank and classification."""
+    degree = algebraic_degree(anf(tt))
+    rank = development_rank(tt)
+    return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
+
+
+_KERNELS: tuple[Subspace, ...] = ()  # a sweep worker's copy of the pool's kernels
+
+
+def _init_worker(kernels):
+    global _KERNELS
+    _KERNELS = kernels
+
+
+def _analyze_item(item):
+    # (family_id, spread type, member indices): the kernels come with the worker
+    family_id, spread_type, combo = item
+    return analyze(*bent_from_kernels([_KERNELS[i] for i in combo], spread_type, family_id))
+
+
+def _analyzed(items, kernels, jobs):
+    """analyze's fields for each item, in item order: in this process for
+    jobs=1, else over jobs worker processes that hold the kernels."""
+    if jobs == 1:
+        _init_worker(kernels)
+        yield from map(_analyze_item, items)
+        return
+    import multiprocessing  # deferred: it adds about 8 ms to `import spreadbent`
+
+    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(kernels,)) as workers:
+        yield from workers.imap(_analyze_item, items, chunksize=max(1, len(items) // (jobs * 8)))
+
+
+def sweep(pool: CandidatePool, sizes, jobs: int) -> list[list]:
+    """The CSV rows (family_id, type, l, b, polys, then analyze's fields) of
+    every function of the pool's size-t catalog for each t in sizes, in
+    catalog order; the same for every jobs >= 1."""
+    names = [format_poly(p) for p in pool.members]
+    rows = []
+    for t in sizes:
+        catalog = enumerate_families(pool, t)
+        print(f"catalog l={pool.spec.l} b={pool.b} t={t}: {catalog.size} families", file=sys.stderr)
+        items = [(fid, catalog.spread_type, combo) for fid, combo in catalog.walk()]
+        results = []
+        for done, fields in enumerate(_analyzed(items, pool.kernels, jobs), 1):
+            results.append(fields)
+            if done % 2000 == 0:
+                print(f"  analyzed {done}/{len(items)}", file=sys.stderr)
+        # rows are built once the results are in: building them between
+        # arriving results raised the table1 peak RSS by about 2.5 MB
+        rows += [
+            [fid, spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *fields]
+            for (fid, spread_type, combo), fields in zip(items, results)
+        ]
+    return rows
+
+
 def manifest_line(family: FamilySpec) -> str:
     polys = ";".join(format_poly(p) for p in family.polys)
     return (
@@ -378,9 +451,9 @@ def desarguesian_spread(m: int) -> list[Subspace]:
     out = []
     for a in range(spec.q):
         vectors = tuple(sorted(x | (fe_mul(spec, a, x) << m) for x in range(spec.q)))
-        out.append(Subspace(n=2 * m, m=m, basis=gf2_basis(vectors), vectors=vectors))
+        out.append(Subspace(n=2 * m, m=m, vectors=vectors))
     e_inf = tuple(y << m for y in range(spec.q))
-    out.append(Subspace(n=2 * m, m=m, basis=gf2_basis(e_inf), vectors=e_inf))
+    out.append(Subspace(n=2 * m, m=m, vectors=e_inf))
     return out
 
 

@@ -52,13 +52,11 @@ class LrsMap:
 class Subspace:
     """An m-dimensional GF(2) subspace of F_2^n, fully enumerated.
 
-    vectors holds all 2^m flattened elements, sorted; basis is one choice of
-    m independent vectors spanning them.
+    vectors holds all 2^m flattened elements, sorted.
     """
 
     n: int
     m: int
-    basis: tuple[int, ...]
     vectors: tuple[int, ...]
 
 
@@ -176,7 +174,7 @@ def kernel(m: LrsMap) -> Subspace:
     for v in basis:
         vectors += [w ^ v for w in vectors]
     vectors.sort()
-    return Subspace(n=n, m=dim, basis=tuple(basis), vectors=tuple(vectors))
+    return Subspace(n=n, m=dim, vectors=tuple(vectors))
 
 
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:

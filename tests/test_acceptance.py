@@ -6,8 +6,10 @@ catalogs, tables, and golden values here are integers, and the suite treats
 any deviation as a failure.
 """
 
+import hashlib
 import itertools
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -21,7 +23,6 @@ from spreadbent import (
     candidate_pool,
     closed_form_family_count,
     coprime_subsets,
-    development_rank,
     enumerate_families,
     enumerate_irreducibles,
     field,
@@ -40,29 +41,51 @@ from spreadbent import (
     verify_desarguesian_equivalence,
     walsh_transform,
 )
-from spreadbent.families import TAG_PRODUCT, TAG_SQUARE
+from spreadbent.cli import _csv_text
+from spreadbent.families import TAG_PRODUCT, TAG_SQUARE, sweep
+
+# sweep output is the same for every job count, so the sweeps use every core
+JOBS = os.cpu_count() or 1
 
 
 def analyze_catalog(spec, b, t):
     """Build every catalog function at these parameters: (family, table)."""
-    pool = candidate_pool(spec, b)
-    kernels = {p: kernel(build_matrix(p, b)) for p in pool.members}
-    out = []
-    for fs in enumerate_families(pool, t):
-        spread = [kernels[p] for p in fs.polys]
-        out.append((fs, from_spread(spread, plus_type=fs.spread_type == "PS+")))
-    return out
+    catalog = enumerate_families(candidate_pool(spec, b), t)
+    return [
+        (catalog.family(fid, combo), catalog.build(fid, combo)[0])
+        for fid, combo in catalog.walk()
+    ]
+
+
+def with_ranks(records, rows):
+    """(family, table, rank): each built function with its sweep row's rank."""
+    assert len(records) == len(rows)
+    for (fs, tt), row in zip(records, rows):
+        assert row[:2] == [fs.family_id, fs.spread_type] and row[5] == tt.hex()
+    return [(fs, tt, row[9]) for (fs, tt), row in zip(records, rows)]
 
 
 @pytest.fixture(scope="module")
-def window1_minus():
-    return [(fs, tt, development_rank(tt)) for fs, tt in analyze_catalog(field(4), 1, 8)]
+def window1_rows():
+    """The table1 CSV rows."""
+    return sweep(candidate_pool(field(4), 1), (8,), JOBS)
 
 
 @pytest.fixture(scope="module")
-def window2_both():
+def window2_rows():
+    """The table2 CSV rows."""
+    return sweep(candidate_pool(field(2), 2), (8, 9), JOBS)
+
+
+@pytest.fixture(scope="module")
+def window1_minus(window1_rows):
+    return with_ranks(analyze_catalog(field(4), 1, 8), window1_rows)
+
+
+@pytest.fixture(scope="module")
+def window2_both(window2_rows):
     records = analyze_catalog(field(2), 2, 8) + analyze_catalog(field(2), 2, 9)
-    return [(fs, tt, development_rank(tt)) for fs, tt in records]
+    return with_ranks(records, window2_rows)
 
 
 def test_window1_rank_distribution(window1_minus):
@@ -81,6 +104,15 @@ def test_window2_rank_distributions(window2_both):
     assert dict(Counter(plus)) == {40: 45, 44: 19}
     print("window-2 sweeps: 174 ranks {36: 20, 40: 24, 42: 10, 44: 60, 46: 60}, "
           "64 ranks {40: 45, 44: 19}: PASS")
+
+
+def test_sweep_csv_bytes(window1_rows, window2_rows):
+    for rows, want in (
+        (window1_rows, "7f0d2d87571cabe0ec88f2250fce035beaf50a4ca686a75603edf22d9e81cc97"),
+        (window2_rows, "e5be3c8d1a1869a5ebc1e7739564755149c060ad772b9e6899bb9722eaab7cb7"),
+    ):
+        assert hashlib.sha256(_csv_text(rows).encode()).hexdigest() == want
+    print("table1/table2 CSV sha256 7f0d2d87.../e5be3c8d...: PASS")
 
 
 def test_golden_truth_tables():
@@ -190,11 +222,9 @@ def test_universal_bent_properties(window1_minus, window2_both):
         _check_universal(fs, tt)
         counts[(fs.n, fs.spread_type)] += 1
     # a window-1 positive-type sample at n=8 rounds out type coverage
-    pool = candidate_pool(field(4), 1)
-    kernels = {p: kernel(build_matrix(p, 1)) for p in pool.members}
-    plus_catalog = enumerate_families(pool, 9)
+    plus_catalog = enumerate_families(candidate_pool(field(4), 1), 9)
     for fs in plus_catalog[:25] + plus_catalog[::500]:
-        tt = from_spread([kernels[p] for p in fs.polys], plus_type=True)
+        tt, _ = plus_catalog.build(fs.family_id, plus_catalog.indices(fs.family_id))
         _check_universal(fs, tt)
         counts[(fs.n, fs.spread_type)] += 1
     for n in (4, 6, 8):

@@ -29,7 +29,7 @@ def forbidden(*args, **kwargs):
 def forbid_builds(monkeypatch):
     """Make both build paths fail: the catalog's and the ad-hoc one."""
     monkeypatch.setattr(Catalog, "build", forbidden)
-    for name in ("build_partial_spread", "bent_from_kernels", "development_rank"):
+    for name in ("build_partial_spread", "bent_from_kernels", "analyze"):
         monkeypatch.setattr(cli, name, forbidden)
 
 
@@ -218,17 +218,11 @@ def test_csv_records_reanalyze_consistently(capsys):
         assert development_rank(tt) == int(row["rank"])
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SPREADBENT_JOBS", "2")
-    code, out, _ = run(capsys, "table2", "--format", "csv")
-    assert code == 0
-    monkeypatch.setenv("SPREADBENT_JOBS", "1")
-    code, out_serial, _ = run(capsys, "table2", "--format", "csv")
-    assert code == 0
-    assert out == out_serial
-    monkeypatch.setenv("SPREADBENT_JOBS", "frogs")
-    assert main(["table2"]) == 2
-    capsys.readouterr()
+def test_negative_jobs_exit_2(capsys, guarded):
+    code, out, err = run(capsys, "table2", "--jobs", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be >= 0" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -26,6 +26,7 @@ from spreadbent import (
     desarguesian_spread,
     enumerate_families,
     field,
+    gf2_basis,
     kernel,
     manifest_line,
     nonzero_constant_members,
@@ -219,7 +220,7 @@ def test_desarguesian_spread_shape():
         union = set()
         for s in spread:
             assert len(s.vectors) == 2**m
-            assert len(s.basis) == m
+            assert s.m == m == len(gf2_basis(s.vectors))
             overlap = union & set(s.vectors)
             assert overlap <= {0}
             union |= set(s.vectors)
@@ -234,7 +235,7 @@ def test_build_bent_raises_on_wrong_size():
     pool = candidate_pool(GF2, 2)
     fs = enumerate_families(pool, 2)[0]
     broken = fs.__class__(
-        l=fs.l, b=fs.b, m=fs.m, n=fs.n, polys=fs.polys[:1],
+        l=fs.l, b=fs.b, polys=fs.polys[:1],
         spread_type=fs.spread_type, family_id=0,
     )
     with pytest.raises(WrongSpreadSize):
@@ -266,11 +267,11 @@ def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
 
 def test_catalog_solves_each_kernel_once():
     catalog = enumerate_families(candidate_pool(GF4, 2), 8)
-    first = catalog.kernel(3)
-    assert catalog.kernel(3) is first
+    first = catalog.pool.kernels[3]
+    assert catalog.pool.kernels[3] is first
     # a second catalog over the same pool shares its kernels and graph
     other = enumerate_families(catalog.pool, 9)
-    assert other.kernel(3) is first
+    assert other.pool.kernels[3] is first
     assert other._cliques.after is catalog._cliques.after
     assert first == kernel(build_matrix(catalog.pool.members[3], 2))
     with pytest.raises(IndexError):
@@ -279,7 +280,7 @@ def test_catalog_solves_each_kernel_once():
 
 def test_bent_from_kernels_checks():
     catalog = enumerate_families(candidate_pool(GF2, 2), 2)
-    spread = [catalog.kernel(i) for i in catalog.indices(0)]
+    spread = [catalog.pool.kernels[i] for i in catalog.indices(0)]
     tt, spectrum = bent_from_kernels(spread, "PS-")
     assert tt.hex() == build_bent(catalog[0]).hex()
     assert np.array_equal(spectrum.values, walsh_transform(tt).values)
@@ -295,8 +296,8 @@ def test_bent_from_kernels_rejects_non_flat_spectrum():
     # Two 4-sets meeting only in zero pass every size check, but they are
     # not subspaces and their union minus zero is not bent.
     fake = [
-        Subspace(n=4, m=2, basis=(), vectors=(0, 1, 2, 4)),
-        Subspace(n=4, m=2, basis=(), vectors=(0, 3, 5, 6)),
+        Subspace(n=4, m=2, vectors=(0, 1, 2, 4)),
+        Subspace(n=4, m=2, vectors=(0, 3, 5, 6)),
     ]
     with pytest.raises(BentCheckFailed):
         bent_from_kernels(fake, "PS-", family_id=7)
