@@ -69,12 +69,10 @@ from .lrs import (
     Subspace,
     build_matrix,
     build_partial_spread,
-    flatten,
     gf2_basis,
     kernel,
     sylvester_resultant_nonzero,
     trivial_intersection,
-    unflatten,
     window,
 )
 from .poly import (

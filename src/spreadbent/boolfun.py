@@ -14,6 +14,8 @@ the subset-sum transform over GF(2), which is its own inverse.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import OddArity, OverlapDetected, WrongSpreadSize
@@ -107,6 +109,11 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
     Negative type: the union minus the zero vector, 2^(m-1) members,
     weight 2^(n-1) - 2^(m-1). Positive type: one extra member and the zero
     vector kept in, weight 2^(n-1) + 2^(m-1).
+
+    The union is the OR of the members' masks. For t subspaces its
+    popcount is t*(2^m - 1) + 1 exactly when they meet pairwise only in
+    zero; any other count raises OverlapDetected. The table is the union's
+    bits, unpacked with bit v at index v.
     """
     if not spread:
         raise WrongSpreadSize("empty spread")
@@ -117,15 +124,17 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
         raise WrongSpreadSize(
             f"need {t_expected} members for this type at n={n}, got {len(spread)}"
         )
+    union = 0
     for s in spread:
         if s.n != n or len(s.vectors) != (1 << m):
             raise WrongSpreadSize(f"member has n={s.n}, size {len(s.vectors)}")
-    union = np.unique(np.concatenate([np.asarray(s.vectors, dtype=np.int64) for s in spread]))
-    if len(union) != len(spread) * ((1 << m) - 1) + 1:
+        union |= s.mask
+    if union.bit_count() != len(spread) * ((1 << m) - 1) + 1:
         raise OverlapDetected("spread members share nonzero vectors")
     if not plus_type:
-        union = union[union != 0]
-    return TruthTable.from_support(n, union)
+        union &= ~1
+    raw = np.frombuffer(union.to_bytes(max(1 << n >> 3, 1), "little"), dtype=np.uint8)
+    return TruthTable(n, np.unpackbits(raw, bitorder="little")[: 1 << n])
 
 
 def mobius(bits: np.ndarray) -> np.ndarray:
@@ -187,16 +196,20 @@ def algebraic_degree(a: Anf) -> int:
     return max(int(i).bit_count() for i in idx)
 
 
+@functools.cache
+def _anf_terms(n: int) -> tuple[tuple[tuple, str], ...]:
+    # (sort key, text) of every monomial index at arity n: higher degree
+    # first, then by variable numbers
+    terms = [((0, ()), "1")]
+    for idx in range(1, 1 << n):
+        names = tuple(n - p for p in range(n - 1, -1, -1) if (idx >> p) & 1)
+        terms.append(((-len(names), names), "*".join(f"x{v}" for v in names)))
+    return tuple(terms)
+
+
 def format_anf(a: Anf) -> str:
     """Render as x-terms, e.g. 'x1*x3 + x2*x3 + x2*x4'; '0' when empty."""
     if a.is_zero:
         return "0"
-    terms = []
-    for idx in a.monomials():
-        if idx == 0:
-            terms.append(((), "1"))
-            continue
-        names = tuple(a.n - p for p in range(a.n - 1, -1, -1) if (idx >> p) & 1)
-        terms.append((names, "*".join(f"x{v}" for v in names)))
-    terms.sort(key=lambda t: (-len(t[0]), t[0]))
-    return " + ".join(text for _, text in terms)
+    terms = _anf_terms(a.n)
+    return " + ".join(text for _, text in sorted(terms[i] for i in a.monomials()))

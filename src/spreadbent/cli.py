@@ -5,15 +5,19 @@ Exit codes: 0 success, 1 self-check failure, 2 bad arguments, 3 construction
 rejected (non-coprime family, wrong family size, overlapping kernels).
 
 Data goes to stdout or --out; progress goes to stderr. build prints the
-fields of families.analyze, and table1 and table2 are two presets of
+fields of families.analyze, with the degree and the printed anf read off
+one Mobius transform, and table1 and table2 are two presets of
 families.sweep, whose rows are byte-identical for every --jobs setting.
-verify never analyzes, so it does no rank work.
+verify never analyzes, so it does no rank work. main builds the argument
+parser once per process and reuses it for every call; a parse keeps no
+state in it, so each call's reply depends on its arguments alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import os
@@ -157,9 +161,11 @@ def cmd_build(args):
         )
         spread = build_partial_spread(list(polys), b=args.b)
         tt, spectrum = bent_from_kernels(spread, fs.spread_type)
-    # the CSV's analysis columns, with bent and anf printed before rank
-    fields = list(zip(CSV_HEADER[5:], analyze(tt, spectrum)))
-    fields[4:4] = [("bent", "true"), ("anf", format_anf(anf(tt)))]
+    # the CSV's analysis columns, with bent and anf printed before rank;
+    # one Mobius transform gives both the degree and the printed anf
+    normal_form = anf(tt)
+    fields = list(zip(CSV_HEADER[5:], analyze(tt, spectrum, normal_form)))
+    fields[4:4] = [("bent", "true"), ("anf", format_anf(normal_form))]
     print(manifest_line(fs))
     for key, value in fields:
         print(f"{key}={value}")
@@ -352,7 +358,9 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="spreadbent",
         description="Bent functions from kernels of linear recurring sequences.",

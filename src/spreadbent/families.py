@@ -34,13 +34,17 @@ index order, and family_id k is the k-th of them.
 
 The catalog's graph comes from the kernels themselves: two members are
 compatible when their kernels meet only in zero, which is the
-partial-spread condition. coprime_subsets builds its graph from poly_gcd
-instead, so the closed-form counts check coprimality without the kernels.
+partial-spread condition, read off as the AND of the two kernel masks
+(lrs.Subspace.mask) being exactly bit 0. coprime_subsets builds its graph
+from poly_gcd instead, so the closed-form counts check coprimality without
+the kernels.
 A pool solves each member's kernel and builds the kernel graph once, and
 every catalog over it shares both. A catalog builds its functions from
 those kernels: bent_from_kernels turns a family's kernels into the table
-and its Walsh spectrum, and from_spread's union-size check confirms on the
-kernels once more that they meet pairwise only in zero.
+and its Walsh spectrum, and from_spread's union-size check, the popcount
+of the OR of the masks, confirms once more that they meet pairwise only in
+zero. The l=4, b=2 catalogs (n=16) are refused: their count alone needs
+about 2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
 kernels and checks every pair through build_partial_spread first. analyze
 reads a checked function's fields, and sweep builds and analyzes whole
@@ -58,6 +62,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .boolfun import (
+    Anf,
     TruthTable,
     WalshSpectrum,
     algebraic_degree,
@@ -109,9 +114,9 @@ class CandidatePool:
     def disjoint_after(self) -> tuple[int, ...]:
         """Bit j of entry i is set when j > i and the kernels of members i
         and j meet only in 0: the partial-spread condition, read off the
-        kernels' indicator bitmasks. Computed once per pool and shared by
-        every catalog over it."""
-        masks = [_indicator(k) for k in self.kernels]
+        kernels' masks. Computed once per pool and shared by every catalog
+        over it."""
+        masks = [k.mask for k in self.kernels]
         return tuple(
             sum(1 << j for j in range(i + 1, len(masks)) if masks[i] & masks[j] == 1)
             for i in range(len(masks))
@@ -277,6 +282,13 @@ class Catalog(Sequence):
             raise UnsupportedParameters(
                 f"family size {t} matches neither spread type at m={m}"
             )
+        if m == 8 and pool.b > 1:
+            # at l=4, b=2 the count memoizes about 2.1 million states: the
+            # PS- catalog took 5.5 s and 390 MB peak RSS on a 2-vCPU Xeon
+            raise UnsupportedParameters(
+                f"the l={pool.spec.l} b={pool.b} catalog (n=16) is refused: "
+                "counting its families needs about 2 million memoized states"
+            )
         self.pool = pool
         irreducibles = sum(1 << i for i in pool.indices_of(TAG_IRREDUCIBLE))
         products = sum(1 << i for i in pool.indices_of(TAG_PRODUCT))
@@ -367,10 +379,11 @@ def build_bent(family: FamilySpec) -> TruthTable:
     return bent_from_kernels(spread, family.spread_type, family.family_id)[0]
 
 
-def analyze(tt: TruthTable, spectrum: WalshSpectrum) -> tuple:
+def analyze(tt: TruthTable, spectrum: WalshSpectrum, normal_form: Anf | None = None) -> tuple:
     """The CSV analysis fields of a checked function: hex table, weight,
-    degree, nonlinearity, development rank and classification."""
-    degree = algebraic_degree(anf(tt))
+    degree, nonlinearity, development rank and classification. The degree
+    is read off normal_form, the function's ANF, computed here if not given."""
+    degree = algebraic_degree(anf(tt) if normal_form is None else normal_form)
     rank = development_rank(tt)
     return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
 
@@ -434,14 +447,6 @@ def manifest_line(family: FamilySpec) -> str:
     )
 
 
-def _indicator(s: Subspace) -> int:
-    # the subspace as an int with bit v set for every member v
-    bits = bytearray(max(1 << s.n >> 3, 1))
-    for v in s.vectors:
-        bits[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(bits, "little")
-
-
 def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
     flattened with the canonical bit convention (first coordinate low)."""
@@ -475,8 +480,8 @@ def verify_desarguesian_equivalence(m: int) -> bool:
     pool = candidate_pool(spec, 1)
     # a + X has kernel E_a; X itself is the a = 0 case
     graph_of = [p.coeffs[0] for p in pool.members]
-    lrs_masks = [_indicator(k) for k in pool.kernels]
-    ds_masks = [_indicator(graphs[a]) for a in graph_of]
+    lrs_masks = [k.mask for k in pool.kernels]
+    ds_masks = [graphs[a].mask for a in graph_of]
     t = 1 << (m - 1)
     for combo in itertools.combinations(range(len(pool.members)), t):
         lrs_union = ds_union = 0

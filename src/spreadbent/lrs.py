@@ -52,12 +52,22 @@ class LrsMap:
 class Subspace:
     """An m-dimensional GF(2) subspace of F_2^n, fully enumerated.
 
-    vectors holds all 2^m flattened elements, sorted.
+    vectors holds all 2^m flattened elements, sorted. mask is the same set
+    as one int with bit v set for each member v, built on first use: unions
+    and intersections of subspaces are then single OR and AND operations,
+    and a truth table is the mask's bits unpacked.
     """
 
     n: int
     m: int
     vectors: tuple[int, ...]
+
+    @functools.cached_property
+    def mask(self) -> int:
+        out = 0
+        for v in self.vectors:
+            out |= 1 << v
+        return out
 
 
 def window(f: Poly, b: int) -> tuple[int, ...]:
@@ -81,19 +91,6 @@ def build_matrix(f: Poly, b: int | None = None) -> LrsMap:
             row[i + j] = c
         rows.append(tuple(row))
     return LrsMap(f, b, tuple(rows))
-
-
-def flatten(vec, spec: FieldSpec) -> int:
-    """Pack a vector over F_q into one integer, coordinate 0 in the low bits."""
-    out = 0
-    for i, v in enumerate(vec):
-        out |= v << (i * spec.l)
-    return out
-
-
-def unflatten(x: int, spec: FieldSpec, length: int) -> tuple[int, ...]:
-    mask = spec.q - 1
-    return tuple((x >> (i * spec.l)) & mask for i in range(length))
 
 
 def gf2_basis(vectors) -> tuple[int, ...]:
@@ -201,14 +198,14 @@ def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     """True iff the two subspaces share only the zero vector."""
     if a.n != b.n:
         raise DimensionMismatch(f"ambient dimensions differ: {a.n} vs {b.n}")
-    return set(a.vectors) & set(b.vectors) == {0}
+    return a.mask & b.mask == 1
 
 
 def build_partial_spread(family: list[Poly], b: int | None = None) -> list[Subspace]:
     """Kernels of all family members, checked pairwise for trivial overlap.
 
     This is the from-scratch path for ad-hoc families: the pairwise gcd test
-    rejects shared factors, and the set-intersection re-check stays on
+    rejects shared factors, and the kernel-mask intersection re-check stays on
     because coprimality is only a faithful proxy when at most one member has
     degree below the window size (two short windows can share solutions
     despite coprime polynomials). Catalog families skip both: their pool's

@@ -4,6 +4,7 @@ import pytest
 from spreadbent import (
     OddArity,
     OverlapDetected,
+    Subspace,
     TruthTable,
     WrongSpreadSize,
     algebraic_degree,
@@ -33,13 +34,12 @@ def golden_pair():
 
 
 def naive_walsh(tt):
-    n = tt.n
+    # W(a) = sum over x of (-1)^(f(x) + a.x), one a at a time
+    x = np.arange(1 << tt.n)
     out = []
-    for a in range(1 << n):
-        acc = 0
-        for x in range(1 << n):
-            acc += (-1) ** (int(tt.bits[x]) ^ bin(a & x).count("1"))
-        out.append(acc)
+    for a in range(1 << tt.n):
+        exponent = (tt.bits ^ np.bitwise_count(a & x)) & 1
+        out.append(int((1 - 2 * exponent.astype(np.int64)).sum()))
     return out
 
 
@@ -80,7 +80,7 @@ def test_golden_anf():
 
 def test_walsh_matches_naive_small():
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3):
+    for n in range(1, 9):
         for _ in range(10):
             tt = TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
             assert list(walsh_transform(tt).values) == naive_walsh(tt)
@@ -147,6 +147,11 @@ def test_from_spread_overlap_error():
     spread = build_partial_spread(MINUS_FAMILY, b=2)
     with pytest.raises(OverlapDetected):
         from_spread([spread[0], spread[0]], plus_type=False)
+    # members that miss 0 leave the union one vector too large
+    no_zero = Subspace(n=4, m=2, vectors=(1, 2, 3, 4))
+    for members in ([no_zero, spread[0]], [no_zero, Subspace(n=4, m=2, vectors=(5, 6, 8, 9))]):
+        with pytest.raises(OverlapDetected):
+            from_spread(members, plus_type=False)
 
 
 def test_format_anf_degenerate():

@@ -186,6 +186,18 @@ def test_unknown_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli._build_parser.cache_clear()
+    good = ("build", "--l", "2", "--b", "2", "--family-id", "5")
+    first = run(capsys, *good)
+    assert first == run(capsys, *good)
+    assert first[0] == 0
+    bad = run(capsys, "build", "--l", "2", "--b", "2", "--family-id", "5", "--polys", "[1,1]")
+    assert bad[0] == 2 and bad[1] == ""
+    assert run(capsys, *good) == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_table2_histogram(capsys):
     code, out, _ = run(capsys, "table2")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ def test_catalog_size_beyond_maxsize():
     # 255 linears a + X plus X itself: all coprime, so every subset counts
     catalog = enumerate_families(candidate_pool(field(8), 1), 128)
     assert catalog.size == math.comb(256, 128)
+
+
+def test_wide_window_catalog_at_n16_refused():
+    # at l=4, b=2 counting the catalog memoizes about 2.1 million states
+    pool = candidate_pool(GF16, 2)
+    start = time.perf_counter()
+    for t in (128, 129):
+        with pytest.raises(UnsupportedParameters, match="refused"):
+            enumerate_families(pool, t)
+    assert time.perf_counter() - start < 1
 
 
 # (l, b, include_e_infinity) -> catalog sizes (PS-, PS+). At b=1 every

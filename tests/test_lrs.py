@@ -10,8 +10,8 @@ from spreadbent import (
     build_matrix,
     build_partial_spread,
     candidate_pool,
+    desarguesian_spread,
     field,
-    flatten,
     gf2_basis,
     kernel,
     one,
@@ -19,7 +19,6 @@ from spreadbent import (
     poly_gcd,
     sylvester_resultant_nonzero,
     trivial_intersection,
-    unflatten,
     window,
     x_power,
 )
@@ -46,14 +45,6 @@ def test_matrix_rejects_zero_and_oversize():
         build_matrix(poly(GF2, ()), 2)
     with pytest.raises(UnsupportedParameters):
         build_matrix(poly(GF2, (1, 1, 1)), 1)
-
-
-def test_flatten_first_coordinate_in_low_bits():
-    assert flatten((1, 0), GF2) == 1
-    assert flatten((0, 1), GF2) == 2
-    assert flatten((3, 1), GF4) == 0b0111
-    for vec in itertools.product(range(4), repeat=3):
-        assert unflatten(flatten(vec, GF4), GF4, 3) == vec
 
 
 def test_kernel_of_x_squared_is_low_coordinates():
@@ -89,12 +80,17 @@ def test_kernel_matches_brute_force(l, b):
             x
             for x in range(1 << (2 * l * b))
             if all(
-                _dot(spec, row, unflatten(x, spec, 2 * b)) == 0 for row in m.rows
+                _dot(spec, row, _unflatten(x, spec, 2 * b)) == 0 for row in m.rows
             )
         )
         ker = kernel(m)
         assert ker.vectors == solutions
         assert ker.m == l * b == len(gf2_basis(ker.vectors))
+
+
+def _unflatten(x, spec, length):
+    # coordinate i of the flattened vector x sits in bits i*l .. i*l + l - 1
+    return tuple((x >> (i * spec.l)) & (spec.q - 1) for i in range(length))
 
 
 def _dot(spec, row, vec):
@@ -122,6 +118,34 @@ def test_sylvester_matches_gcd():
             continue
         b = int(max(f.degree, g.degree))
         assert sylvester_resultant_nonzero(f, g, b) == (poly_gcd(f, g) == unit)
+
+
+# Every pool with l*b <= 4, as (l, b, include_e_infinity).
+MASK_POOLS = [(l, 1, e) for l in (1, 2, 3, 4) for e in (False, True)] + [
+    (1, 2, False), (2, 2, False), (1, 3, False),
+]
+
+
+def _members(mask, n):
+    return {v for v in range(1 << n) if mask >> v & 1}
+
+
+@pytest.mark.parametrize("l,b,e_inf", MASK_POOLS)
+def test_kernel_masks_and_intersections_match_sets(l, b, e_inf):
+    kernels = candidate_pool(field(l), b, include_e_infinity=e_inf).kernels
+    for k in kernels:
+        assert _members(k.mask, k.n) == set(k.vectors)
+    for x, y in itertools.combinations_with_replacement(kernels, 2):
+        assert trivial_intersection(x, y) == (set(x.vectors) & set(y.vectors) == {0})
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_desarguesian_masks_match_sets(m):
+    spread = desarguesian_spread(m)
+    for s in spread:
+        assert _members(s.mask, s.n) == set(s.vectors)
+    for x, y in itertools.combinations_with_replacement(spread, 2):
+        assert trivial_intersection(x, y) == (x is not y)
 
 
 def test_trivial_intersection_dimension_check():

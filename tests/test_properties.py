@@ -5,9 +5,10 @@ family catalog built on it.
 The references here work at the Poly level through poly_mul and poly_add,
 so they share no code with the list-based division inside poly_divmod and
 poly_gcd. The catalog reference scans every index tuple, so it shares no
-code with the clique walk. The last test checks the development rank's
+code with the clique walk. The EA test checks the development rank's
 EA-invariance on catalog functions, the property the classification rests
-on.
+on, and the last test checks from_spread's mask union against the set
+union of the kernels.
 """
 
 import functools
@@ -30,6 +31,7 @@ from spreadbent import (
     fe_inv,
     fe_mul,
     field,
+    from_spread,
     gf2_basis,
     is_bent,
     kernel,
@@ -231,8 +233,8 @@ EA_CATALOGS = [(2, 2, 8), (2, 2, 9), (1, 3, 4), (1, 3, 5)]
 
 
 @functools.cache
-def catalog_of(l, b, t):
-    return enumerate_families(candidate_pool(field(l), b), t)
+def catalog_of(l, b, t, include_e_infinity=False):
+    return enumerate_families(candidate_pool(field(l), b, include_e_infinity), t)
 
 
 @st.composite
@@ -267,3 +269,27 @@ def test_development_rank_is_ea_invariant(f, data):
     g = TruthTable(n, [f.bits[image(x) ^ b] ^ parity(c & x) ^ d for x in range(1 << n)])
     assert is_bent(g)
     assert development_rank(g) == development_rank(f)
+
+
+# ------------------------------------------------------------ from_spread
+
+# Every catalog with l*b <= 4, as (l, b, include_e_infinity).
+MASK_CATALOGS = [(l, 1, e) for l in (1, 2, 3, 4) for e in (False, True)] + [
+    (1, 2, False), (2, 2, False), (1, 3, False),
+]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(MASK_CATALOGS), st.booleans(), st.data())
+def test_from_spread_is_the_support_of_the_union(shape, plus, data):
+    """The table is the union of the kernels, without 0 for PS- and with
+    it for PS+."""
+    l, b, e_inf = shape
+    catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus, e_inf)
+    assume(catalog.size)
+    fid = data.draw(st.integers(0, catalog.size - 1))
+    spread = [catalog.pool.kernels[i] for i in catalog.indices(fid)]
+    union = set().union(*(s.vectors for s in spread))
+    if not plus:
+        union.discard(0)
+    assert from_spread(spread, plus) == TruthTable.from_support(2 * l * b, union)
