@@ -8,15 +8,14 @@ then has the library confirm it exhaustively at m = 4, where the
 negative-type catalog is the classical one in different clothes.
 """
 
-from spreadbent import (
-    build_matrix,
+from spreadbent.families import (
     candidate_pool,
     desarguesian_spread,
-    field,
-    format_poly,
-    kernel,
     verify_desarguesian_equivalence,
 )
+from spreadbent.gf2e import field
+from spreadbent.lrs import build_matrix, kernel
+from spreadbent.poly import format_poly
 
 spec = field(2)
 graphs = desarguesian_spread(2)

@@ -5,23 +5,23 @@ algebraic normal form, then lets the catalog machinery produce the six
 n=6 functions of the mixed-degree window-3 pool.
 """
 
-from spreadbent import (
+from spreadbent.boolfun import (
     algebraic_degree,
     anf,
-    build_bent,
-    build_matrix,
-    candidate_pool,
-    enumerate_families,
-    field,
     format_anf,
-    format_poly,
     from_spread,
-    kernel,
-    manifest_line,
     nonlinearity,
-    poly,
     walsh_transform,
 )
+from spreadbent.families import (
+    build_bent,
+    candidate_pool,
+    enumerate_families,
+    manifest_line,
+)
+from spreadbent.gf2e import field
+from spreadbent.lrs import build_matrix, kernel
+from spreadbent.poly import format_poly, poly
 
 spec = field(1)
 

@@ -9,17 +9,14 @@ recurrence-kernel catalog reaches beyond both.
 
 from collections import Counter
 
-from spreadbent import (
+from spreadbent.families import (
     build_bent,
     candidate_pool,
-    classify,
-    development_rank,
-    ds_rank_bounds,
     enumerate_families,
-    field,
     manifest_line,
-    mm_rank_bounds,
 )
+from spreadbent.gf2e import field
+from spreadbent.rank2 import classify, development_rank, ds_rank_bounds, mm_rank_bounds
 
 spec = field(2)
 pool = candidate_pool(spec, 2)

@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .errors import OddArity, OverlapDetected, WrongSpreadSize
+from .errors import ConstructionRejected, SpreadbentError
 from .lrs import Subspace
 
 
@@ -112,25 +112,25 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
 
     The union is the OR of the members' masks. For t subspaces its
     popcount is t*(2^m - 1) + 1 exactly when they meet pairwise only in
-    zero; any other count raises OverlapDetected. The table is the union's
-    bits, unpacked with bit v at index v.
+    zero; any other count raises ConstructionRejected. The table is the
+    union's bits, unpacked with bit v at index v.
     """
     if not spread:
-        raise WrongSpreadSize("empty spread")
+        raise ConstructionRejected("empty spread")
     n = spread[0].n
     m = n // 2
     t_expected = (1 << (m - 1)) + (1 if plus_type else 0)
     if len(spread) != t_expected:
-        raise WrongSpreadSize(
+        raise ConstructionRejected(
             f"need {t_expected} members for this type at n={n}, got {len(spread)}"
         )
     union = 0
     for s in spread:
         if s.n != n or len(s.vectors) != (1 << m):
-            raise WrongSpreadSize(f"member has n={s.n}, size {len(s.vectors)}")
+            raise ConstructionRejected(f"member has n={s.n}, size {len(s.vectors)}")
         union |= s.mask
     if union.bit_count() != len(spread) * ((1 << m) - 1) + 1:
-        raise OverlapDetected("spread members share nonzero vectors")
+        raise ConstructionRejected("spread members share nonzero vectors")
     if not plus_type:
         union &= ~1
     raw = np.frombuffer(union.to_bytes(max(1 << n >> 3, 1), "little"), dtype=np.uint8)
@@ -171,7 +171,7 @@ def nonlinearity(spectrum: WalshSpectrum) -> int:
 def is_flat(spectrum: WalshSpectrum) -> bool:
     """Flat spectrum test: every |W(a)| equals 2^(n/2)."""
     if spectrum.n % 2:
-        raise OddArity(f"bentness needs even arity, got n={spectrum.n}")
+        raise SpreadbentError(f"bentness needs even arity, got n={spectrum.n}")
     return bool((np.abs(spectrum.values) == 1 << (spectrum.n // 2)).all())
 
 

@@ -1,8 +1,10 @@
 """Command-line driver: list candidate pools, build single functions,
 run the two benchmark sweeps, and self-check the whole pipeline.
 
-Exit codes: 0 success, 1 self-check failure, 2 bad arguments, 3 construction
-rejected (non-coprime family, wrong family size, overlapping kernels).
+Exit codes: 0 success, 1 self-check failure, 2 bad arguments (any
+ValueError, SpreadbentError among them), 3 construction rejected
+(ConstructionRejected: a non-coprime family, a wrong family size,
+overlapping kernels).
 
 Data goes to stdout or --out; progress goes to stderr. build prints the
 fields of families.analyze, with the degree and the printed anf read off
@@ -25,16 +27,7 @@ import sys
 from collections import Counter
 
 from .boolfun import algebraic_degree, anf, format_anf, from_spread
-from .errors import (
-    BentCheckFailed,
-    BothZero,
-    DegenerateMap,
-    DimensionMismatch,
-    NotCoprime,
-    OverlapDetected,
-    SpreadbentError,
-    WrongSpreadSize,
-)
+from .errors import ConstructionRejected, SpreadbentError
 from .families import (
     TAG_PRODUCT,
     TAG_SQUARE,
@@ -65,16 +58,6 @@ from .poly import (
 CSV_HEADER = (
     "family_id,type,l,b,polys,tt_hex,weight,degree,nonlinearity,rank,classification"
 ).split(",")
-
-CONSTRUCTION_ERRORS = (
-    NotCoprime,
-    WrongSpreadSize,
-    OverlapDetected,
-    BentCheckFailed,
-    DegenerateMap,
-    DimensionMismatch,
-    BothZero,
-)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -438,12 +421,9 @@ def main(argv=None):
             return 2
     try:
         return args.func(args)
-    except CONSTRUCTION_ERRORS as exc:
+    except ConstructionRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SpreadbentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

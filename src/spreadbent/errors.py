@@ -1,72 +1,17 @@
-"""Exception types raised by the library.
+"""The library's two exception types, one per CLI exit code.
 
-Everything derives from SpreadbentError, which is a ValueError, so callers
-that do not care about the precise failure mode can catch broadly.
+SpreadbentError marks input outside what the library defines or supports,
+and the CLI exits 2 on it. ConstructionRejected marks a family that does
+not give a checked partial-spread bent function, most often because two of
+its polynomials are not coprime, and the CLI exits 3 on it. Both are
+ValueErrors, so callers that do not care which can catch broadly; the
+message says what failed.
 """
-
-from __future__ import annotations
 
 
 class SpreadbentError(ValueError):
-    """Base class for all library errors."""
+    """Input outside what the library defines or supports (CLI exit 2)."""
 
 
-class ZeroInverse(SpreadbentError):
-    """Multiplicative inverse of the zero field element was requested."""
-
-
-class SpecMismatch(SpreadbentError):
-    """Operands live over different field specs."""
-
-
-class DivisionByZeroPoly(SpreadbentError):
-    """Polynomial division by the zero polynomial."""
-
-
-class BothZero(SpreadbentError):
-    """gcd of two zero polynomials is undefined."""
-
-
-class DegreeTooSmall(SpreadbentError):
-    """Irreducibility is only defined for degree >= 1."""
-
-
-class UnsupportedDegree(SpreadbentError):
-    """Closed-form family counts exist only for window degrees 1 and 2."""
-
-
-class ParameterMismatch(SpreadbentError):
-    """Parameters l, b, m do not satisfy l*b = m."""
-
-
-class DegenerateMap(SpreadbentError):
-    """The banded recurrence matrix is rank-deficient (zero polynomial)."""
-
-
-class DimensionMismatch(SpreadbentError):
-    """Subspaces of different ambient dimension cannot be compared."""
-
-
-class NotCoprime(SpreadbentError):
-    """A family member pair shares a factor (or overlapping kernels)."""
-
-
-class WrongSpreadSize(SpreadbentError):
-    """The spread has the wrong number of members for the requested type."""
-
-
-class OverlapDetected(SpreadbentError):
-    """Spread members share nonzero vectors, so the support is malformed."""
-
-
-class BentCheckFailed(SpreadbentError):
-    """A constructed function failed the flat-spectrum check; this signals
-    an implementation bug, never an expected input condition."""
-
-
-class OddArity(SpreadbentError):
-    """Bentness is only defined for an even number of variables."""
-
-
-class UnsupportedParameters(SpreadbentError):
-    """Parameter combination outside the supported construction range."""
+class ConstructionRejected(SpreadbentError):
+    """A family that gives no checked partial-spread bent function (CLI exit 3)."""

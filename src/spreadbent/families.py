@@ -72,7 +72,7 @@ from .boolfun import (
     nonlinearity,
     walsh_transform,
 )
-from .errors import BentCheckFailed, UnsupportedParameters
+from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul, field
 from .lrs import Subspace, build_matrix, build_partial_spread, kernel
 from .poly import (
@@ -144,6 +144,11 @@ class FamilySpec:
 
 def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) -> CandidatePool:
     """All admitted feedback polynomials at window size b, tagged by origin."""
+    if include_e_infinity and b != 1:
+        raise SpreadbentError(
+            f"include_e_infinity applies to window size b=1 only, got b={b}: "
+            "the b=2 and b=3 pools always hold the constant 1"
+        )
     members: list[Poly] = []
     tags: list[str] = []
 
@@ -168,7 +173,7 @@ def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) ->
         tags += [TAG_ONE, TAG_XPOW]
     elif b == 3:
         if spec.l != 1:
-            raise UnsupportedParameters("window size 3 is only supported over GF(2)")
+            raise SpreadbentError("window size 3 is only supported over GF(2)")
         linears = enumerate_irreducibles(spec, 1)
         quads = enumerate_irreducibles(spec, 2)
         add(enumerate_irreducibles(spec, 3), TAG_IRREDUCIBLE)
@@ -176,7 +181,7 @@ def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) ->
         members += [one(spec), x_power(spec, 3)]
         tags += [TAG_ONE, TAG_XPOW]
     else:
-        raise UnsupportedParameters(f"no candidate pool for b={b}")
+        raise SpreadbentError(f"no candidate pool for b={b}")
     return CandidatePool(spec=spec, b=b, members=tuple(members), tags=tuple(tags))
 
 
@@ -279,13 +284,13 @@ class Catalog(Sequence):
         elif t == (1 << (m - 1)) + 1:
             self.spread_type = "PS+"
         else:
-            raise UnsupportedParameters(
+            raise SpreadbentError(
                 f"family size {t} matches neither spread type at m={m}"
             )
         if m == 8 and pool.b > 1:
             # at l=4, b=2 the count memoizes about 2.1 million states: the
             # PS- catalog took 5.5 s and 390 MB peak RSS on a 2-vCPU Xeon
-            raise UnsupportedParameters(
+            raise SpreadbentError(
                 f"the l={pool.spec.l} b={pool.b} catalog (n=16) is refused: "
                 "counting its families needs about 2 million memoized states"
             )
@@ -368,7 +373,7 @@ def bent_from_kernels(
     tt = from_spread(spread, plus_type=spread_type == "PS+")
     spectrum = walsh_transform(tt)
     if not is_flat(spectrum):
-        raise BentCheckFailed(f"family {family_id} produced a non-flat spectrum")
+        raise ConstructionRejected(f"family {family_id} produced a non-flat spectrum")
     return tt, spectrum
 
 

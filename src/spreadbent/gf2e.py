@@ -30,7 +30,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 
-from .errors import ZeroInverse
+from .errors import SpreadbentError
 
 # Least irreducible of each degree, by integer encoding.
 CANONICAL_MODULI = {
@@ -137,7 +137,7 @@ def fe_mul(spec: FieldSpec, x: int, y: int) -> int:
 def fe_inv(spec: FieldSpec, x: int) -> int:
     """Multiplicative inverse: g^(q-1-log x)."""
     if x == 0:
-        raise ZeroInverse("0 has no multiplicative inverse")
+        raise SpreadbentError("0 has no multiplicative inverse")
     return spec.exp[spec.q - 1 - spec.log[x]]
 
 

@@ -28,13 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    BothZero,
-    DegenerateMap,
-    DimensionMismatch,
-    NotCoprime,
-    UnsupportedParameters,
-)
+from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul
 from .poly import Poly, one, poly_gcd
 
@@ -78,11 +72,11 @@ def window(f: Poly, b: int) -> tuple[int, ...]:
 def build_matrix(f: Poly, b: int | None = None) -> LrsMap:
     """Banded b x 2b matrix; row i applies the recurrence window at offset i."""
     if f.is_zero:
-        raise DegenerateMap("the zero polynomial defines no recurrence")
+        raise ConstructionRejected("the zero polynomial defines no recurrence")
     if b is None:
         b = max(int(f.degree), 1)
     if f.degree > b:
-        raise UnsupportedParameters(f"degree {f.degree} exceeds window size b={b}")
+        raise SpreadbentError(f"degree {f.degree} exceeds window size b={b}")
     w = window(f, b)
     rows = []
     for i in range(b):
@@ -161,7 +155,7 @@ def kernel(m: LrsMap) -> Subspace:
                     pivots[pc] = p ^ row
             pivots[c] = row
     if len(pivots) < dim:
-        raise DegenerateMap(f"recurrence matrix has GF(2) rank {len(pivots)} < {dim}")
+        raise ConstructionRejected(f"recurrence matrix has GF(2) rank {len(pivots)} < {dim}")
     basis = [
         1 << c | sum(1 << pc for pc, p in pivots.items() if p >> c & 1)
         for c in range(n)
@@ -185,11 +179,11 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:
     degree-deficient.
     """
     if f.is_zero and g.is_zero:
-        raise BothZero("resultant of two zero polynomials")
+        raise ConstructionRejected("resultant of two zero polynomials")
     if b is None:
         b = max(int(max(f.degree, g.degree, 1)), 1)
     if max(f.degree, g.degree) > b:
-        raise UnsupportedParameters(f"degrees exceed window size b={b}")
+        raise SpreadbentError(f"degrees exceed window size b={b}")
     rows = _gf2_rows(f, b) + _gf2_rows(g, b)
     return len(gf2_basis(rows)) == 2 * b * f.spec.l
 
@@ -197,7 +191,7 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:
 def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     """True iff the two subspaces share only the zero vector."""
     if a.n != b.n:
-        raise DimensionMismatch(f"ambient dimensions differ: {a.n} vs {b.n}")
+        raise ConstructionRejected(f"ambient dimensions differ: {a.n} vs {b.n}")
     return a.mask & b.mask == 1
 
 
@@ -219,11 +213,11 @@ def build_partial_spread(family: list[Poly], b: int | None = None) -> list[Subsp
     unit = one(family[0].spec)
     for f, g in itertools.combinations(family, 2):
         if poly_gcd(f, g) != unit:
-            raise NotCoprime(f"gcd != 1 for {f.coeffs} and {g.coeffs}")
+            raise ConstructionRejected(f"gcd != 1 for {f.coeffs} and {g.coeffs}")
     spread = [kernel(build_matrix(f, b)) for f in family]
     for (i, f), (j, g) in itertools.combinations(enumerate(family), 2):
         if not trivial_intersection(spread[i], spread[j]):
-            raise NotCoprime(
+            raise ConstructionRejected(
                 f"kernels of {f.coeffs} and {g.coeffs} overlap at window size b={b}"
             )
     return spread

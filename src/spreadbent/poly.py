@@ -17,14 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import (
-    BothZero,
-    DegreeTooSmall,
-    DivisionByZeroPoly,
-    ParameterMismatch,
-    SpecMismatch,
-    UnsupportedDegree,
-)
+from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_inv, fe_mul
 
 NEG_INF = float("-inf")
@@ -68,7 +61,7 @@ def x_power(spec: FieldSpec, k: int) -> Poly:
 
 def _same_spec(f: Poly, g: Poly) -> FieldSpec:
     if f.spec != g.spec:
-        raise SpecMismatch(f"{f.spec} vs {g.spec}")
+        raise SpreadbentError(f"{f.spec} vs {g.spec}")
     return f.spec
 
 
@@ -122,7 +115,7 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: f = q*g + r with deg r < deg g."""
     spec = _same_spec(f, g)
     if g.is_zero:
-        raise DivisionByZeroPoly("division by the zero polynomial")
+        raise SpreadbentError("division by the zero polynomial")
     r = list(f.coeffs)
     q = _reduce(spec, r, g.coeffs)
     return Poly(spec, tuple(q)), Poly(spec, tuple(r))
@@ -139,7 +132,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(f, 0) = monic(f)."""
     spec = _same_spec(f, g)
     if f.is_zero and g.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
+        raise ConstructionRejected("gcd(0, 0) is undefined")
     a, b = list(f.coeffs), list(g.coeffs)
     while b:
         _reduce(spec, a, b)
@@ -160,7 +153,7 @@ def is_irreducible(f: Poly) -> bool:
     the loop count is q^(deg/2).
     """
     if f.degree < 1:
-        raise DegreeTooSmall(f"irreducibility needs degree >= 1, got {f.degree}")
+        raise SpreadbentError(f"irreducibility needs degree >= 1, got {f.degree}")
     d = int(f.degree)
     for e in range(1, d // 2 + 1):
         for tail in itertools.product(range(f.spec.q), repeat=e):
@@ -175,7 +168,7 @@ def enumerate_irreducibles(spec: FieldSpec, degree: int, require_nonzero_const: 
     """All monic irreducibles of the given degree, lexicographic by
     coefficient tuple (constant term first)."""
     if degree < 1:
-        raise DegreeTooSmall(f"degree must be >= 1, got {degree}")
+        raise SpreadbentError(f"degree must be >= 1, got {degree}")
     out = [
         f
         for f in _monic_of_degree(spec, degree)
@@ -245,9 +238,9 @@ def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
     half-sized family, so no closed form is provided.
     """
     if b not in (1, 2):
-        raise UnsupportedDegree(f"closed form exists only for b in {{1, 2}}, got {b}")
+        raise SpreadbentError(f"closed form exists only for b in {{1, 2}}, got {b}")
     if spec.l * b != m:
-        raise ParameterMismatch(f"need l*b = m, got l={spec.l} b={b} m={m}")
+        raise SpreadbentError(f"need l*b = m, got l={spec.l} b={b} m={m}")
     t = 1 << (m - 1)
     if b == 1:
         return comb((1 << m) - 1, t)
@@ -271,7 +264,7 @@ def pairwise_coprime(family: list[Poly]) -> bool:
     spec = family[0].spec
     for f in family[1:]:
         if f.spec != spec:
-            raise SpecMismatch(f"{f.spec} vs {spec}")
+            raise SpreadbentError(f"{f.spec} vs {spec}")
     unit = one(spec)
     return all(poly_gcd(f, g) == unit for f, g in itertools.combinations(family, 2))
 

@@ -7,7 +7,6 @@ any deviation as a failure.
 """
 
 import hashlib
-import itertools
 import math
 import os
 from collections import Counter
@@ -15,34 +14,29 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spreadbent import (
+from spreadbent.boolfun import (
     TruthTable,
     algebraic_degree,
     anf,
-    build_matrix,
-    candidate_pool,
-    closed_form_family_count,
-    coprime_subsets,
-    enumerate_families,
-    enumerate_irreducibles,
-    field,
     from_spread,
-    gauss_count,
-    is_bent,
-    kernel,
     mobius,
-    nonzero_constant_members,
-    one,
-    poly,
-    poly_gcd,
-    rank_gf2,
-    sylvester_resultant_nonzero,
-    trivial_intersection,
-    verify_desarguesian_equivalence,
     walsh_transform,
 )
-from spreadbent.cli import _csv_text
-from spreadbent.families import TAG_PRODUCT, TAG_SQUARE, sweep
+from spreadbent.cli import _check_triangle, _csv_text
+from spreadbent.families import (
+    TAG_PRODUCT,
+    TAG_SQUARE,
+    candidate_pool,
+    coprime_subsets,
+    enumerate_families,
+    nonzero_constant_members,
+    sweep,
+    verify_desarguesian_equivalence,
+)
+from spreadbent.gf2e import field
+from spreadbent.lrs import build_matrix, kernel
+from spreadbent.poly import closed_form_family_count, enumerate_irreducibles, gauss_count, poly
+from spreadbent.rank2 import rank_gf2
 
 # sweep output is the same for every job count, so the sweeps use every core
 JOBS = os.cpu_count() or 1
@@ -130,34 +124,11 @@ def test_golden_truth_tables():
     print("golden n=4 tables 0635/f635 and their normal forms: PASS")
 
 
-def _all_nonzero_polys(spec, maxdeg):
-    seen = {}
-    for coeffs in itertools.product(range(spec.q), repeat=maxdeg + 1):
-        if any(coeffs):
-            p = poly(spec, coeffs)
-            seen[p.coeffs] = p
-    return sorted(seen.values(), key=lambda p: (len(p.coeffs), p.coeffs))
-
-
 @pytest.mark.parametrize("l,maxdeg,expected_pairs", [(1, 3, 119), (2, 2, 2010)])
 def test_coprimality_triangle(l, maxdeg, expected_pairs):
-    spec = field(l)
-    unit = one(spec)
-    polys = _all_nonzero_polys(spec, maxdeg)
-    pairs = 0
-    for f, g in itertools.combinations_with_replacement(polys, 2):
-        if f.degree == 0 and g.degree == 0:
-            continue
-        b = int(max(f.degree, g.degree))
-        coprime = poly_gcd(f, g) == unit
-        invertible = sylvester_resultant_nonzero(f, g, b)
-        disjoint = trivial_intersection(
-            kernel(build_matrix(f, b)), kernel(build_matrix(g, b))
-        )
-        assert coprime == invertible == disjoint, (f.coeffs, g.coeffs)
-        pairs += 1
-    assert pairs == expected_pairs
-    print(f"coprimality/invertibility/disjointness agree on {pairs} pairs "
+    # gcd = 1, an invertible Sylvester stack and disjoint kernels agree on every pair
+    assert _check_triangle(field(l), maxdeg) == (True, f"{expected_pairs} pairs agree")
+    print(f"coprimality/invertibility/disjointness agree on {expected_pairs} pairs "
           f"over GF(2^{l}): PASS")
 
 

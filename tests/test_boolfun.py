@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
-from spreadbent import (
-    OddArity,
-    OverlapDetected,
-    Subspace,
+from spreadbent.boolfun import (
     TruthTable,
-    WrongSpreadSize,
     algebraic_degree,
     anf,
-    build_partial_spread,
-    field,
     format_anf,
     from_spread,
     is_bent,
     mobius,
     nonlinearity,
-    poly,
     truth_table_of_anf,
     walsh_transform,
 )
+from spreadbent.errors import ConstructionRejected, SpreadbentError
+from spreadbent.gf2e import field
+from spreadbent.lrs import Subspace, build_partial_spread
+from spreadbent.poly import poly
 
 GF2 = field(1)
 
@@ -100,7 +97,7 @@ def test_bent_and_nonlinearity():
         assert nonlinearity(walsh_transform(tt)) == 6
     flat = TruthTable(4, np.zeros(16, dtype=np.uint8))
     assert not is_bent(flat)
-    with pytest.raises(OddArity):
+    with pytest.raises(SpreadbentError, match="bentness needs even arity"):
         is_bent(TruthTable.from_support(3, [1]))
 
 
@@ -137,20 +134,20 @@ def test_weight_formulas():
 
 def test_from_spread_size_errors():
     spread = build_partial_spread(MINUS_FAMILY, b=2)
-    with pytest.raises(WrongSpreadSize):
+    with pytest.raises(ConstructionRejected, match="need 3 members"):
         from_spread(spread, plus_type=True)  # 2 members where ps+ needs 3
-    with pytest.raises(WrongSpreadSize):
+    with pytest.raises(ConstructionRejected, match="empty spread"):
         from_spread([], plus_type=False)
 
 
 def test_from_spread_overlap_error():
     spread = build_partial_spread(MINUS_FAMILY, b=2)
-    with pytest.raises(OverlapDetected):
+    with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
         from_spread([spread[0], spread[0]], plus_type=False)
     # members that miss 0 leave the union one vector too large
     no_zero = Subspace(n=4, m=2, vectors=(1, 2, 3, 4))
     for members in ([no_zero, spread[0]], [no_zero, Subspace(n=4, m=2, vectors=(5, 6, 8, 9))]):
-        with pytest.raises(OverlapDetected):
+        with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
             from_spread(members, plus_type=False)
 
 

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import spreadbent
-from spreadbent import TruthTable, anf, algebraic_degree, development_rank, is_bent
 from spreadbent import cli
+from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
 from spreadbent.cli import main
 from spreadbent.families import Catalog
+from spreadbent.rank2 import development_rank
 
 
 def run(capsys, *argv):
@@ -86,12 +87,36 @@ def test_build_by_family_id_matches_manifest(capsys):
     assert out.startswith("id=0; l=1; b=2; type=PS-; polys=")
 
 
-def test_build_rejects_non_coprime(capsys):
-    code, _, err = run(
-        capsys, "build", "--l", "1", "--b", "2", "--polys", "[1,0,1];[1,0,1]"
-    )
-    assert code == 3
-    assert "gcd" in err
+@pytest.mark.parametrize("polys, code, err", [
+    pytest.param("[1,0,1];[1,0,1]", 3, "gcd != 1 for (1, 0, 1) and (1, 0, 1)", id="gcd"),
+    pytest.param("[1,0,1]", 3, "need 2 members for this type at n=4, got 1", id="member-count"),
+    pytest.param("[];[]", 3, "gcd(0, 0) is undefined", id="gcd-of-zeros"),
+    pytest.param("[];[1]", 3, "the zero polynomial defines no recurrence", id="zero-poly"),
+    pytest.param("[1];[1,1]", 3, "kernels of (1,) and (1, 1) overlap at window size b=2",
+                 id="short-windows-overlap"),
+    pytest.param("[1,2];[1,1,1]", 2,
+                 "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]",
+                 id="coefficient-range"),
+    pytest.param("[1,x];[1,1,1]", 2, "invalid literal for int() with base 10: 'x'",
+                 id="not-integer"),
+    pytest.param("[1,1,0,1];[1,0,1]", 2, "degree 3 exceeds window size b=2",
+                 id="degree-above-window"),
+])
+def test_build_by_polys_exit_codes(capsys, polys, code, err):
+    # 3: the family is rejected; 2: the input is outside what is supported
+    argv = ("build", "--l", "1", "--b", "2", "--polys", polys)
+    assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("polys", "--l", "2", "--b", "2"),
+    ("build", "--l", "2", "--b", "2", "--family-id", "5"),
+    ("polys", "--l", "1", "--b", "3"),
+], ids=["polys-b2", "build-b2", "polys-b3"])
+def test_include_e_infinity_refused_beyond_window_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--include-e-infinity")
+    assert (code, out) == (2, "")
+    assert "include_e_infinity applies to window size b=1 only" in err
 
 
 def test_build_family_id_out_of_range(capsys):
@@ -251,9 +276,19 @@ def test_out_file(tmp_path, capsys):
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
-    lines = [line for line in out.strip().splitlines() if line]
-    assert len(lines) == 11
-    assert all(line.endswith(": PASS") for line in lines)
+    assert out == (
+        "field axioms (l=1..4 exhaustive): PASS\n"
+        "golden 16-bit tables (n=4 tables 0635/f635 with matching anf): PASS\n"
+        "coprimality triangle GF(2) deg<=3 (119 pairs agree): PASS\n"
+        "coprimality triangle GF(4) deg<=2 (2010 pairs agree): PASS\n"
+        "irreducible counts vs enumeration (q in {2,4}, degrees 1..4): PASS\n"
+        "family count q=2 b=2 (closed form 1 == exhaustive 1): PASS\n"
+        "family count q=4 b=2 (closed form 12 == exhaustive 12): PASS\n"
+        "graph-subspace equivalence m=2 (all window-1 kernels and functions match at m=2): PASS\n"
+        "graph-subspace equivalence m=4 (all window-1 kernels and functions match at m=4): PASS\n"
+        "window-2 catalog (174 = 165+3+6 and 64 = 55+6+3, all supports distinct): PASS\n"
+        "window-3 catalog (5 negative + 1 positive, all bent of degree 3): PASS\n"
+    )
 
 
 def assert_module_verifies(module):

@@ -4,37 +4,28 @@ import time
 import numpy as np
 import pytest
 
-from spreadbent import (
-    BentCheckFailed,
-    OverlapDetected,
-    Subspace,
+from spreadbent.boolfun import algebraic_degree, anf, walsh_transform
+from spreadbent.errors import ConstructionRejected, SpreadbentError
+from spreadbent.families import (
     TAG_IRREDUCIBLE,
     TAG_MIXED,
     TAG_ONE,
     TAG_PRODUCT,
     TAG_SQUARE,
     TAG_XPOW,
-    UnsupportedParameters,
-    WrongSpreadSize,
-    algebraic_degree,
-    anf,
     bent_from_kernels,
     build_bent,
-    build_matrix,
     candidate_pool,
-    closed_form_family_count,
     coprime_subsets,
     desarguesian_spread,
     enumerate_families,
-    field,
-    gf2_basis,
-    kernel,
     manifest_line,
     nonzero_constant_members,
-    pairwise_coprime,
     verify_desarguesian_equivalence,
-    walsh_transform,
 )
+from spreadbent.gf2e import field
+from spreadbent.lrs import Subspace, build_matrix, gf2_basis, kernel
+from spreadbent.poly import closed_form_family_count, pairwise_coprime
 
 GF2 = field(1)
 GF4 = field(2)
@@ -85,10 +76,14 @@ def test_window3_pool():
 
 
 def test_pool_rejections():
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(SpreadbentError, match="only supported over GF"):
         candidate_pool(GF4, 3)
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(SpreadbentError, match="no candidate pool for b=4"):
         candidate_pool(GF2, 4)
+    # the b=2 and b=3 pools always hold 1, so the flag would change nothing
+    for spec, b in ((GF4, 2), (GF2, 2), (GF2, 3)):
+        with pytest.raises(SpreadbentError, match="window size b=1 only"):
+            candidate_pool(spec, b, include_e_infinity=True)
 
 
 def test_catalog_sizes():
@@ -122,7 +117,7 @@ def test_wide_window_catalog_at_n16_refused():
     pool = candidate_pool(GF16, 2)
     start = time.perf_counter()
     for t in (128, 129):
-        with pytest.raises(UnsupportedParameters, match="refused"):
+        with pytest.raises(SpreadbentError, match="refused"):
             enumerate_families(pool, t)
     assert time.perf_counter() - start < 1
 
@@ -170,7 +165,7 @@ def test_last_family_at_l7_is_the_pool_tail():
 
 
 def test_catalog_rejects_other_sizes():
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(SpreadbentError, match="family size 4 matches neither spread type"):
         enumerate_families(candidate_pool(GF2, 2), 4)
 
 
@@ -249,7 +244,7 @@ def test_build_bent_raises_on_wrong_size():
         l=fs.l, b=fs.b, polys=fs.polys[:1],
         spread_type=fs.spread_type, family_id=0,
     )
-    with pytest.raises(WrongSpreadSize):
+    with pytest.raises(ConstructionRejected, match="need 2 members"):
         build_bent(broken)
 
 
@@ -295,11 +290,11 @@ def test_bent_from_kernels_checks():
     tt, spectrum = bent_from_kernels(spread, "PS-")
     assert tt.hex() == build_bent(catalog[0]).hex()
     assert np.array_equal(spectrum.values, walsh_transform(tt).values)
-    with pytest.raises(OverlapDetected):
+    with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
         bent_from_kernels([spread[0], spread[0]], "PS-")
-    with pytest.raises(WrongSpreadSize):
+    with pytest.raises(ConstructionRejected, match="need 2 members"):
         bent_from_kernels(spread[:1], "PS-")
-    with pytest.raises(WrongSpreadSize):
+    with pytest.raises(ConstructionRejected, match="need 3 members"):
         bent_from_kernels(spread, "PS+")
 
 
@@ -310,5 +305,5 @@ def test_bent_from_kernels_rejects_non_flat_spectrum():
         Subspace(n=4, m=2, vectors=(0, 1, 2, 4)),
         Subspace(n=4, m=2, vectors=(0, 3, 5, 6)),
     ]
-    with pytest.raises(BentCheckFailed):
+    with pytest.raises(ConstructionRejected, match="family 7 produced a non-flat spectrum"):
         bent_from_kernels(fake, "PS-", family_id=7)

@@ -2,27 +2,19 @@ import itertools
 
 import pytest
 
-from spreadbent import (
-    DegenerateMap,
-    DimensionMismatch,
-    NotCoprime,
-    UnsupportedParameters,
+from spreadbent.errors import ConstructionRejected, SpreadbentError
+from spreadbent.families import candidate_pool, desarguesian_spread
+from spreadbent.gf2e import _bitpoly_mulmod, field
+from spreadbent.lrs import (
     build_matrix,
     build_partial_spread,
-    candidate_pool,
-    desarguesian_spread,
-    field,
     gf2_basis,
     kernel,
-    one,
-    poly,
-    poly_gcd,
     sylvester_resultant_nonzero,
     trivial_intersection,
     window,
-    x_power,
 )
-from spreadbent.gf2e import _bitpoly_mulmod
+from spreadbent.poly import one, poly, poly_gcd, x_power
 
 GF2 = field(1)
 GF4 = field(2)
@@ -41,9 +33,9 @@ def test_matrix_is_banded():
 
 
 def test_matrix_rejects_zero_and_oversize():
-    with pytest.raises(DegenerateMap):
+    with pytest.raises(ConstructionRejected, match="zero polynomial defines no recurrence"):
         build_matrix(poly(GF2, ()), 2)
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(SpreadbentError, match="degree 2 exceeds window size b=1"):
         build_matrix(poly(GF2, (1, 1, 1)), 1)
 
 
@@ -151,13 +143,13 @@ def test_desarguesian_masks_match_sets(m):
 def test_trivial_intersection_dimension_check():
     a = kernel(build_matrix(poly(GF2, (1, 0, 1)), 2))
     b = kernel(build_matrix(poly(GF2, (1, 1)), 1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConstructionRejected, match="ambient dimensions differ: 4 vs 2"):
         trivial_intersection(a, b)
 
 
 def test_build_partial_spread_rejects_common_factor():
     fam = [poly(GF2, (1, 0, 1)), poly(GF2, (1, 1))]  # both divisible by X + 1
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ConstructionRejected, match="gcd != 1"):
         build_partial_spread(fam, b=2)
 
 
@@ -165,7 +157,7 @@ def test_build_partial_spread_rejects_two_short_windows():
     # gcd(1, X) = 1, yet both kernels at window size 2 contain the vector
     # with only the last coordinate set; the set-level re-check must fire
     fam = [one(GF2), x_power(GF2, 1)]
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ConstructionRejected, match="overlap at window size b=2"):
         build_partial_spread(fam, b=2)
 
 

@@ -17,24 +17,25 @@ import itertools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spreadbent import (
+from spreadbent.boolfun import TruthTable, from_spread, is_bent
+from spreadbent.families import (
     TAG_IRREDUCIBLE,
     TAG_PRODUCT,
     CandidatePool,
-    TruthTable,
     candidate_pool,
-    development_rank,
     coprime_subsets,
     enumerate_families,
-    Poly,
+)
+from spreadbent.gf2e import fe_inv, fe_mul, field
+from spreadbent.lrs import (
     build_matrix,
-    fe_inv,
-    fe_mul,
-    field,
-    from_spread,
     gf2_basis,
-    is_bent,
     kernel,
+    sylvester_resultant_nonzero,
+    trivial_intersection,
+)
+from spreadbent.poly import (
+    Poly,
     monic,
     one,
     poly,
@@ -42,9 +43,8 @@ from spreadbent import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    sylvester_resultant_nonzero,
-    trivial_intersection,
 )
+from spreadbent.rank2 import development_rank
 
 SPECS = st.sampled_from([field(l) for l in (1, 2, 3, 4)])
 

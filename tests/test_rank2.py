@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from spreadbent import (
+from spreadbent.boolfun import TruthTable, from_spread
+from spreadbent.gf2e import field
+from spreadbent.lrs import build_partial_spread
+from spreadbent.poly import poly
+from spreadbent.rank2 import (
     BEYOND_DS,
     BEYOND_MM,
     WITHIN_MM_RANGE,
-    TruthTable,
-    build_partial_spread,
     classify,
     development_matrix,
     development_rank,
     ds_rank_bounds,
-    field,
-    from_spread,
     mm_rank_bounds,
-    poly,
     rank_gf2,
 )
 
