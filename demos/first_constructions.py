@@ -20,7 +20,7 @@ from spreadbent.families import (
     manifest_line,
 )
 from spreadbent.gf2e import field
-from spreadbent.lrs import build_matrix, kernel
+from spreadbent.lrs import build_matrix, kernel, window
 from spreadbent.poly import format_poly, poly
 
 spec = field(1)
@@ -32,9 +32,10 @@ f2 = poly(spec, (1, 1, 1))   # X^2 + X + 1
 
 print("feedback polynomials:", format_poly(f1), format_poly(f2))
 for f in (f1, f2):
-    m = build_matrix(f, 2)
-    ker = kernel(m)
-    print(f"  {format_poly(f)}: rows {m.rows} -> kernel {ker.vectors}")
+    # the band over F_q: row i holds the coefficient window of f at offset i
+    rows = tuple((0,) * i + window(f, 2) + (0,) * (1 - i) for i in range(2))
+    ker = kernel(build_matrix(f, 2))
+    print(f"  {format_poly(f)}: rows {rows} -> kernel {ker.vectors}")
 
 spread = [kernel(build_matrix(f, 2)) for f in (f1, f2)]
 g = from_spread(spread, plus_type=False)
@@ -63,7 +64,7 @@ for p, tag in zip(pool.members, pool.tags):
 
 for t in (4, 5):
     for fs in enumerate_families(pool, t):
-        tt = build_bent(fs)
+        tt, _ = build_bent(fs)
         print(f"  {manifest_line(fs)}")
         print(f"    hex={tt.hex()} weight={tt.weight()} "
               f"degree={algebraic_degree(anf(tt))}")

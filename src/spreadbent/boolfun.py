@@ -28,7 +28,7 @@ class TruthTable:
     def __init__(self, n: int, bits):
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} bits for n={n}, got {arr.shape}")
+            raise SpreadbentError(f"expected {1 << n} bits for n={n}, got {arr.shape}")
         arr = arr.copy()
         arr.setflags(write=False)
         self.n = n
@@ -45,7 +45,7 @@ class TruthTable:
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
         if len(text) != -(-(1 << n) // 4):
-            raise ValueError(f"expected {-(-(1 << n) // 4)} hex digits for n={n}")
+            raise SpreadbentError(f"expected {-(-(1 << n) // 4)} hex digits for n={n}")
         raw = bytes.fromhex(text if len(text) % 2 == 0 else text + "0")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: 1 << n]
         return cls(n, bits)
@@ -181,10 +181,6 @@ def is_bent(tt: TruthTable) -> bool:
 
 def anf(tt: TruthTable) -> Anf:
     return Anf(tt.n, mobius(tt.bits))
-
-
-def truth_table_of_anf(a: Anf) -> TruthTable:
-    return TruthTable(a.n, mobius(a.bits))
 
 
 def algebraic_degree(a: Anf) -> int:

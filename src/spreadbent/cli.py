@@ -33,7 +33,7 @@ from .families import (
     TAG_SQUARE,
     FamilySpec,
     analyze,
-    bent_from_kernels,
+    build_bent,
     candidate_pool,
     coprime_subsets,
     enumerate_families,
@@ -100,7 +100,7 @@ def _emit(text, out):
 
 def _resolve_jobs(requested):
     if requested < 0:
-        raise ValueError(f"--jobs must be >= 0, got {requested}")
+        raise SpreadbentError(f"--jobs must be >= 0, got {requested}")
     return requested or os.cpu_count() or 1
 
 
@@ -142,8 +142,7 @@ def cmd_build(args):
             l=args.l, b=args.b, polys=polys,
             spread_type="PS+" if plus else "PS-", family_id=-1,
         )
-        spread = build_partial_spread(list(polys), b=args.b)
-        tt, spectrum = bent_from_kernels(spread, fs.spread_type)
+        tt, spectrum = build_bent(fs)
     # the CSV's analysis columns, with bent and anf printed before rank;
     # one Mobius transform gives both the degree and the printed anf
     normal_form = anf(tt)

@@ -80,7 +80,6 @@ from .poly import (
     enumerate_irreducibles,
     format_poly,
     one,
-    poly,
     poly_gcd,
     poly_mul,
     x_power,
@@ -301,7 +300,8 @@ class Catalog(Sequence):
         self.size = self._cliques.count(self._cliques.full, t)
 
     def indices(self, k: int) -> tuple[int, ...]:
-        """Pool indices of the members of family k, 0 <= k < size."""
+        """Pool indices of the members of family k, 0 <= k < size. Out of
+        range it raises IndexError, which Sequence.index relies on to stop."""
         if not 0 <= k < self.size:
             raise IndexError(f"family id {k} out of range for {self.size} families")
         return self._cliques.unrank(k)
@@ -377,46 +377,46 @@ def bent_from_kernels(
     return tt, spectrum
 
 
-def build_bent(family: FamilySpec) -> TruthTable:
-    """Union-of-kernels function for the family, from scratch: kernels solved
-    and pairs checked by build_partial_spread, then bent_from_kernels."""
-    spread = build_partial_spread(list(family.polys), b=family.b)
-    return bent_from_kernels(spread, family.spread_type, family.family_id)[0]
+def build_bent(family: FamilySpec) -> tuple[TruthTable, WalshSpectrum]:
+    """The checked function of an ad-hoc family and its spectrum, from
+    scratch: kernels solved and pairs checked by build_partial_spread, then
+    bent_from_kernels."""
+    spread = build_partial_spread(list(family.polys), family.b)
+    return bent_from_kernels(spread, family.spread_type, family.family_id)
 
 
-def analyze(tt: TruthTable, spectrum: WalshSpectrum, normal_form: Anf | None = None) -> tuple:
+def analyze(tt: TruthTable, spectrum: WalshSpectrum, normal_form: Anf) -> tuple:
     """The CSV analysis fields of a checked function: hex table, weight,
     degree, nonlinearity, development rank and classification. The degree
-    is read off normal_form, the function's ANF, computed here if not given."""
-    degree = algebraic_degree(anf(tt) if normal_form is None else normal_form)
-    rank = development_rank(tt)
+    is read off normal_form, the function's ANF."""
+    degree, rank = algebraic_degree(normal_form), development_rank(tt)
     return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
 
 
-_KERNELS: tuple[Subspace, ...] = ()  # a sweep worker's copy of the pool's kernels
+_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
 
 
-def _init_worker(kernels):
-    global _KERNELS
-    _KERNELS = kernels
+def _init_worker(catalog):
+    global _CATALOG
+    _CATALOG = catalog
 
 
 def _analyze_item(item):
-    # (family_id, spread type, member indices): the kernels come with the worker
-    family_id, spread_type, combo = item
-    return analyze(*bent_from_kernels([_KERNELS[i] for i in combo], spread_type, family_id))
+    tt, spectrum = _CATALOG.build(*item)
+    return analyze(tt, spectrum, anf(tt))
 
 
-def _analyzed(items, kernels, jobs):
-    """analyze's fields for each item, in item order: in this process for
-    jobs=1, else over jobs worker processes that hold the kernels."""
+def _analyzed(items, catalog, jobs):
+    """analyze's fields for each (family_id, member indices) item, in item
+    order: in this process for jobs=1, else over jobs worker processes that
+    each hold the catalog."""
     if jobs == 1:
-        _init_worker(kernels)
+        _init_worker(catalog)
         yield from map(_analyze_item, items)
         return
     import multiprocessing  # deferred: it adds about 8 ms to `import spreadbent`
 
-    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(kernels,)) as workers:
+    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(catalog,)) as workers:
         yield from workers.imap(_analyze_item, items, chunksize=max(1, len(items) // (jobs * 8)))
 
 
@@ -429,17 +429,17 @@ def sweep(pool: CandidatePool, sizes, jobs: int) -> list[list]:
     for t in sizes:
         catalog = enumerate_families(pool, t)
         print(f"catalog l={pool.spec.l} b={pool.b} t={t}: {catalog.size} families", file=sys.stderr)
-        items = [(fid, catalog.spread_type, combo) for fid, combo in catalog.walk()]
+        items = list(catalog.walk())
         results = []
-        for done, fields in enumerate(_analyzed(items, pool.kernels, jobs), 1):
+        for done, fields in enumerate(_analyzed(items, catalog, jobs), 1):
             results.append(fields)
             if done % 2000 == 0:
                 print(f"  analyzed {done}/{len(items)}", file=sys.stderr)
         # rows are built once the results are in: building them between
         # arriving results raised the table1 peak RSS by about 2.5 MB
         rows += [
-            [fid, spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *fields]
-            for (fid, spread_type, combo), fields in zip(items, results)
+            [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *fields]
+            for (fid, combo), fields in zip(items, results)
         ]
     return rows
 
@@ -456,35 +456,36 @@ def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
     flattened with the canonical bit convention (first coordinate low)."""
     if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+        raise SpreadbentError(f"m must be >= 2, got {m}")
     spec = field(m)
     out = []
     for a in range(spec.q):
         vectors = tuple(sorted(x | (fe_mul(spec, a, x) << m) for x in range(spec.q)))
-        out.append(Subspace(n=2 * m, m=m, vectors=vectors))
+        out.append(Subspace(n=2 * m, vectors=vectors))
     e_inf = tuple(y << m for y in range(spec.q))
-    out.append(Subspace(n=2 * m, m=m, vectors=e_inf))
+    out.append(Subspace(n=2 * m, vectors=e_inf))
     return out
 
 
 def verify_desarguesian_equivalence(m: int) -> bool:
     """Executable equivalence check for window size 1 over GF(2^m).
 
-    First, the kernel of every map a + X (and of X itself for a = 0) must
-    equal the graph subspace E_a vector for vector. Second, every
+    First, the window-1 pool must hold one map a + X for each a in GF(q)
+    (X itself for a = 0), and the kernel of each, solved once by the pool,
+    must equal the graph subspace E_a vector for vector. Second, every
     negative-type function built from the window-1 catalog must coincide
     with the indicator of the union of the matching E_a. Returns True only
     if both hold exhaustively.
     """
     spec = field(m)
     graphs = desarguesian_spread(m)
-    for a in range(spec.q):
-        f = poly(spec, (a, 1))
-        if kernel(build_matrix(f, 1)).vectors != graphs[a].vectors:
-            return False
     pool = candidate_pool(spec, 1)
     # a + X has kernel E_a; X itself is the a = 0 case
     graph_of = [p.coeffs[0] for p in pool.members]
+    if sorted(graph_of) != list(range(spec.q)):
+        return False
+    if any(k.vectors != graphs[a].vectors for k, a in zip(pool.kernels, graph_of)):
+        return False
     lrs_masks = [k.mask for k in pool.kernels]
     ds_masks = [graphs[a].mask for a in graph_of]
     t = 1 << (m - 1)

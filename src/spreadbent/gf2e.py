@@ -1,7 +1,8 @@
 """Arithmetic in the binary extension fields GF(2^l).
 
 A field element is a plain int in [0, 2^l): bit j holds the coefficient of
-alpha^j, where alpha is a root of the defining modulus. The modulus is an
+alpha^j, where alpha is a root of the defining modulus, so addition is
+the XOR of two ints. The modulus is an
 (l+1)-bit int read the same way (bit j = coefficient of X^j). This integer
 encoding is fixed so that every serialized artifact (kernels, truth tables,
 CSV rows) is bit-exact across runs and platforms.
@@ -10,8 +11,10 @@ All statistics computed downstream (ranks, weights, degrees, Walsh spectra)
 are invariant under a change of defining polynomial: switching the modulus
 re-indexes inputs by a fixed GF(2)-linear bijection, which preserves both
 the Walsh multiset and the rank of the derived incidence matrix. The
-canonical moduli below therefore pin the byte-level outputs without
-affecting any of the reported invariants.
+modulus of each degree therefore pins the byte-level outputs without
+affecting any of the reported invariants. It comes from a search alone:
+field(l) takes the least irreducible of degree l by integer encoding, which
+always has a nonzero constant term (0x3, 0x7, 0xb and 0x13 for l = 1..4).
 
 Multiplication and inversion go through discrete-log tables (Lidl and
 Niederreiter, Finite Fields, ch. 9). Each FieldSpec carries exp[i] = g^i
@@ -31,15 +34,6 @@ import functools
 from dataclasses import dataclass
 
 from .errors import SpreadbentError
-
-# Least irreducible of each degree, by integer encoding.
-CANONICAL_MODULI = {
-    1: 0b11,        # X + 1
-    2: 0b111,       # X^2 + X + 1
-    3: 0b1011,      # X^3 + X + 1
-    4: 0b10011,     # X^4 + X + 1
-}
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -84,7 +78,7 @@ def _exp_log_tables(l: int, mod: int) -> tuple[tuple[int, ...], tuple[int, ...]]
         if len(set(powers)) == q - 1 and 0 not in powers:
             break
     else:
-        raise ValueError(f"modulus {hex(mod)} does not define a field of degree {l}")
+        raise SpreadbentError(f"modulus {hex(mod)} does not define a field of degree {l}")
     log = [0] * q
     for i, x in enumerate(powers):
         log[x] = i
@@ -105,26 +99,17 @@ def _bitpoly_irreducible(f: int, deg: int) -> bool:
 
 @functools.cache
 def field(l: int) -> FieldSpec:
-    """Return GF(2^l) with its canonical defining polynomial.
-
-    Degrees 1 through 4 use the fixed table above; larger degrees take the
-    irreducible with the smallest integer encoding, found by search. The
-    choice is deterministic either way. The spec, tables included, is built
-    once per degree and shared by every caller.
+    """Return GF(2^l) with its canonical defining polynomial: the
+    irreducible of degree l with the smallest integer encoding, found by
+    search. The spec, tables included, is built once per degree and shared
+    by every caller.
     """
     if l < 1:
-        raise ValueError(f"extension degree must be positive, got {l}")
-    if l in CANONICAL_MODULI:
-        return FieldSpec(l, CANONICAL_MODULI[l])
+        raise SpreadbentError(f"extension degree must be positive, got {l}")
     for f in range(1 << l, 1 << (l + 1)):
         if f & 1 and _bitpoly_irreducible(f, l):
             return FieldSpec(l, f)
-    raise ValueError(f"no irreducible of degree {l} found")  # unreachable
-
-
-def fe_add(spec: FieldSpec, x: int, y: int) -> int:
-    """Field addition: bitwise XOR. Its own inverse in characteristic 2."""
-    return x ^ y
+    raise SpreadbentError(f"no irreducible of degree {l} found")  # unreachable
 
 
 def fe_mul(spec: FieldSpec, x: int, y: int) -> int:

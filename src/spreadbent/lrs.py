@@ -1,11 +1,11 @@
 """Linear recurring sequence maps, their kernels, and partial spreads.
 
 A feedback polynomial f of degree at most b acts on F_q^(2b) through the
-banded b x 2b matrix whose row i carries the length-(b+1) coefficient window
-of f starting at column i. A polynomial of degree e < b is embedded as the
-window (c_0, ..., c_e, 0, ..., 0), so the constant 1 pins the first b
-coordinates to zero and X^b pins the last b, two complementary coordinate
-subspaces.
+banded b x 2b matrix over F_q whose row i carries the length-(b+1)
+coefficient window of f starting at column i. A polynomial of degree e < b
+is embedded as the window (c_0, ..., c_e, 0, ..., 0), so the constant 1
+pins the first b coordinates to zero and X^b pins the last b, two
+complementary coordinate subspaces.
 
 The kernel of the map has exactly q^b elements. Flattening sends a vector
 over F_q to an n-bit integer with coordinate 0 in the LOW bits: bit i*l + j
@@ -14,7 +14,8 @@ n-character bit string (index 0 last, i.e. the string is read coordinate 0
 rightmost), the kernel of X^2 over GF(2) at b=2 is {0000, 0001, 0010, 0011},
 the canonical ground truth this convention is locked to.
 
-The linear algebra runs over GF(2) on those flattened vectors. Multiplying
+The band is defined over F_q, but only its GF(2) rows are held: the
+linear algebra runs over GF(2) on the flattened vectors. Multiplying
 by a field element c is GF(2)-linear on the l bits of an element, so each
 band row becomes l int rows, one per output bit. An F_q-linear map has the
 same kernel as its flattened GF(2) image and is invertible exactly when
@@ -34,26 +35,16 @@ from .poly import Poly, one, poly_gcd
 
 
 @dataclass(frozen=True)
-class LrsMap:
-    """The banded recurrence matrix of a feedback polynomial."""
-
-    poly: Poly
-    b: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Subspace:
-    """An m-dimensional GF(2) subspace of F_2^n, fully enumerated.
+    """An (n/2)-dimensional GF(2) subspace of F_2^n, fully enumerated.
 
-    vectors holds all 2^m flattened elements, sorted. mask is the same set
+    vectors holds all 2^(n/2) flattened elements, sorted. mask is the same set
     as one int with bit v set for each member v, built on first use: unions
     and intersections of subspaces are then single OR and AND operations,
     and a truth table is the mask's bits unpacked.
     """
 
     n: int
-    m: int
     vectors: tuple[int, ...]
 
     @functools.cached_property
@@ -69,22 +60,14 @@ def window(f: Poly, b: int) -> tuple[int, ...]:
     return tuple(f.coeffs[j] if j < len(f.coeffs) else 0 for j in range(b + 1))
 
 
-def build_matrix(f: Poly, b: int | None = None) -> LrsMap:
-    """Banded b x 2b matrix; row i applies the recurrence window at offset i."""
+def build_matrix(f: Poly, b: int) -> tuple[int, ...]:
+    """The b x 2b band of f over F_q, whose row i applies the window of f
+    at offset i, held only as its b*l GF(2) rows (see _gf2_rows)."""
     if f.is_zero:
         raise ConstructionRejected("the zero polynomial defines no recurrence")
-    if b is None:
-        b = max(int(f.degree), 1)
     if f.degree > b:
         raise SpreadbentError(f"degree {f.degree} exceeds window size b={b}")
-    w = window(f, b)
-    rows = []
-    for i in range(b):
-        row = [0] * (2 * b)
-        for j, c in enumerate(w):
-            row[i + j] = c
-        rows.append(tuple(row))
-    return LrsMap(f, b, tuple(rows))
+    return _gf2_rows(f, b)
 
 
 def gf2_basis(vectors) -> tuple[int, ...]:
@@ -132,19 +115,19 @@ def _gf2_rows(f: Poly, b: int) -> tuple[int, ...]:
     return tuple(row << (i * l) for i in range(b) for row in low)
 
 
-def kernel(m: LrsMap) -> Subspace:
+def kernel(rows: tuple[int, ...]) -> Subspace:
     """All q^b solutions of the banded system, flattened and sorted.
 
-    An F_q-linear map has the same kernel as its flattened GF(2) image, so
-    the b*l GF(2) rows are brought to reduced echelon form as ints. Each
-    free column c gives one of the l*b generators: bit c, plus the pivot
-    bit of every row that has bit c set. XOR spans the rest.
+    rows are build_matrix's b*l GF(2) rows of the F_q band, which has the
+    same kernel as its flattened GF(2) image. They are brought to reduced
+    echelon form as ints. Each free column c gives one of the l*b
+    generators: bit c, plus the pivot bit of every row that has bit c set.
+    XOR spans the rest.
     """
-    spec = m.poly.spec
-    n = 2 * spec.l * m.b
-    dim = spec.l * m.b
+    dim = len(rows)
+    n = 2 * dim
     pivots: dict[int, int] = {}  # pivot column -> its reduced row
-    for row in _gf2_rows(m.poly, m.b):
+    for row in rows:
         for c, p in pivots.items():
             if row >> c & 1:
                 row ^= p
@@ -165,10 +148,10 @@ def kernel(m: LrsMap) -> Subspace:
     for v in basis:
         vectors += [w ^ v for w in vectors]
     vectors.sort()
-    return Subspace(n=n, m=dim, vectors=tuple(vectors))
+    return Subspace(n=n, vectors=tuple(vectors))
 
 
-def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:
+def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     """Invertibility of the 2b x 2b superposition of the two banded matrices.
 
     Stacks the b*l GF(2) rows of f's band matrix on those of g's and tests
@@ -180,8 +163,6 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int | None = None) -> bool:
     """
     if f.is_zero and g.is_zero:
         raise ConstructionRejected("resultant of two zero polynomials")
-    if b is None:
-        b = max(int(max(f.degree, g.degree, 1)), 1)
     if max(f.degree, g.degree) > b:
         raise SpreadbentError(f"degrees exceed window size b={b}")
     rows = _gf2_rows(f, b) + _gf2_rows(g, b)
@@ -195,7 +176,7 @@ def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     return a.mask & b.mask == 1
 
 
-def build_partial_spread(family: list[Poly], b: int | None = None) -> list[Subspace]:
+def build_partial_spread(family: list[Poly], b: int) -> list[Subspace]:
     """Kernels of all family members, checked pairwise for trivial overlap.
 
     This is the from-scratch path for ad-hoc families: the pairwise gcd test
@@ -207,9 +188,7 @@ def build_partial_spread(family: list[Poly], b: int | None = None) -> list[Subsp
     union-size check confirms it.
     """
     if not family:
-        raise ValueError("empty family")
-    if b is None:
-        b = max(int(max(f.degree for f in family)), 1)
+        raise SpreadbentError("empty family")
     unit = one(family[0].spec)
     for f, g in itertools.combinations(family, 2):
         if poly_gcd(f, g) != unit:

@@ -43,7 +43,7 @@ def poly(spec: FieldSpec, coeffs) -> Poly:
     while cs and cs[-1] == 0:
         cs.pop()
     if any(not 0 <= c < spec.q for c in cs):
-        raise ValueError(f"coefficient out of range for {spec}: {cs}")
+        raise SpreadbentError(f"coefficient out of range for {spec}: {cs}")
     return Poly(spec, tuple(cs))
 
 
@@ -164,16 +164,13 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def enumerate_irreducibles(spec: FieldSpec, degree: int, require_nonzero_const: bool = True) -> list[Poly]:
-    """All monic irreducibles of the given degree, lexicographic by
-    coefficient tuple (constant term first)."""
+def enumerate_irreducibles(spec: FieldSpec, degree: int) -> list[Poly]:
+    """All monic irreducibles of the given degree with nonzero constant
+    term, lexicographic by coefficient tuple (constant term first). Only
+    degree 1 loses a member to that rule: X itself."""
     if degree < 1:
         raise SpreadbentError(f"degree must be >= 1, got {degree}")
-    out = [
-        f
-        for f in _monic_of_degree(spec, degree)
-        if (f.coeffs[0] != 0 or not require_nonzero_const) and is_irreducible(f)
-    ]
+    out = [f for f in _monic_of_degree(spec, degree) if f.coeffs[0] != 0 and is_irreducible(f)]
     out.sort(key=lambda f: f.coeffs)
     return out
 
@@ -203,7 +200,7 @@ def gauss_count(spec: FieldSpec, k: int) -> int:
     polynomial X is excluded, leaving q - 1.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise SpreadbentError(f"k must be >= 1, got {k}")
     q = spec.q
     if k == 1:
         return q - 1
@@ -216,7 +213,7 @@ def max_family_size(spec: FieldSpec, b: int) -> int:
     constant term: the irreducibles of degree b plus one product per
     irreducible of each degree up to b/2."""
     if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
+        raise SpreadbentError(f"b must be >= 1, got {b}")
     return gauss_count(spec, b) + sum(gauss_count(spec, k) for k in range(1, b // 2 + 1))
 
 
@@ -224,7 +221,7 @@ def feasible_degrees(b: int, spec: FieldSpec) -> bool:
     """Whether a half-space-sized coprime family exists at this degree:
     2 * N_b >= q^b. Holds exactly for b in {1, 2}."""
     if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
+        raise SpreadbentError(f"b must be >= 1, got {b}")
     return 2 * max_family_size(spec, b) >= spec.q**b
 
 
@@ -260,7 +257,7 @@ def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
 def pairwise_coprime(family: list[Poly]) -> bool:
     """True iff every unordered pair of the family has gcd 1."""
     if not family:
-        raise ValueError("empty family")
+        raise SpreadbentError("empty family")
     spec = family[0].spec
     for f in family[1:]:
         if f.spec != spec:

@@ -24,6 +24,7 @@ from math import comb
 import numpy as np
 
 from .boolfun import TruthTable
+from .errors import SpreadbentError
 
 WITHIN_MM_RANGE = "within-MM-range"
 BEYOND_MM = "beyond-MM"
@@ -65,13 +66,13 @@ def development_rank(tt: TruthTable) -> int:
 
 def mm_rank_bounds(m: int) -> tuple[int, int]:
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise SpreadbentError(f"m must be >= 1, got {m}")
     return 2 * m + 2, (1 << (m + 1)) - 2
 
 
 def ds_rank_bounds(m: int) -> tuple[int, int]:
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise SpreadbentError(f"m must be >= 1, got {m}")
     upper = sum(comb(m, i) * (1 << min(i, m - i)) for i in range(m + 1))
     return (1 << (m + 1)) - 2, upper
 

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,8 +14,12 @@ import spreadbent
 from spreadbent import cli
 from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
 from spreadbent.cli import main
-from spreadbent.families import Catalog
-from spreadbent.rank2 import development_rank
+from spreadbent.errors import SpreadbentError
+from spreadbent.families import TAG_ONE, Catalog, desarguesian_spread
+from spreadbent.gf2e import FieldSpec, field
+from spreadbent.lrs import build_partial_spread
+from spreadbent.poly import feasible_degrees, gauss_count, max_family_size, pairwise_coprime, poly
+from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
 
 def run(capsys, *argv):
@@ -30,7 +35,7 @@ def forbidden(*args, **kwargs):
 def forbid_builds(monkeypatch):
     """Make both build paths fail: the catalog's and the ad-hoc one."""
     monkeypatch.setattr(Catalog, "build", forbidden)
-    for name in ("build_partial_spread", "bent_from_kernels", "analyze"):
+    for name in ("build_partial_spread", "build_bent", "analyze"):
         monkeypatch.setattr(cli, name, forbidden)
 
 
@@ -106,6 +111,36 @@ def test_build_by_polys_exit_codes(capsys, polys, code, err):
     # 3: the family is rejected; 2: the input is outside what is supported
     argv = ("build", "--l", "1", "--b", "2", "--polys", polys)
     assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+
+
+# Every reachable library site that refuses its input, with its message.
+# (gf2e.field's "no irreducible of degree l found" cannot be reached.)
+INPUT_ERRORS = {
+    "TruthTable": (lambda: TruthTable(2, [0, 1]), "expected 4 bits for n=2, got (2,)"),
+    "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
+    "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
+    "field": (lambda: field(0), "extension degree must be positive, got 0"),
+    "build_partial_spread": (lambda: build_partial_spread([], 2), "empty family"),
+    "poly": (lambda: poly(field(1), (1, 2)),
+             "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
+    "gauss_count": (lambda: gauss_count(field(1), 0), "k must be >= 1, got 0"),
+    "max_family_size": (lambda: max_family_size(field(1), 0), "b must be >= 1, got 0"),
+    "feasible_degrees": (lambda: feasible_degrees(0, field(1)), "b must be >= 1, got 0"),
+    "pairwise_coprime": (lambda: pairwise_coprime([]), "empty family"),
+    "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be >= 2, got 1"),
+    "mm_rank_bounds": (lambda: mm_rank_bounds(0), "m must be >= 1, got 0"),
+    "ds_rank_bounds": (lambda: ds_rank_bounds(0), "m must be >= 1, got 0"),
+    "cli._resolve_jobs": (lambda: cli._resolve_jobs(-1), "--jobs must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("site", INPUT_ERRORS)
+def test_library_input_errors_are_spreadbent_errors(site):
+    # exactly SpreadbentError (exit 2), never a plain ValueError or a rejection
+    call, message = INPUT_ERRORS[site]
+    with pytest.raises(SpreadbentError, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert type(caught.value) is SpreadbentError
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,6 +256,30 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert bad[0] == 2 and bad[1] == ""
     assert run(capsys, *good) == first
     assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("e_inf", [False, True], ids=["default", "include-e-infinity"])
+def test_table1_pool(capsys, monkeypatch, e_inf):
+    # the arguments table1 hands the sweep, without running it
+    calls = []
+
+    def capture(pool, sizes, jobs):
+        calls.append((pool, sizes))
+        return []
+
+    monkeypatch.setattr(cli, "sweep", capture)
+    argv = ["table1", "--jobs", "1"] + ["--include-e-infinity"] * e_inf
+    assert run(capsys, *argv)[0] == 0
+    [(pool, sizes)] = calls
+    assert (pool.spec.l, pool.b, sizes) == (4, 1, (8,))
+    assert len(pool.members) == 16 + e_inf
+    assert pool.tags.count(TAG_ONE) == e_inf
+
+
+def test_table2_refuses_include_e_infinity(capsys, guarded):
+    code, out, err = run(capsys, "table2", "--include-e-infinity")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --include-e-infinity" in err
 
 
 def test_table2_histogram(capsys):

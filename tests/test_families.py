@@ -1,10 +1,12 @@
 import math
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 from spreadbent.boolfun import algebraic_degree, anf, walsh_transform
+from spreadbent.cli import TABLES
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
     TAG_IRREDUCIBLE,
@@ -206,7 +208,7 @@ def test_nonzero_constant_members():
 
 def test_build_bent_properties():
     for fs in enumerate_families(candidate_pool(GF2, 3), 4):
-        tt = build_bent(fs)
+        tt = build_bent(fs)[0]
         assert tt.n == 6
         assert tt.weight() == 2**5 - 2**2
         assert algebraic_degree(anf(tt)) == 3
@@ -226,7 +228,7 @@ def test_desarguesian_spread_shape():
         union = set()
         for s in spread:
             assert len(s.vectors) == 2**m
-            assert s.m == m == len(gf2_basis(s.vectors))
+            assert s.n // 2 == m == len(gf2_basis(s.vectors))
             overlap = union & set(s.vectors)
             assert overlap <= {0}
             union |= set(s.vectors)
@@ -265,7 +267,7 @@ def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
         fs = catalog[fid]
         assert fs == catalog.family(fid, combo)
         tt, spectrum = catalog.build(fid, combo)
-        assert tt == build_bent(fs)
+        assert tt == build_bent(fs)[0]
         assert np.array_equal(spectrum.values, walsh_transform(tt).values)
         built += 1
     assert built == catalog.size > 0
@@ -284,11 +286,26 @@ def test_catalog_solves_each_kernel_once():
         catalog.indices(catalog.size)
 
 
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_catalog_pickles(command):
+    # sweep workers receive the catalog: pickled under spawn and forkserver
+    l, b, sizes = TABLES[command]
+    pool = candidate_pool(field(l), b)
+    for t in sizes:
+        catalog = enumerate_families(pool, t)
+        copy = pickle.loads(pickle.dumps(catalog))
+        assert copy.size == catalog.size
+        assert list(copy.walk()) == list(catalog.walk())
+        for fid in (0, catalog.size // 3, catalog.size - 1):
+            combo = catalog.indices(fid)
+            assert copy.build(fid, combo)[0].hex() == catalog.build(fid, combo)[0].hex()
+
+
 def test_bent_from_kernels_checks():
     catalog = enumerate_families(candidate_pool(GF2, 2), 2)
     spread = [catalog.pool.kernels[i] for i in catalog.indices(0)]
     tt, spectrum = bent_from_kernels(spread, "PS-")
-    assert tt.hex() == build_bent(catalog[0]).hex()
+    assert tt.hex() == build_bent(catalog[0])[0].hex()
     assert np.array_equal(spectrum.values, walsh_transform(tt).values)
     with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
         bent_from_kernels([spread[0], spread[0]], "PS-")
@@ -302,8 +319,8 @@ def test_bent_from_kernels_rejects_non_flat_spectrum():
     # Two 4-sets meeting only in zero pass every size check, but they are
     # not subspaces and their union minus zero is not bent.
     fake = [
-        Subspace(n=4, m=2, vectors=(0, 1, 2, 4)),
-        Subspace(n=4, m=2, vectors=(0, 3, 5, 6)),
+        Subspace(n=4, vectors=(0, 1, 2, 4)),
+        Subspace(n=4, vectors=(0, 3, 5, 6)),
     ]
     with pytest.raises(ConstructionRejected, match="family 7 produced a non-flat spectrum"):
         bent_from_kernels(fake, "PS-", family_id=7)

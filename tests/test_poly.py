@@ -133,7 +133,6 @@ def test_enumerate_irreducibles_known_lists():
 
 def test_enumerate_irreducibles_linear_options():
     assert len(enumerate_irreducibles(GF4, 1)) == 3
-    assert len(enumerate_irreducibles(GF4, 1, require_nonzero_const=False)) == 4
 
 
 def test_gauss_count_values():
