@@ -193,19 +193,20 @@ def algebraic_degree(a: Anf) -> int:
 
 
 @functools.cache
-def _anf_terms(n: int) -> tuple[tuple[tuple, str], ...]:
-    # (sort key, text) of every monomial index at arity n: higher degree
-    # first, then by variable numbers
-    terms = [((0, ()), "1")]
-    for idx in range(1, 1 << n):
-        names = tuple(n - p for p in range(n - 1, -1, -1) if (idx >> p) & 1)
-        terms.append(((-len(names), names), "*".join(f"x{v}" for v in names)))
-    return tuple(terms)
+def _anf_print_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # every monomial index at arity n in print order (higher degree first,
+    # then by variable numbers, the constant 1 last) and the text of each
+    def names(idx):
+        return tuple(n - p for p in range(n - 1, -1, -1) if (idx >> p) & 1)
+
+    order = sorted(range(1 << n), key=lambda idx: (-idx.bit_count(), names(idx)))
+    texts = ["*".join(f"x{v}" for v in names(idx)) or "1" for idx in order]
+    return np.array(order), np.array(texts, dtype=object)
 
 
 def format_anf(a: Anf) -> str:
     """Render as x-terms, e.g. 'x1*x3 + x2*x3 + x2*x4'; '0' when empty."""
     if a.is_zero:
         return "0"
-    terms = _anf_terms(a.n)
-    return " + ".join(text for _, text in sorted(terms[i] for i in a.monomials()))
+    order, texts = _anf_print_order(a.n)
+    return " + ".join(texts[a.bits[order] != 0])

@@ -99,9 +99,18 @@ def _emit(text, out):
 
 
 def _resolve_jobs(requested):
+    """Worker count for --jobs: 0 means every usable CPU, and a larger
+    request is lowered to that count, since rows are the same for every
+    jobs >= 1. Usable CPUs are those of this process's affinity mask."""
     if requested < 0:
         raise SpreadbentError(f"--jobs must be >= 0, got {requested}")
-    return requested or os.cpu_count() or 1
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        usable = os.cpu_count() or 1
+    if requested > usable:
+        print(f"note: --jobs {requested} lowered to the {usable} usable CPUs", file=sys.stderr)
+    return min(requested, usable) or usable
 
 
 # ---------------------------------------------------------------- commands
@@ -363,7 +372,7 @@ def _build_parser():
         p.add_argument("--format", choices=("table", "csv"), default="table",
                        help="histogram table or full per-function CSV")
         p.add_argument("--jobs", type=int, default=0,
-                       help="worker processes; 0 = all cores (the default)")
+                       help="worker processes, at most the usable CPUs; 0 = all of them (the default)")
 
     p = sub.add_parser("polys", help="list the candidate polynomial pool")
     add_params(p)

@@ -39,9 +39,12 @@ partial-spread condition, read off as the AND of the two kernel masks
 from poly_gcd instead, so the closed-form counts check coprimality without
 the kernels.
 A pool solves each member's kernel and builds the kernel graph once, and
-every catalog over it shares both. A catalog builds its functions from
-those kernels: bent_from_kernels turns a family's kernels into the table
-and its Walsh spectrum, and from_spread's union-size check, the popcount
+every catalog over it shares both. Both layers are memoized for the life
+of the process: candidate_pool returns one pool per argument set and
+enumerate_families one catalog per (pool, t), held on the pool, so a run
+of lookups solves each pool and counts each catalog once. A catalog
+builds its functions from those kernels: bent_from_kernels turns a
+family's kernels into the table and its Walsh spectrum, and from_spread's union-size check, the popcount
 of the OR of the masks, confirms once more that they meet pairwise only in
 zero. The l=4, b=2 catalogs (n=16) are refused: their count alone needs
 about 2 million memoized states.
@@ -110,6 +113,13 @@ class CandidatePool:
         return tuple(kernel(build_matrix(p, self.b)) for p in self.members)
 
     @functools.cached_property
+    def _catalogs(self) -> dict[int, Catalog]:
+        """enumerate_families' memo: this pool's catalog for each size t.
+        It lives and dies with the pool, so hand-built pools leave no
+        module-level state behind."""
+        return {}
+
+    @functools.cached_property
     def disjoint_after(self) -> tuple[int, ...]:
         """Bit j of entry i is set when j > i and the kernels of members i
         and j meet only in 0: the partial-spread condition, read off the
@@ -142,7 +152,18 @@ class FamilySpec:
 
 
 def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) -> CandidatePool:
-    """All admitted feedback polynomials at window size b, tagged by origin."""
+    """All admitted feedback polynomials at window size b, tagged by origin.
+
+    Memoized for the life of the process: every spelling of one argument
+    set (positional, keyword or defaulted include_e_infinity) returns the
+    same pool object, so its kernels, kernel graph and catalogs are solved
+    once. A refused argument set raises and caches nothing.
+    """
+    return _candidate_pool(spec, b, include_e_infinity)
+
+
+@functools.cache
+def _candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool) -> CandidatePool:
     if include_e_infinity and b != 1:
         raise SpreadbentError(
             f"include_e_infinity applies to window size b=1 only, got b={b}: "
@@ -346,8 +367,15 @@ def enumerate_families(pool: CandidatePool, t: int) -> Catalog:
     t must be the negative-type size 2^(m-1) or the positive-type size
     2^(m-1) + 1 for m = l*b. family_id is the zero-based position in the
     enumeration order and is stable across runs.
+
+    Memoized on the pool: each (pool, t) gets one Catalog, kept as long as
+    the pool is, so its count memo serves every later lookup. A refused
+    size raises and caches nothing.
     """
-    return Catalog(pool, t)
+    catalog = pool._catalogs.get(t)
+    if catalog is None:
+        catalog = pool._catalogs[t] = Catalog(pool, t)
+    return catalog
 
 
 def nonzero_constant_members(pool: CandidatePool) -> list[Poly]:

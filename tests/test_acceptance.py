@@ -8,12 +8,12 @@ any deviation as a failure.
 
 import hashlib
 import math
-import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from spreadbent import cli
 from spreadbent.boolfun import (
     TruthTable,
     algebraic_degree,
@@ -38,8 +38,9 @@ from spreadbent.lrs import build_matrix, kernel
 from spreadbent.poly import closed_form_family_count, enumerate_irreducibles, gauss_count, poly
 from spreadbent.rank2 import rank_gf2
 
-# sweep output is the same for every job count, so the sweeps use every core
-JOBS = os.cpu_count() or 1
+# sweep output is the same for every job count, so the sweeps use every
+# usable CPU, counted as --jobs 0 counts them
+JOBS = cli._resolve_jobs(0)
 
 
 def analyze_catalog(spec, b, t):

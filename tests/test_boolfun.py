@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadbent.boolfun import (
+    Anf,
     TruthTable,
     algebraic_degree,
     anf,
@@ -13,6 +16,7 @@ from spreadbent.boolfun import (
     walsh_transform,
 )
 from spreadbent.errors import ConstructionRejected, SpreadbentError
+from spreadbent.families import candidate_pool, enumerate_families
 from spreadbent.gf2e import field
 from spreadbent.lrs import Subspace, build_partial_spread
 from spreadbent.poly import poly
@@ -155,3 +159,37 @@ def test_format_anf_degenerate():
     assert format_anf(anf(zero_tt)) == "0"
     const_tt = TruthTable(2, np.ones(4, dtype=np.uint8))
     assert format_anf(anf(const_tt)) == "1"
+
+
+def sorted_anf_text(a):
+    """format_anf as it once was: sort (degree, variables) keys per call."""
+    if a.is_zero:
+        return "0"
+    terms = []
+    for idx in a.monomials():
+        names = tuple(a.n - p for p in range(a.n - 1, -1, -1) if (idx >> p) & 1)
+        terms.append(((-len(names), names), "*".join(f"x{v}" for v in names) or "1"))
+    return " + ".join(text for _, text in sorted(terms))
+
+
+@pytest.mark.parametrize("l,b,t", [(2, 2, 8), (2, 2, 9), (1, 3, 4), (1, 3, 5)])
+def test_format_anf_matches_sorted_rendering_on_catalogs(l, b, t):
+    # both table2 catalogs and both window-3 catalogs, every function
+    catalog = enumerate_families(candidate_pool(field(l), b), t)
+    for fid, combo in catalog.walk():
+        a = anf(catalog.build(fid, combo)[0])
+        assert format_anf(a) == sorted_anf_text(a)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n).map(
+        lambda bits: Anf(n, bits))))
+def test_format_anf_matches_sorted_rendering(a):
+    assert format_anf(a) == sorted_anf_text(a)
+
+
+def test_format_anf_zero_at_every_arity():
+    for n in range(7):
+        a = Anf(n, np.zeros(1 << n, dtype=np.uint8))
+        assert format_anf(a) == sorted_anf_text(a) == "0"

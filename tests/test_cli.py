@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import spreadbent
-from spreadbent import cli
+from spreadbent import cli, families
 from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
 from spreadbent.cli import main
 from spreadbent.errors import SpreadbentError
-from spreadbent.families import TAG_ONE, Catalog, desarguesian_spread
+from spreadbent.families import TAG_ONE, Catalog, candidate_pool, desarguesian_spread, enumerate_families
 from spreadbent.gf2e import FieldSpec, field
 from spreadbent.lrs import build_partial_spread
 from spreadbent.poly import feasible_degrees, gauss_count, max_family_size, pairwise_coprime, poly
@@ -319,6 +319,78 @@ def test_negative_jobs_exit_2(capsys, guarded):
     assert code == 2
     assert out == ""
     assert "--jobs must be >= 0" in err
+
+
+def sweep_jobs(capsys, monkeypatch, *argv):
+    """The jobs table2 hands the sweep, and its stderr, without running it."""
+    calls = []
+    monkeypatch.setattr(cli, "sweep", lambda pool, sizes, jobs: calls.append(jobs) or [])
+    code, _, err = run(capsys, "table2", *argv)
+    assert code == 0
+    [jobs] = calls
+    return jobs, err
+
+
+def test_jobs_follow_the_affinity_mask(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert sweep_jobs(capsys, monkeypatch) == (3, "")
+    assert sweep_jobs(capsys, monkeypatch, "--jobs", "0") == (3, "")
+    assert sweep_jobs(capsys, monkeypatch, "--jobs", "2") == (2, "")
+    assert sweep_jobs(capsys, monkeypatch, "--jobs", "3") == (3, "")
+    jobs, err = sweep_jobs(capsys, monkeypatch, "--jobs", "100000")
+    assert jobs == 3
+    assert err == "note: --jobs 100000 lowered to the 3 usable CPUs\n"
+
+
+def test_jobs_without_an_affinity_mask(capsys, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert sweep_jobs(capsys, monkeypatch, "--jobs", "0") == (6, "")
+    jobs, err = sweep_jobs(capsys, monkeypatch, "--jobs", "7")
+    assert jobs == 6
+    assert "lowered to the 6 usable CPUs" in err
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sweep_jobs(capsys, monkeypatch, "--jobs", "0") == (1, "")
+
+
+def build_argv(l, b, spread_type, family_id):
+    return ["build", "--l", str(l), "--b", str(b), "--type", spread_type, "--family-id", str(family_id)]
+
+
+def test_two_lookups_solve_each_kernel_once(capsys, monkeypatch):
+    solved = []
+    real = families.kernel
+    monkeypatch.setattr(families, "kernel", lambda matrix: solved.append(matrix) or real(matrix))
+    families._candidate_pool.cache_clear()
+    first = run(capsys, *build_argv(2, 2, "ps-", 3))
+    second = run(capsys, *build_argv(2, 2, "ps-", 150))
+    assert first[0] == second[0] == 0
+    assert len(solved) == len(candidate_pool(field(2), 2).members) == 14
+
+
+# The (l, b, type) keys of the benchmark's build-catalog deck.
+LOOKUP_KEYS = [
+    (l, b, spread_type)
+    for l, b in ((4, 1), (2, 2), (3, 1), (2, 1), (1, 2), (1, 3))
+    for spread_type in ("ps-", "ps+")
+]
+
+
+def test_cold_and_warm_lookups_reply_the_same(capsys):
+    lookups = []
+    for k in range(3):  # ids 0, size // 2, size - 1, interleaved across shapes
+        for l, b, spread_type in LOOKUP_KEYS:
+            t = (1 << (l * b - 1)) + (spread_type == "ps+")
+            size = enumerate_families(candidate_pool(field(l), b), t).size
+            lookups.append(build_argv(l, b, spread_type, (0, size // 2, size - 1)[k]))
+    cold = []
+    for argv in lookups:
+        families._candidate_pool.cache_clear()
+        cold.append(run(capsys, *argv))
+    # the second round finds every pool and catalog already in the memo
+    warm = [run(capsys, *argv) for argv in lookups + lookups]
+    assert warm == cold + cold
+    assert all(code == 0 and err == "" for code, _, err in cold)
 
 
 def test_out_file(tmp_path, capsys):

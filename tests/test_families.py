@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from spreadbent import families
 from spreadbent.boolfun import algebraic_degree, anf, walsh_transform
 from spreadbent.cli import TABLES
 from spreadbent.errors import ConstructionRejected, SpreadbentError
@@ -284,6 +285,46 @@ def test_catalog_solves_each_kernel_once():
     assert first == kernel(build_matrix(catalog.pool.members[3], 2))
     with pytest.raises(IndexError):
         catalog.indices(catalog.size)
+
+
+def test_pools_and_catalogs_are_memoized():
+    pool = candidate_pool(GF4, 2)
+    assert candidate_pool(GF4, b=2) is pool
+    assert candidate_pool(spec=field(2), b=2) is pool
+    wide = candidate_pool(GF16, 1, include_e_infinity=True)
+    assert candidate_pool(GF16, 1, True) is wide
+    narrow = candidate_pool(GF16, 1)
+    assert narrow is not wide
+    assert candidate_pool(GF16, 1, False) is narrow
+    assert candidate_pool(GF16, 1, include_e_infinity=False) is narrow
+    catalog = enumerate_families(pool, 8)
+    assert enumerate_families(pool, 8) is catalog
+    assert enumerate_families(candidate_pool(GF4, 2), 9) is not catalog
+
+
+def test_catalog_memo_lives_on_its_pool():
+    # a hand-built pool gets catalogs of its own, not the memoized pool's
+    pool = candidate_pool(GF4, 2)
+    copy = families.CandidatePool(pool.spec, pool.b, pool.members, pool.tags)
+    catalog = enumerate_families(copy, 8)
+    assert enumerate_families(copy, 8) is catalog
+    assert enumerate_families(pool, 8) is not catalog
+    assert list(catalog.walk()) == list(enumerate_families(pool, 8).walk())
+
+
+def test_refused_shapes_cache_nothing():
+    cached = families._candidate_pool.cache_info().currsize
+    for spec, b, wide in ((GF4, 3, False), (GF2, 4, False), (GF4, 2, True), (GF2, 3, True)):
+        with pytest.raises(SpreadbentError):
+            candidate_pool(spec, b, include_e_infinity=wide)
+    assert families._candidate_pool.cache_info().currsize == cached
+    memo = candidate_pool(GF16, 2)
+    pool = families.CandidatePool(memo.spec, memo.b, memo.members, memo.tags)
+    for t in (128, 129, 7):
+        with pytest.raises(SpreadbentError):
+            enumerate_families(pool, t)
+    assert pool._catalogs == {}
+    assert "kernels" not in pool.__dict__
 
 
 @pytest.mark.parametrize("command", sorted(TABLES))
