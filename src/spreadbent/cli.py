@@ -2,14 +2,21 @@
 run the two benchmark sweeps, and self-check the whole pipeline.
 
 Exit codes: 0 success, 1 self-check failure, 2 bad arguments (any
-ValueError, SpreadbentError among them), 3 construction rejected
-(ConstructionRejected: a non-coprime family, a wrong family size,
-overlapping kernels).
+ValueError, SpreadbentError among them, and an --out path that cannot be
+written), 3 construction rejected (ConstructionRejected: a non-coprime
+family, a wrong family size, overlapping kernels), 141 stdout closed by
+its reader, as `| head` does (the status a shell reports for a process
+that SIGPIPE ends); the sweep then stops and its workers are terminated.
 
 Data goes to stdout or --out; progress goes to stderr. build prints the
 fields of families.analyze, with the degree and the printed anf read off
 one Mobius transform, and table1 and table2 are two presets of
 families.sweep, whose rows are byte-identical for every --jobs setting.
+Their output is streamed: the CSV header is written at once and the rows
+as they are analyzed, CSV_BLOCK_ROWS at a time, so memory does not grow
+with the catalog. On exit 3 stdout therefore holds a partial CSV. --out is
+replaced only on success: the rows go to a temporary file beside it, and a
+failed or interrupted run leaves an existing file untouched.
 verify never analyzes, so it does no rank work. main builds the argument
 parser once per process and reuses it for every call; a parse keeps no
 state in it, so each call's reply depends on its arguments alone.
@@ -18,9 +25,9 @@ state in it, so each call's reply depends on its arguments alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import itertools
 import os
 import sys
@@ -64,38 +71,75 @@ CSV_HEADER = (
 
 # The two benchmark sweeps: (l, b, family sizes) of the catalogs each runs.
 TABLES = {"table1": (4, 1, (8,)), "table2": (2, 2, (8, 9))}
+# CSV rows per write: an n=8 block is about 160 KB of text
+CSV_BLOCK_ROWS = 1024
 
 
-def _histogram_text(rows):
+def _histogram_text(rows, l, b):
+    ranks = {"PS-": Counter(), "PS+": Counter()}
+    for row in rows:
+        ranks[row[1]][row[9]] += 1
     blocks = []
-    for spread_type in ("PS-", "PS+"):
-        sub = [r for r in rows if r[1] == spread_type]
-        if not sub:
+    for spread_type, counts in ranks.items():
+        if not counts:
             continue
-        lines = [f"{spread_type} rank distribution (l={sub[0][2]}, b={sub[0][3]}, n={2 * sub[0][2] * sub[0][3]})"]
-        counts = Counter(r[9] for r in sub)
-        for rank in sorted(counts):
-            lines.append(f"  rank {rank}: {counts[rank]}")
-        lines.append(f"  total: {len(sub)}")
+        lines = [f"{spread_type} rank distribution (l={l}, b={b}, n={2 * l * b})"]
+        lines += [f"  rank {rank}: {counts[rank]}" for rank in sorted(counts)]
+        lines.append(f"  total: {counts.total()}")
         blocks.append("\n".join(lines))
     return "\n".join(blocks) + "\n"
 
 
-def _csv_text(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+class _Lines(list):
+    """A block of CSV lines, one str per line as csv.writer writes them: a
+    StringIO reused across blocks keeps four bytes per character."""
+
+    write = list.append
+
+
+def write_csv(rows, out):
+    """Write the CSV header, then the rows as they arrive, to the text stream
+    out: the header at once, then one write per CSV_BLOCK_ROWS rows, so a
+    sweep's output is never held whole."""
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = iter(rows)
+    while lines:
+        out.write("".join(lines))
+        lines.clear()
+        writer.writerows(itertools.islice(rows, CSV_BLOCK_ROWS))
 
 
-def _emit(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+@contextlib.contextmanager
+def _destination(path):
+    """The text stream a table goes to: stdout, or the regular file at path,
+    replaced only on success. Output goes to a temporary file beside it,
+    which replaces it once the body returns and is deleted on any exception,
+    KeyboardInterrupt included. A path that cannot be written raises
+    SpreadbentError before the body runs."""
+    if path is None:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise SpreadbentError(f"cannot write {path}: not a regular file")
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise SpreadbentError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _resolve_jobs(requested):
@@ -166,9 +210,13 @@ def cmd_build(args):
 def cmd_table(args):
     jobs = _resolve_jobs(args.jobs)
     l, b, sizes = TABLES[args.command]
-    pool = candidate_pool(field(l), b, include_e_infinity=getattr(args, "include_e_infinity", False))
-    rows = sweep(pool, sizes, jobs)
-    _emit(_csv_text(rows) if args.format == "csv" else _histogram_text(rows), args.out)
+    with _destination(args.out) as out:
+        pool = candidate_pool(field(l), b, include_e_infinity=getattr(args, "include_e_infinity", False))
+        with contextlib.closing(sweep(pool, sizes, jobs)) as rows:
+            if args.format == "csv":
+                write_csv(rows, out)
+            else:
+                out.write(_histogram_text(rows, l, b))
     return 0
 
 
@@ -435,6 +483,16 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: stop without a
+        # traceback, and point stdout at devnull so that flushing it at exit
+        # cannot raise again
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
 
 
 def run():

@@ -51,12 +51,15 @@ about 2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
 kernels and checks every pair through build_partial_spread first. analyze
 reads a checked function's fields, and sweep builds and analyzes whole
-catalogs into CSV rows, in catalog order: the one path that build,
-table1/table2 and the acceptance goldens run.
+catalogs into CSV rows, in catalog order, yielding each row as it is
+analyzed: the one path that build, table1/table2 and the acceptance
+goldens run.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import itertools
 import operator
@@ -421,55 +424,76 @@ def analyze(tt: TruthTable, spectrum: WalshSpectrum, normal_form: Anf) -> tuple:
     return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
 
 
-_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
-
-
-def _init_worker(catalog):
-    global _CATALOG
-    _CATALOG = catalog
-
-
-def _analyze_item(item):
-    tt, spectrum = _CATALOG.build(*item)
+def _fields(catalog: Catalog, item: tuple) -> tuple:
+    """analyze's fields of one (family_id, member indices) item of catalog."""
+    tt, spectrum = catalog.build(*item)
     return analyze(tt, spectrum, anf(tt))
 
 
-def _analyzed(items, catalog, jobs):
-    """analyze's fields for each (family_id, member indices) item, in item
-    order: in this process for jobs=1, else over jobs worker processes that
-    each hold the catalog."""
+_WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
+MAX_BATCH = 1024  # families per worker batch, so the results held stay bounded at large n
+
+
+def _init_worker(catalog):
+    global _WORKER_CATALOG
+    _WORKER_CATALOG = catalog
+
+
+def _worker_fields(batch):
+    return [_fields(_WORKER_CATALOG, item) for item in batch]
+
+
+def _analyzed(catalog: Catalog, jobs: int):
+    """(item, fields) for each (family_id, member indices) item of catalog,
+    in catalog order: in this process for jobs=1, else over jobs worker
+    processes that each hold the catalog.
+
+    Workers get batches of about size/(8*jobs) items, at most MAX_BATCH,
+    cut lazily from the walk, and at most 2*jobs batches are out at once: a
+    new one goes out only as the caller takes the results of the oldest.
+    So neither side lists the catalog, and a caller that stops reading (a
+    stalled pipe) stops the workers instead of piling up their results.
+    Closing the generator early terminates the workers.
+    """
+    walk = catalog.walk()
     if jobs == 1:
-        _init_worker(catalog)
-        yield from map(_analyze_item, items)
+        for item in walk:
+            yield item, _fields(catalog, item)
         return
     import multiprocessing  # deferred: it adds about 8 ms to `import spreadbent`
 
+    size = max(1, min(catalog.size // (jobs * 8), MAX_BATCH))
     with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(catalog,)) as workers:
-        yield from workers.imap(_analyze_item, items, chunksize=max(1, len(items) // (jobs * 8)))
+        out = collections.deque()
+        while batch := list(itertools.islice(walk, size)):
+            out.append((batch, workers.apply_async(_worker_fields, (batch,))))
+            if len(out) == 2 * jobs:
+                batch, result = out.popleft()
+                yield from zip(batch, result.get())
+        for batch, result in out:
+            yield from zip(batch, result.get())
 
 
-def sweep(pool: CandidatePool, sizes, jobs: int) -> list[list]:
-    """The CSV rows (family_id, type, l, b, polys, then analyze's fields) of
-    every function of the pool's size-t catalog for each t in sizes, in
-    catalog order; the same for every jobs >= 1."""
+def sweep(pool: CandidatePool, sizes, jobs: int):
+    """Yield the CSV row (family_id, type, l, b, polys, then analyze's
+    fields) of every function of the pool's size-t catalog for each t in
+    sizes, in catalog order; the rows are the same for every jobs >= 1.
+
+    Each row is built and yielded as its result arrives and none is kept,
+    so a caller that writes each row out holds at most a few worker
+    batches, whatever the catalog size. Progress goes to stderr. Close the
+    generator to stop early: that ends the walk and terminates any worker
+    processes.
+    """
     names = [format_poly(p) for p in pool.members]
-    rows = []
     for t in sizes:
         catalog = enumerate_families(pool, t)
         print(f"catalog l={pool.spec.l} b={pool.b} t={t}: {catalog.size} families", file=sys.stderr)
-        items = list(catalog.walk())
-        results = []
-        for done, fields in enumerate(_analyzed(items, catalog, jobs), 1):
-            results.append(fields)
-            if done % 2000 == 0:
-                print(f"  analyzed {done}/{len(items)}", file=sys.stderr)
-        # rows are built once the results are in: building them between
-        # arriving results raised the table1 peak RSS by about 2.5 MB
-        rows += [
-            [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *fields]
-            for (fid, combo), fields in zip(items, results)
-        ]
-    return rows
+        with contextlib.closing(_analyzed(catalog, jobs)) as analyzed:
+            for done, ((fid, combo), fields) in enumerate(analyzed, 1):
+                yield [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *fields]
+                if done % 2000 == 0:
+                    print(f"  analyzed {done}/{catalog.size}", file=sys.stderr)
 
 
 def manifest_line(family: FamilySpec) -> str:

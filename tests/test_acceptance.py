@@ -7,6 +7,7 @@ any deviation as a failure.
 """
 
 import hashlib
+import io
 import math
 from collections import Counter
 
@@ -22,7 +23,7 @@ from spreadbent.boolfun import (
     mobius,
     walsh_transform,
 )
-from spreadbent.cli import _check_triangle, _csv_text
+from spreadbent.cli import _check_triangle, write_csv
 from spreadbent.families import (
     TAG_PRODUCT,
     TAG_SQUARE,
@@ -63,13 +64,13 @@ def with_ranks(records, rows):
 @pytest.fixture(scope="module")
 def window1_rows():
     """The table1 CSV rows."""
-    return sweep(candidate_pool(field(4), 1), (8,), JOBS)
+    return list(sweep(candidate_pool(field(4), 1), (8,), JOBS))
 
 
 @pytest.fixture(scope="module")
 def window2_rows():
     """The table2 CSV rows."""
-    return sweep(candidate_pool(field(2), 2), (8, 9), JOBS)
+    return list(sweep(candidate_pool(field(2), 2), (8, 9), JOBS))
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,9 @@ def test_sweep_csv_bytes(window1_rows, window2_rows):
         (window1_rows, "7f0d2d87571cabe0ec88f2250fce035beaf50a4ca686a75603edf22d9e81cc97"),
         (window2_rows, "e5be3c8d1a1869a5ebc1e7739564755149c060ad772b9e6899bb9722eaab7cb7"),
     ):
-        assert hashlib.sha256(_csv_text(rows).encode()).hexdigest() == want
+        out = io.StringIO()
+        write_csv(rows, out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
     print("table1/table2 CSV sha256 7f0d2d87.../e5be3c8d...: PASS")
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ import spreadbent
 from spreadbent import cli, families
 from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
 from spreadbent.cli import main
-from spreadbent.errors import SpreadbentError
+from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import TAG_ONE, Catalog, candidate_pool, desarguesian_spread, enumerate_families
 from spreadbent.gf2e import FieldSpec, field
 from spreadbent.lrs import build_partial_spread
@@ -258,6 +259,11 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+def no_rows():
+    """An empty sweep: a generator, as families.sweep returns."""
+    yield from ()
+
+
 @pytest.mark.parametrize("e_inf", [False, True], ids=["default", "include-e-infinity"])
 def test_table1_pool(capsys, monkeypatch, e_inf):
     # the arguments table1 hands the sweep, without running it
@@ -265,7 +271,7 @@ def test_table1_pool(capsys, monkeypatch, e_inf):
 
     def capture(pool, sizes, jobs):
         calls.append((pool, sizes))
-        return []
+        return no_rows()
 
     monkeypatch.setattr(cli, "sweep", capture)
     argv = ["table1", "--jobs", "1"] + ["--include-e-infinity"] * e_inf
@@ -324,7 +330,7 @@ def test_negative_jobs_exit_2(capsys, guarded):
 def sweep_jobs(capsys, monkeypatch, *argv):
     """The jobs table2 hands the sweep, and its stderr, without running it."""
     calls = []
-    monkeypatch.setattr(cli, "sweep", lambda pool, sizes, jobs: calls.append(jobs) or [])
+    monkeypatch.setattr(cli, "sweep", lambda pool, sizes, jobs: calls.append(jobs) or no_rows())
     code, _, err = run(capsys, "table2", *argv)
     assert code == 0
     [jobs] = calls
@@ -402,6 +408,68 @@ def test_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("family_id,type,l,b,polys,tt_hex,")
     assert len(text.splitlines()) == 239
+    assert text == run(capsys, "table2", "--format", "csv")[1]
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, guarded, where):
+    target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    reason = "No such file or directory" if where == "missing-directory" else "not a regular file"
+    code, out, err = run(capsys, "table2", "--format", "csv", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
+def fail_partway(monkeypatch, exc):
+    """Make the 50th analysis of the sweep raise exc, after some rows are written."""
+    calls = []
+
+    def analyze(*fields):
+        calls.append(None)
+        if len(calls) == 50:
+            raise exc
+        return real(*fields)
+
+    real = families.analyze
+    monkeypatch.setattr(families, "analyze", analyze)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 10)
+
+
+def test_failed_sweep_leaves_out_file_untouched(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "sweep.csv"
+    target.write_text("old\n")
+    argv = ["table2", "--format", "csv", "--jobs", "1", "--out", str(target)]
+    fail_partway(monkeypatch, ConstructionRejected("family 49 rejected"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.endswith("error: family 49 rejected\n")
+    fail_partway(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+class ClosedAfterHeader(io.StringIO):
+    """A stdout whose reader goes away once it has read the CSV header."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_closed_stdout_stops_the_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 10)
+    stdout = ClosedAfterHeader()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["table2", "--format", "csv", "--jobs", "2"]) == 141
+    assert multiprocessing.active_children() == []
+    assert stdout.getvalue() == ",".join(cli.CSV_HEADER) + "\n"
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "t=9" not in err  # stopped inside the first catalog
 
 
 def test_verify_passes(capsys):

@@ -1,6 +1,9 @@
+import contextlib
 import math
+import multiprocessing.pool
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +343,48 @@ def test_catalog_pickles(command):
         for fid in (0, catalog.size // 3, catalog.size - 1):
             combo = catalog.indices(fid)
             assert copy.build(fid, combo)[0].hex() == catalog.build(fid, combo)[0].hex()
+
+
+def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
+    # with the analysis stubbed out, what the sweep itself holds: a bound
+    # fixed well below one byte per family of the 12870-family catalog
+    pool = candidate_pool(GF16, 1)
+    enumerate_families(pool, 8)  # the count memo is the catalog's, not the sweep's
+    monkeypatch.setattr(families, "_fields", lambda catalog, item: (0,) * 6)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in families.sweep(pool, (8,), 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 12870
+    assert peak < 1 << 20
+
+
+def test_sweep_workers_wait_for_the_reader(monkeypatch):
+    # a reader that stops taking rows stops the walk: 2*jobs batches go out
+    # before the first result, and no more until the reader takes it
+    sent = []
+    real = multiprocessing.pool.Pool.apply_async
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
+                        lambda self, *args: sent.append(args) or real(self, *args))
+    monkeypatch.setattr(families, "MAX_BATCH", 4)
+    catalog = enumerate_families(candidate_pool(GF16, 1), 8)
+    with contextlib.closing(families._analyzed(catalog, 2)) as analyzed:
+        item, fields = next(analyzed)
+        assert [len(batch) for _, (batch,) in sent] == [4] * 4
+    assert multiprocessing.active_children() == []
+    assert item == (0, catalog.indices(0))
+    assert fields == families._fields(catalog, item)
+
+
+def test_interleaved_sweeps_keep_their_own_catalogs():
+    # in-process sweeps share no module state, so two can be consumed in turns
+    pool = candidate_pool(GF4, 2)
+    minus, plus = (list(families.sweep(pool, (t,), 1)) for t in (8, 9))
+    pairs = list(zip(families.sweep(pool, (8,), 1), families.sweep(pool, (9,), 1)))
+    assert pairs == list(zip(minus, plus))
+    assert {row[1] for row in minus} == {"PS-"} and {row[1] for row in plus} == {"PS+"}
 
 
 def test_bent_from_kernels_checks():
