@@ -1,20 +1,22 @@
 """Boolean functions as truth tables, with the classic analytics.
 
-A function of n variables is a 2^n-entry bit table. Table index k IS the
-flattened input vector: the variables are named x_1 ... x_n reading the
-index bits from most significant to least significant, so x_1 is the top
-bit of k. The hex form packs table[0] into the most significant bit of the
-first byte; the 16-bit table (0,0,0,0,0,1,1,0,0,0,1,1,0,1,0,1) prints as
-"0635".
+A function of n variables is one Python int of 2^n bits, bit k = f(k), and
+so is its algebraic normal form, bit I = the coefficient of monomial I.
+Index k IS the flattened input vector: the variables x_1 ... x_n are the
+bits of k from most to least significant. The hex form lists f(0) first,
+as the top bit, in ceil(2^n / 4) digits: the 16-bit table
+(0,0,0,0,0,1,1,0,0,0,1,1,0,1,0,1) prints as "0635".
 
-Transforms run on unpacked numpy arrays: the Walsh spectrum through the
-in-place butterfly on the polarity table, the algebraic normal form through
-the subset-sum transform over GF(2), which is its own inverse.
+The union of spread members, the weight, the ANF (the subset-sum transform
+over GF(2), its own inverse) and the degree are int operations. Only the
+Walsh butterfly and rank2's development matrix unpack the table to numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import string
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,53 +24,48 @@ from .errors import ConstructionRejected, SpreadbentError
 from .lrs import Subspace
 
 
-class TruthTable:
-    __slots__ = ("n", "bits")
+@dataclass(frozen=True)
+class _Bits:
+    n: int
+    bits: int
 
-    def __init__(self, n: int, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.shape != (1 << n,):
-            raise SpreadbentError(f"expected {1 << n} bits for n={n}, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.n = n
-        self.bits = arr
+    def __post_init__(self):
+        if not isinstance(self.bits, int) or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
+            raise SpreadbentError(f"expected an int of {1 << self.n} bits for n={self.n}")
+
+
+@dataclass(frozen=True)
+class TruthTable(_Bits):
+    """Truth table: bit k is f(k)."""
 
     @classmethod
     def from_support(cls, n: int, support) -> "TruthTable":
-        bits = np.zeros(1 << n, dtype=np.uint8)
-        idx = np.asarray(sorted(support), dtype=np.int64)
-        if idx.size:
-            bits[idx] = 1
-        return cls(n, bits)
+        return cls(n, sum(1 << k for k in set(support)))
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
-        if len(text) != -(-(1 << n) // 4):
-            raise SpreadbentError(f"expected {-(-(1 << n) // 4)} hex digits for n={n}")
-        raw = bytes.fromhex(text if len(text) % 2 == 0 else text + "0")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: 1 << n]
-        return cls(n, bits)
-
-    def support(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.bits)[0]]
+        digits = max(1 << n >> 2, 1)
+        if len(text) != digits or not set(text) <= set(string.hexdigits):
+            raise SpreadbentError(f"expected {digits} hex digits for n={n}")
+        raw = bytes.fromhex(text + "0" * (digits % 2)).translate(_bit_reversed())
+        return cls(n, int.from_bytes(raw, "little"))  # set padding bits are out of range
 
     def weight(self) -> int:
-        return int(self.bits.sum())
+        return self.bits.bit_count()
 
     def hex(self) -> str:
-        # ceil(2^n / 4) digits; sub-byte tables drop the padding nibble
-        return np.packbits(self.bits).tobytes().hex()[: -(-(1 << self.n) // 4)]
+        # bit-reversed bytes put f(8j) at the top of byte j; sub-byte tables
+        # drop the padding nibble
+        return self._bytes().translate(_bit_reversed()).hex()[: max(1 << self.n >> 2, 1)]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.n == other.n
-            and np.array_equal(self.bits, other.bits)
-        )
+    def array(self) -> np.ndarray:
+        """The table unpacked into a uint8 array, entry k = f(k)."""
+        raw = np.frombuffer(self._bytes(), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[: 1 << self.n]
 
-    def __repr__(self) -> str:
-        return f"TruthTable(n={self.n}, hex={self.hex()!r})"
+    def _bytes(self) -> bytes:
+        # f(8j + i) is bit i of byte j
+        return self.bits.to_bytes(max(1 << self.n >> 3, 1), "little")
 
 
 class WalshSpectrum:
@@ -80,27 +77,44 @@ class WalshSpectrum:
         self.values.setflags(write=False)
 
 
-class Anf:
-    """Algebraic normal form: one coefficient bit per monomial index.
-
-    Monomial index I is read like a truth-table index: bit of x_j set means
-    the variable x_j (x_1 = top bit) occurs in the monomial. Index 0 is the
-    constant term.
-    """
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits):
-        self.n = n
-        self.bits = np.asarray(bits, dtype=np.uint8)
-        self.bits.setflags(write=False)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.bits.any()
+@dataclass(frozen=True)
+class Anf(_Bits):
+    """Algebraic normal form: bit I is the coefficient of monomial I."""
 
     def monomials(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.bits)[0]]
+        return [i for i in range(1 << self.n) if self.bits >> i & 1]
+
+
+@functools.cache
+def _bit_reversed() -> bytes:
+    # a bytes.translate table that reverses the bit order of each byte
+    return bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+@functools.cache
+def _low_masks(n: int) -> tuple[int, ...]:
+    # entry i: the indices of a 2^n-bit table whose bit i is clear
+    full = (1 << (1 << n)) - 1
+    return tuple(((1 << (1 << i)) - 1) * (full // ((1 << (2 << i)) - 1)) for i in range(n))
+
+
+@functools.cache
+def _weight_masks(n: int) -> tuple[int, ...]:
+    # entry d: the indices of a 2^n-bit table with d set bits
+    masks = [0] * (n + 1)
+    for k in range(1 << n):
+        masks[k.bit_count()] |= 1 << k
+    return tuple(masks)
+
+
+@functools.cache
+def _monomial_terms(n: int) -> tuple:
+    # entry k + 1: the printed monomial of index k ("x1*x3"; "1" for k = 0)
+    # and its bit, so a set-bit walk indexes it with bit_length()
+    return (None,) + tuple(
+        ("*".join(f"x{n - p}" for p in range(n - 1, -1, -1) if (k >> p) & 1) or "1", 1 << k)
+        for k in range(1 << n)
+    )
 
 
 def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
@@ -110,10 +124,9 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
     weight 2^(n-1) - 2^(m-1). Positive type: one extra member and the zero
     vector kept in, weight 2^(n-1) + 2^(m-1).
 
-    The union is the OR of the members' masks. For t subspaces its
-    popcount is t*(2^m - 1) + 1 exactly when they meet pairwise only in
-    zero; any other count raises ConstructionRejected. The table is the
-    union's bits, unpacked with bit v at index v.
+    The union is the OR of the members' masks, and that int is the table.
+    For t subspaces its popcount is t*(2^m - 1) + 1 exactly when they meet
+    pairwise only in zero; any other count raises ConstructionRejected.
     """
     if not spread:
         raise ConstructionRejected("empty spread")
@@ -131,36 +144,27 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
         union |= s.mask
     if union.bit_count() != len(spread) * ((1 << m) - 1) + 1:
         raise ConstructionRejected("spread members share nonzero vectors")
-    if not plus_type:
-        union &= ~1
-    raw = np.frombuffer(union.to_bytes(max(1 << n >> 3, 1), "little"), dtype=np.uint8)
-    return TruthTable(n, np.unpackbits(raw, bitorder="little")[: 1 << n])
+    return TruthTable(n, union if plus_type else union & ~1)
 
 
-def mobius(bits: np.ndarray) -> np.ndarray:
-    """Subset-sum transform over GF(2); involutive, maps table <-> ANF."""
-    out = np.array(bits, dtype=np.uint8)
-    size = out.shape[0]
-    h = 1
-    while h < size:
-        v = out.reshape(-1, 2 * h)
-        v[:, h:] ^= v[:, :h]
-        h *= 2
-    return out
+def mobius(bits: int, n: int) -> int:
+    """Subset-sum transform over GF(2) of a 2^n-bit int; involutive, maps
+    table <-> ANF. Step i adds each entry whose index has bit i clear into
+    the entry 2^i above it."""
+    for i, low in enumerate(_low_masks(n)):
+        bits ^= (bits & low) << (1 << i)
+    return bits
 
 
 def walsh_transform(tt: TruthTable) -> WalshSpectrum:
     """Fast butterfly on the polarity table, O(n 2^n) additions."""
-    s = 1 - 2 * tt.bits.astype(np.int32)
-    size = s.shape[0]
-    h = 1
-    while h < size:
+    s = 1 - 2 * tt.array().astype(np.int32)
+    for h in (1 << i for i in range(tt.n)):
         v = s.reshape(-1, 2 * h)
         left = v[:, :h].copy()
         right = v[:, h:].copy()
         v[:, :h] = left + right
         v[:, h:] = left - right
-        h *= 2
     return WalshSpectrum(tt.n, s)
 
 
@@ -180,33 +184,29 @@ def is_bent(tt: TruthTable) -> bool:
 
 
 def anf(tt: TruthTable) -> Anf:
-    return Anf(tt.n, mobius(tt.bits))
+    return Anf(tt.n, mobius(tt.bits, tt.n))
 
 
 def algebraic_degree(a: Anf) -> int:
-    """Largest monomial size; constants (including the zero function,
-    flagged by Anf.is_zero) report degree 0."""
-    if a.is_zero:
-        return 0
-    idx = np.nonzero(a.bits)[0]
-    return max(int(i).bit_count() for i in idx)
-
-
-@functools.cache
-def _anf_print_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # every monomial index at arity n in print order (higher degree first,
-    # then by variable numbers, the constant 1 last) and the text of each
-    def names(idx):
-        return tuple(n - p for p in range(n - 1, -1, -1) if (idx >> p) & 1)
-
-    order = sorted(range(1 << n), key=lambda idx: (-idx.bit_count(), names(idx)))
-    texts = ["*".join(f"x{v}" for v in names(idx)) or "1" for idx in order]
-    return np.array(order), np.array(texts, dtype=object)
+    """Largest monomial size; constants, the zero function among them,
+    report degree 0."""
+    masks = _weight_masks(a.n)
+    return next((d for d in range(a.n, 0, -1) if a.bits & masks[d]), 0)
 
 
 def format_anf(a: Anf) -> str:
-    """Render as x-terms, e.g. 'x1*x3 + x2*x3 + x2*x4'; '0' when empty."""
-    if a.is_zero:
+    """Render as x-terms, e.g. 'x1*x3 + x2*x3 + x2*x4'; '0' when empty.
+
+    Terms print by degree, highest first; within a degree, by variable
+    numbers, which is descending index order; the constant 1 comes last.
+    """
+    if not a.bits:
         return "0"
-    order, texts = _anf_print_order(a.n)
-    return " + ".join(texts[a.bits[order] != 0])
+    monomials, terms = _monomial_terms(a.n), []
+    for mask in reversed(_weight_masks(a.n)):
+        rest = a.bits & mask
+        while rest:
+            text, bit = monomials[rest.bit_length()]
+            terms.append(text)
+            rest ^= bit
+    return " + ".join(terms)

@@ -6,15 +6,16 @@ ValueError, SpreadbentError among them, and an --out path that cannot be
 written), 3 construction rejected (ConstructionRejected: a non-coprime
 family, a wrong family size, overlapping kernels), 141 stdout closed by
 its reader, as `| head` does (the status a shell reports for a process
-that SIGPIPE ends); the sweep then stops and its workers are terminated.
+that SIGPIPE ends); the sweep then stops once its workers finish the
+batches they hold. A sweep worker that dies (kill -9, the OOM killer) ends
+the run with BrokenProcessPool and exit 1.
 
 Data goes to stdout or --out; progress goes to stderr. build prints the
-fields of families.analyze, with the degree and the printed anf read off
-one Mobius transform, and table1 and table2 are two presets of
-families.sweep, whose rows are byte-identical for every --jobs setting.
-Their output is streamed: the CSV header is written at once and the rows
-as they are analyzed, CSV_BLOCK_ROWS at a time, so memory does not grow
-with the catalog. On exit 3 stdout therefore holds a partial CSV. --out is
+fields of families.analyze plus the printed anf, and table1 and table2 are
+two presets of families.sweep, whose rows are byte-identical for every
+--jobs setting. Their output is streamed: the CSV header is written at once
+and the rows as they are analyzed, CSV_BLOCK_ROWS at a time, so memory does
+not grow with the catalog. On exit 3 stdout therefore holds a partial CSV. --out is
 replaced only on success: the rows go to a temporary file beside it, and a
 failed or interrupted run leaves an existing file untouched.
 verify never analyzes, so it does no rank work. main builds the argument
@@ -162,10 +163,7 @@ def _resolve_jobs(requested):
 def cmd_polys(args):
     spec = field(args.l)
     pool = candidate_pool(spec, args.b, include_e_infinity=args.include_e_infinity)
-    counts = {}
-    for tag in pool.tags:
-        counts[tag] = counts.get(tag, 0) + 1
-    breakdown = ", ".join(f"{tag}: {n}" for tag, n in counts.items())
+    breakdown = ", ".join(f"{tag}: {n}" for tag, n in Counter(pool.tags).items())
     print(f"# pool {describe(spec)} b={args.b}: {len(pool.members)} members ({breakdown})")
     for p, tag in zip(pool.members, pool.tags):
         print(f"{format_poly(p)}  {tag}")
@@ -196,11 +194,9 @@ def cmd_build(args):
             spread_type="PS+" if plus else "PS-", family_id=-1,
         )
         tt, spectrum = build_bent(fs)
-    # the CSV's analysis columns, with bent and anf printed before rank;
-    # one Mobius transform gives both the degree and the printed anf
-    normal_form = anf(tt)
-    fields = list(zip(CSV_HEADER[5:], analyze(tt, spectrum, normal_form)))
-    fields[4:4] = [("bent", "true"), ("anf", format_anf(normal_form))]
+    # the CSV's analysis columns, with bent and anf printed before rank
+    fields = list(zip(CSV_HEADER[5:], analyze(tt, spectrum)))
+    fields[4:4] = [("bent", "true"), ("anf", format_anf(anf(tt)))]
     print(manifest_line(fs))
     for key, value in fields:
         print(f"{key}={value}")

@@ -13,9 +13,9 @@ GF(2^l), each carrying a provenance tag:
         admissible linear with the irreducible quadratic, and 1, X^3.
 
 A family is a size-t subset whose members are pairwise coprime, so that
-their kernels meet pairwise only in zero. One extra
-admissibility rule shapes the catalog: a subset containing a product of two
-distinct linears must also contain every degree-b irreducible of the pool.
+their kernels meet pairwise only in zero. One extra admissibility rule
+shapes the catalog: a subset containing a product of two distinct linears
+must also contain every degree-b irreducible of the pool.
 Such products each conflict with two of the squares and with one another,
 so the catalog admits them only as completions of the full irreducible
 block. coprime_subsets exposes the unrestricted filter for exploration and
@@ -43,17 +43,15 @@ every catalog over it shares both. Both layers are memoized for the life
 of the process: candidate_pool returns one pool per argument set and
 enumerate_families one catalog per (pool, t), held on the pool, so a run
 of lookups solves each pool and counts each catalog once. A catalog
-builds its functions from those kernels: bent_from_kernels turns a
-family's kernels into the table and its Walsh spectrum, and from_spread's union-size check, the popcount
-of the OR of the masks, confirms once more that they meet pairwise only in
-zero. The l=4, b=2 catalogs (n=16) are refused: their count alone needs
-about 2 million memoized states.
+builds its functions from those kernels (bent_from_kernels), and
+from_spread's union-size check confirms once more that they meet pairwise
+only in zero. The l=4, b=2 catalogs (n=16) are refused: their count alone
+needs about 2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
 kernels and checks every pair through build_partial_spread first. analyze
-reads a checked function's fields, and sweep builds and analyzes whole
-catalogs into CSV rows, in catalog order, yielding each row as it is
-analyzed: the one path that build, table1/table2 and the acceptance
-goldens run.
+reads a checked function's fields, and sweep analyzes whole catalogs into
+CSV rows, in catalog order, yielding each as it is analyzed: the one path
+that build, table1/table2 and the acceptance goldens run.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .boolfun import (
-    Anf,
     TruthTable,
     WalshSpectrum,
     algebraic_degree,
@@ -416,18 +413,16 @@ def build_bent(family: FamilySpec) -> tuple[TruthTable, WalshSpectrum]:
     return bent_from_kernels(spread, family.spread_type, family.family_id)
 
 
-def analyze(tt: TruthTable, spectrum: WalshSpectrum, normal_form: Anf) -> tuple:
+def analyze(tt: TruthTable, spectrum: WalshSpectrum) -> tuple:
     """The CSV analysis fields of a checked function: hex table, weight,
-    degree, nonlinearity, development rank and classification. The degree
-    is read off normal_form, the function's ANF."""
-    degree, rank = algebraic_degree(normal_form), development_rank(tt)
+    degree, nonlinearity, development rank and classification."""
+    degree, rank = algebraic_degree(anf(tt)), development_rank(tt)
     return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
 
 
 def _fields(catalog: Catalog, item: tuple) -> tuple:
     """analyze's fields of one (family_id, member indices) item of catalog."""
-    tt, spectrum = catalog.build(*item)
-    return analyze(tt, spectrum, anf(tt))
+    return analyze(*catalog.build(*item))
 
 
 _WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
@@ -453,25 +448,31 @@ def _analyzed(catalog: Catalog, jobs: int):
     new one goes out only as the caller takes the results of the oldest.
     So neither side lists the catalog, and a caller that stops reading (a
     stalled pipe) stops the workers instead of piling up their results.
-    Closing the generator early terminates the workers.
+    Closing the generator cancels the queued batches and waits for those a
+    worker already holds. A worker that dies (kill -9, the OOM killer)
+    breaks the pool: the next result raises BrokenProcessPool, instead of
+    waiting forever for the dead worker's batch.
     """
     walk = catalog.walk()
     if jobs == 1:
         for item in walk:
             yield item, _fields(catalog, item)
         return
-    import multiprocessing  # deferred: it adds about 8 ms to `import spreadbent`
+    from concurrent.futures import ProcessPoolExecutor  # deferred: 8 ms to import
 
     size = max(1, min(catalog.size // (jobs * 8), MAX_BATCH))
-    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(catalog,)) as workers:
+    workers = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(catalog,))
+    try:
         out = collections.deque()
         while batch := list(itertools.islice(walk, size)):
-            out.append((batch, workers.apply_async(_worker_fields, (batch,))))
+            out.append((batch, workers.submit(_worker_fields, batch)))
             if len(out) == 2 * jobs:
                 batch, result = out.popleft()
-                yield from zip(batch, result.get())
+                yield from zip(batch, result.result())
         for batch, result in out:
-            yield from zip(batch, result.get())
+            yield from zip(batch, result.result())
+    finally:
+        workers.shutdown(cancel_futures=True)
 
 
 def sweep(pool: CandidatePool, sizes, jobs: int):
@@ -482,8 +483,8 @@ def sweep(pool: CandidatePool, sizes, jobs: int):
     Each row is built and yielded as its result arrives and none is kept,
     so a caller that writes each row out holds at most a few worker
     batches, whatever the catalog size. Progress goes to stderr. Close the
-    generator to stop early: that ends the walk and terminates any worker
-    processes.
+    generator to stop early: that ends the walk and stops any worker
+    processes once their current batches finish.
     """
     names = [format_poly(p) for p in pool.members]
     for t in sizes:

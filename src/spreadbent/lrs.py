@@ -41,7 +41,7 @@ class Subspace:
     vectors holds all 2^(n/2) flattened elements, sorted. mask is the same set
     as one int with bit v set for each member v, built on first use: unions
     and intersections of subspaces are then single OR and AND operations,
-    and a truth table is the mask's bits unpacked.
+    and a truth table is the OR of its members' masks.
     """
 
     n: int

@@ -4,17 +4,17 @@ The development of a Boolean function f is the 2^n x 2^n binary matrix with
 entry (x, y) = f(x XOR y). Its GF(2) rank is invariant under affine input
 changes plus addition of affine functions, so differing ranks prove two
 functions inequivalent. Rows are bit-packed eight columns per byte and the
-elimination XORs whole packed rows at once. One 256 x 256 rank costs about
-1.3-1.5 ms on a shared 2-vCPU Xeon. With the development matrix that is
-about 85-90% of the work per function of the 12870-function table1 sweep;
-the checked build, the ANF and the degree are the rest.
+elimination XORs whole packed rows at once. One 256 x 256 rank costs
+1.3-1.8 ms on a shared 2-vCPU Xeon (numpy 2.4.6, passes over 1000 table1
+functions), most of the work per function of the table1 sweep.
 
-Known rank windows for two reference families, for half-arity m: bent
+Known rank windows for two reference families, for half-arity m >= 2: bent
 functions of Maiorana-McFarland type have ranks in [2m+2, 2^(m+1)-2], and
 bent functions from the Desarguesian spread have ranks in
 [2^(m+1)-2, sum_i C(m,i) 2^min(i,m-i)]. A computed rank strictly above a
 window's upper bound certifies inequivalence to everything in that window;
-a boundary value certifies nothing, so classification is conservative.
+a boundary value certifies nothing, so classification is conservative. At
+m=1 every bent function is x1*x2 plus affine terms, in both families.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def development_matrix(tt: TruthTable) -> np.ndarray:
     """Bit-packed rows of f(x XOR y); row x, bit y."""
     size = 1 << tt.n
     idx = np.arange(size, dtype=np.int64)
-    return np.packbits(tt.bits[idx[:, None] ^ idx[None, :]], axis=1)
+    return np.packbits(tt.array()[idx[:, None] ^ idx[None, :]], axis=1)
 
 
 def rank_gf2(packed: np.ndarray, ncols: int) -> int:
@@ -65,20 +65,22 @@ def development_rank(tt: TruthTable) -> int:
 
 
 def mm_rank_bounds(m: int) -> tuple[int, int]:
-    if m < 1:
-        raise SpreadbentError(f"m must be >= 1, got {m}")
+    if m < 2:
+        raise SpreadbentError(f"m must be >= 2, got {m}")
     return 2 * m + 2, (1 << (m + 1)) - 2
 
 
 def ds_rank_bounds(m: int) -> tuple[int, int]:
-    if m < 1:
-        raise SpreadbentError(f"m must be >= 1, got {m}")
+    if m < 2:
+        raise SpreadbentError(f"m must be >= 2, got {m}")
     upper = sum(comb(m, i) * (1 << min(i, m - i)) for i in range(m + 1))
     return (1 << (m + 1)) - 2, upper
 
 
 def classify(rank: int, m: int) -> str:
     """Strict-exceedance classification against the two rank windows."""
+    if m == 1:
+        return WITHIN_MM_RANGE
     if rank > ds_rank_bounds(m)[1]:
         return BEYOND_DS
     if rank > mm_rank_bounds(m)[1]:

@@ -9,6 +9,7 @@ any deviation as a failure.
 import hashlib
 import io
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -120,8 +121,8 @@ def test_golden_truth_tables():
     kernels = {f: kernel(build_matrix(f, 2)) for f in plus}
     g = from_spread([kernels[f] for f in minus], plus_type=False)
     h = from_spread([kernels[f] for f in plus], plus_type=True)
-    assert list(g.bits) == [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
-    assert list(h.bits) == [1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
+    assert list(g.array()) == [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
+    assert list(h.array()) == [1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
     assert g.hex() == "0635" and h.hex() == "f635"
     assert anf(g).monomials() == [5, 6, 10]
     assert anf(h).monomials() == [0, 4, 5, 6, 8, 10, 12]
@@ -228,9 +229,17 @@ def test_window3_catalog():
 
 def _naive_walsh(bits, n):
     return [
-        sum((-1) ** (int(bits[x]) ^ bin(a & x).count("1")) for x in range(1 << n))
+        sum((-1) ** ((bits >> x & 1) ^ bin(a & x).count("1")) for x in range(1 << n))
         for a in range(1 << n)
     ]
+
+
+def _naive_anf(bits, n):
+    # coefficient I is the XOR of f(k) over every k with k & I == k
+    return sum(
+        (sum(bits >> k & 1 for k in range(1 << n) if k & i == k) & 1) << i
+        for i in range(1 << n)
+    )
 
 
 def _naive_rank(matrix):
@@ -253,19 +262,21 @@ def _naive_rank(matrix):
 def test_transform_oracles():
     for n in (1, 2, 3):
         for value in range(1 << (1 << n)):
-            bits = [(value >> i) & 1 for i in range(1 << n)]
-            tt = TruthTable(n, bits)
-            assert list(walsh_transform(tt).values) == _naive_walsh(tt.bits, n)
-    rng = np.random.default_rng(2026)
+            tt = TruthTable(n, value)
+            assert list(walsh_transform(tt).values) == _naive_walsh(value, n)
+            assert anf(tt).bits == _naive_anf(value, n)
+    tables = random.Random(2026)
     for _ in range(100):
-        tt = TruthTable(4, rng.integers(0, 2, size=16, dtype=np.uint8))
+        tt = TruthTable(4, tables.getrandbits(16))
         assert list(walsh_transform(tt).values) == _naive_walsh(tt.bits, 4)
+    rng = np.random.default_rng(2026)
     for _ in range(100):
         matrix = rng.integers(0, 2, size=(32, 32), dtype=np.uint8)
         packed = np.packbits(matrix, axis=1)
         assert rank_gf2(packed, 32) == _naive_rank(matrix)
-    for _ in range(100):
-        bits = rng.integers(0, 2, size=256, dtype=np.uint8)
-        assert np.array_equal(mobius(mobius(bits)), bits)
-    print("transform oracles: fast Walsh, GF(2) rank, and subset-sum "
-          "involution all agree with naive forms: PASS")
+    for _ in range(20):
+        bits = tables.getrandbits(256)
+        assert mobius(bits, 8) == _naive_anf(bits, 8)
+        assert mobius(mobius(bits, 8), 8) == bits
+    print("transform oracles: fast Walsh, GF(2) rank, and the subset-sum "
+          "transform and its involution all agree with naive forms: PASS")

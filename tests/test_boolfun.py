@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,19 +37,54 @@ def golden_pair():
 
 def naive_walsh(tt):
     # W(a) = sum over x of (-1)^(f(x) + a.x), one a at a time
-    x = np.arange(1 << tt.n)
-    out = []
-    for a in range(1 << tt.n):
-        exponent = (tt.bits ^ np.bitwise_count(a & x)) & 1
-        out.append(int((1 - 2 * exponent.astype(np.int64)).sum()))
+    size = 1 << tt.n
+    return [
+        sum(1 - 2 * ((tt.bits >> x ^ (a & x).bit_count()) & 1) for x in range(size))
+        for a in range(size)
+    ]
+
+
+def subset_sum_anf(bits, n):
+    # the definition: coefficient I is the XOR of f(k) over every k subset of I
+    out = 0
+    for i in range(1 << n):
+        k, coefficient = i, bits & 1
+        while k:
+            coefficient ^= bits >> k & 1
+            k = (k - 1) & i
+        out |= coefficient << i
     return out
 
 
 def test_from_support_round_trip():
     tt = TruthTable.from_support(4, [5, 6, 10, 11, 13, 15])
-    assert tt.support() == [5, 6, 10, 11, 13, 15]
+    assert tt.bits == 0b1010110001100000
     assert tt.weight() == 6
     assert TruthTable.from_hex(4, tt.hex()) == tt
+
+
+def test_hex_round_trip_every_arity():
+    rng = random.Random(5)
+    for n in range(11):
+        for bits in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
+            tt = TruthTable(n, bits)
+            assert len(tt.hex()) == -(-(1 << n) // 4)
+            assert TruthTable.from_hex(n, tt.hex()) == tt
+            assert list(tt.array()) == [bits >> k & 1 for k in range(1 << n)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TruthTable(2, 1 << 4),
+    lambda: TruthTable(2, -1),
+    lambda: TruthTable(2, [0, 1, 1, 0]),
+    lambda: TruthTable.from_support(2, [4]),
+    lambda: TruthTable.from_hex(1, "f"),  # the padding bits are set
+    lambda: TruthTable.from_hex(4, "06x5"),
+    lambda: Anf(3, 1 << 8),
+])
+def test_out_of_range_bits_are_refused(make):
+    with pytest.raises(SpreadbentError, match="^expected "):
+        make()
 
 
 def test_hex_packs_index_zero_first():
@@ -67,8 +104,9 @@ def test_empty_support():
 
 def test_golden_tables_bit_exact():
     g, h = golden_pair()
-    assert list(g.bits) == [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
-    assert list(h.bits) == [1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
+    assert (g.bits, h.bits) == (0b1010110001100000, 0b1010110001101111)
+    assert list(g.array()) == [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
+    assert list(h.array()) == [1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
 
 
 def test_golden_anf():
@@ -79,10 +117,10 @@ def test_golden_anf():
 
 
 def test_walsh_matches_naive_small():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for n in range(1, 9):
         for _ in range(10):
-            tt = TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+            tt = TruthTable(n, rng.getrandbits(1 << n))
             assert list(walsh_transform(tt).values) == naive_walsh(tt)
 
 
@@ -98,33 +136,55 @@ def test_bent_and_nonlinearity():
     for tt in (g, h):
         assert is_bent(tt)
         assert nonlinearity(walsh_transform(tt)) == 6
-    flat = TruthTable(4, np.zeros(16, dtype=np.uint8))
+    flat = TruthTable(4, 0)
     assert not is_bent(flat)
     with pytest.raises(SpreadbentError, match="bentness needs even arity"):
         is_bent(TruthTable.from_support(3, [1]))
 
 
 def test_mobius_involution():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(20):
-        bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-        assert np.array_equal(mobius(mobius(bits)), bits)
+        bits = rng.getrandbits(64)
+        assert mobius(mobius(bits, 6), 6) == bits
 
 
 def test_anf_truth_table_inverse():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(20):
-        tt = TruthTable(4, rng.integers(0, 2, size=16, dtype=np.uint8))
-        assert TruthTable(4, mobius(anf(tt).bits)) == tt
+        tt = TruthTable(4, rng.getrandbits(16))
+        assert TruthTable(4, mobius(anf(tt).bits, 4)) == tt
+
+
+def check_anf_oracle(tt):
+    a = anf(tt)
+    assert a.bits == subset_sum_anf(tt.bits, tt.n)
+    monomials = a.monomials()
+    assert monomials == sorted(set(monomials)) and sum(1 << i for i in monomials) == a.bits
+    assert algebraic_degree(a) == max((i.bit_count() for i in monomials), default=0)
+
+
+def test_anf_matches_subset_sum_definition_exhaustive():
+    # every table at n <= 3, the identity and the involution included
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            check_anf_oracle(TruthTable(n, bits))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10).flatmap(
+    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda bits: TruthTable(n, bits))))
+def test_anf_matches_subset_sum_definition(tt):
+    check_anf_oracle(tt)
 
 
 def test_algebraic_degree():
     g, h = golden_pair()
     assert algebraic_degree(anf(g)) == 2
     assert algebraic_degree(anf(h)) == 2
-    zero_tt = TruthTable(3, np.zeros(8, dtype=np.uint8))
+    zero_tt = TruthTable(3, 0)
     assert algebraic_degree(anf(zero_tt)) == 0
-    const_tt = TruthTable(3, np.ones(8, dtype=np.uint8))
+    const_tt = TruthTable(3, 0xFF)
     assert algebraic_degree(anf(const_tt)) == 0
     assert anf(const_tt).monomials() == [0]
 
@@ -155,15 +215,15 @@ def test_from_spread_overlap_error():
 
 
 def test_format_anf_degenerate():
-    zero_tt = TruthTable(2, np.zeros(4, dtype=np.uint8))
+    zero_tt = TruthTable(2, 0)
     assert format_anf(anf(zero_tt)) == "0"
-    const_tt = TruthTable(2, np.ones(4, dtype=np.uint8))
+    const_tt = TruthTable(2, 0xF)
     assert format_anf(anf(const_tt)) == "1"
 
 
 def sorted_anf_text(a):
     """format_anf as it once was: sort (degree, variables) keys per call."""
-    if a.is_zero:
+    if not a.bits:
         return "0"
     terms = []
     for idx in a.monomials():
@@ -183,13 +243,12 @@ def test_format_anf_matches_sorted_rendering_on_catalogs(l, b, t):
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 6).flatmap(
-    lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n).map(
-        lambda bits: Anf(n, bits))))
+    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda bits: Anf(n, bits))))
 def test_format_anf_matches_sorted_rendering(a):
     assert format_anf(a) == sorted_anf_text(a)
 
 
 def test_format_anf_zero_at_every_arity():
     for n in range(7):
-        a = Anf(n, np.zeros(1 << n, dtype=np.uint8))
+        a = Anf(n, 0)
         assert format_anf(a) == sorted_anf_text(a) == "0"

@@ -87,6 +87,22 @@ def test_build_golden_plus_type(capsys):
     assert "weight=10" in out
 
 
+@pytest.mark.parametrize("spread_type, tt_hex, normal_form", [
+    ("ps-", "1", "x1*x2"),
+    ("ps+", "d", "x1*x2 + x1 + 1"),
+])
+def test_build_half_arity_one_is_within_mm_range(capsys, spread_type, tt_hex, normal_form):
+    # n=2: x1*x2 is MM and one line of the Desarguesian spread of GF(2)^2
+    code, out, _ = run(capsys, "build", "--l", "1", "--b", "1", "--type", spread_type,
+                       "--family-id", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        f"tt_hex={tt_hex}", f"weight={int(tt_hex, 16).bit_count()}", "degree=2",
+        "nonlinearity=1", "bent=true", f"anf={normal_form}", "rank=4",
+        "classification=within-MM-range",
+    ]
+
+
 def test_build_by_family_id_matches_manifest(capsys):
     code, out, _ = run(capsys, "build", "--l", "1", "--b", "2", "--family-id", "0")
     assert code == 0
@@ -117,7 +133,7 @@ def test_build_by_polys_exit_codes(capsys, polys, code, err):
 # Every reachable library site that refuses its input, with its message.
 # (gf2e.field's "no irreducible of degree l found" cannot be reached.)
 INPUT_ERRORS = {
-    "TruthTable": (lambda: TruthTable(2, [0, 1]), "expected 4 bits for n=2, got (2,)"),
+    "TruthTable": (lambda: TruthTable(2, 1 << 4), "expected an int of 4 bits for n=2"),
     "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
     "field": (lambda: field(0), "extension degree must be positive, got 0"),
@@ -129,8 +145,8 @@ INPUT_ERRORS = {
     "feasible_degrees": (lambda: feasible_degrees(0, field(1)), "b must be >= 1, got 0"),
     "pairwise_coprime": (lambda: pairwise_coprime([]), "empty family"),
     "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be >= 2, got 1"),
-    "mm_rank_bounds": (lambda: mm_rank_bounds(0), "m must be >= 1, got 0"),
-    "ds_rank_bounds": (lambda: ds_rank_bounds(0), "m must be >= 1, got 0"),
+    "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be >= 2, got 1"),
+    "ds_rank_bounds": (lambda: ds_rank_bounds(1), "m must be >= 2, got 1"),
     "cli._resolve_jobs": (lambda: cli._resolve_jobs(-1), "--jobs must be >= 0, got -1"),
 }
 

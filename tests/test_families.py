@@ -1,9 +1,13 @@
 import contextlib
 import math
-import multiprocessing.pool
+import multiprocessing
+import os
 import pickle
+import signal
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -365,17 +369,45 @@ def test_sweep_workers_wait_for_the_reader(monkeypatch):
     # a reader that stops taking rows stops the walk: 2*jobs batches go out
     # before the first result, and no more until the reader takes it
     sent = []
-    real = multiprocessing.pool.Pool.apply_async
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
+    real = ProcessPoolExecutor.submit
+    monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
     monkeypatch.setattr(families, "MAX_BATCH", 4)
     catalog = enumerate_families(candidate_pool(GF16, 1), 8)
     with contextlib.closing(families._analyzed(catalog, 2)) as analyzed:
         item, fields = next(analyzed)
-        assert [len(batch) for _, (batch,) in sent] == [4] * 4
+        assert [len(batch) for _, batch in sent] == [4] * 4
     assert multiprocessing.active_children() == []
     assert item == (0, catalog.indices(0))
     assert fields == families._fields(catalog, item)
+
+
+def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
+    # a worker killed mid-sweep must end the sweep with an error, not hang it
+    def slow_fields(catalog, item):
+        time.sleep(0.01)
+        return real(catalog, item)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung after its worker died")
+
+    real = families._fields
+    monkeypatch.setattr(families, "_fields", slow_fields)
+    monkeypatch.setattr(families, "MAX_BATCH", 8)
+    catalog = enumerate_families(candidate_pool(GF16, 1), 8)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with contextlib.closing(families._analyzed(catalog, 2)) as analyzed:
+            next(analyzed)
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                for _ in analyzed:
+                    pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_interleaved_sweeps_keep_their_own_catalogs():

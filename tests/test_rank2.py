@@ -43,7 +43,7 @@ def test_development_matrix_symmetry():
     packed = development_matrix(tt)
     unpacked = np.unpackbits(packed, axis=1)[:, :16]
     assert np.array_equal(unpacked, unpacked.T)
-    assert list(unpacked[0]) == list(tt.bits)
+    assert list(unpacked[0]) == list(tt.array())
 
 
 def test_rank_gf2_matches_naive_random():
@@ -81,3 +81,6 @@ def test_classification_thresholds():
     assert classify(42, 4) == BEYOND_MM
     assert classify(43, 4) == BEYOND_DS
     assert classify(6, 2) == WITHIN_MM_RANGE
+    # at m=1 every bent function is x1*x2 plus affine terms, MM and DS at
+    # once, with rank 4: nothing is beyond either family
+    assert classify(4, 1) == WITHIN_MM_RANGE
