@@ -68,15 +68,6 @@ class TruthTable(_Bits):
         return self.bits.to_bytes(max(1 << self.n >> 3, 1), "little")
 
 
-class WalshSpectrum:
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values):
-        self.n = n
-        self.values = np.asarray(values, dtype=np.int32)
-        self.values.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class Anf(_Bits):
     """Algebraic normal form: bit I is the coefficient of monomial I."""
@@ -156,8 +147,9 @@ def mobius(bits: int, n: int) -> int:
     return bits
 
 
-def walsh_transform(tt: TruthTable) -> WalshSpectrum:
-    """Fast butterfly on the polarity table, O(n 2^n) additions."""
+def walsh_transform(tt: TruthTable) -> np.ndarray:
+    """Fast butterfly on the polarity table, O(n 2^n) additions. The
+    spectrum comes back as a read-only int32 array of 2^n entries."""
     s = 1 - 2 * tt.array().astype(np.int32)
     for h in (1 << i for i in range(tt.n)):
         v = s.reshape(-1, 2 * h)
@@ -165,18 +157,20 @@ def walsh_transform(tt: TruthTable) -> WalshSpectrum:
         right = v[:, h:].copy()
         v[:, :h] = left + right
         v[:, h:] = left - right
-    return WalshSpectrum(tt.n, s)
+    s.setflags(write=False)
+    return s
 
 
-def nonlinearity(spectrum: WalshSpectrum) -> int:
-    return (1 << (spectrum.n - 1)) - int(np.abs(spectrum.values).max()) // 2
+def nonlinearity(spectrum: np.ndarray) -> int:
+    return len(spectrum) // 2 - int(np.abs(spectrum).max()) // 2
 
 
-def is_flat(spectrum: WalshSpectrum) -> bool:
-    """Flat spectrum test: every |W(a)| equals 2^(n/2)."""
-    if spectrum.n % 2:
-        raise SpreadbentError(f"bentness needs even arity, got n={spectrum.n}")
-    return bool((np.abs(spectrum.values) == 1 << (spectrum.n // 2)).all())
+def is_flat(spectrum: np.ndarray) -> bool:
+    """Flat spectrum test: every |W(a)| equals 2^(n/2), n = log2 of the length."""
+    n = len(spectrum).bit_length() - 1
+    if n % 2:
+        raise SpreadbentError(f"bentness needs even arity, got n={n}")
+    return bool((np.abs(spectrum) == 1 << (n // 2)).all())
 
 
 def is_bent(tt: TruthTable) -> bool:

@@ -1,21 +1,21 @@
 """Command-line driver: list candidate pools, build single functions,
 run the two benchmark sweeps, and self-check the whole pipeline.
 
-Exit codes: 0 success, 1 self-check failure, 2 bad arguments (any
+Exit codes: 0 success, 1 self-check failure or a dead sweep worker (kill
+-9, the OOM killer), reported in one error line, 2 bad arguments (any
 ValueError, SpreadbentError among them, and an --out path that cannot be
 written), 3 construction rejected (ConstructionRejected: a non-coprime
 family, a wrong family size, overlapping kernels), 141 stdout closed by
 its reader, as `| head` does (the status a shell reports for a process
 that SIGPIPE ends); the sweep then stops once its workers finish the
-batches they hold. A sweep worker that dies (kill -9, the OOM killer) ends
-the run with BrokenProcessPool and exit 1.
+batches they hold.
 
 Data goes to stdout or --out; progress goes to stderr. build prints the
 fields of families.analyze plus the printed anf, and table1 and table2 are
 two presets of families.sweep, whose rows are byte-identical for every
 --jobs setting. Their output is streamed: the CSV header is written at once
-and the rows as they are analyzed, CSV_BLOCK_ROWS at a time, so memory does
-not grow with the catalog. On exit 3 stdout therefore holds a partial CSV. --out is
+and each row as it is analyzed, through the stream's own buffer, so memory
+does not grow with the catalog. On exit 3 stdout therefore holds a partial CSV. --out is
 replaced only on success: the rows go to a temporary file beside it, and a
 failed or interrupted run leaves an existing file untouched.
 verify never analyzes, so it does no rank work. main builds the argument
@@ -72,8 +72,6 @@ CSV_HEADER = (
 
 # The two benchmark sweeps: (l, b, family sizes) of the catalogs each runs.
 TABLES = {"table1": (4, 1, (8,)), "table2": (2, 2, (8, 9))}
-# CSV rows per write: an n=8 block is about 160 KB of text
-CSV_BLOCK_ROWS = 1024
 
 
 def _histogram_text(rows, l, b):
@@ -91,25 +89,13 @@ def _histogram_text(rows, l, b):
     return "\n".join(blocks) + "\n"
 
 
-class _Lines(list):
-    """A block of CSV lines, one str per line as csv.writer writes them: a
-    StringIO reused across blocks keeps four bytes per character."""
-
-    write = list.append
-
-
 def write_csv(rows, out):
-    """Write the CSV header, then the rows as they arrive, to the text stream
-    out: the header at once, then one write per CSV_BLOCK_ROWS rows, so a
-    sweep's output is never held whole."""
-    lines = _Lines()
-    writer = csv.writer(lines, lineterminator="\n")
+    """Write the CSV header, then each row as it arrives, to the text stream
+    out, whose own buffer batches the writes: a sweep's output is never
+    held whole."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    rows = iter(rows)
-    while lines:
-        out.write("".join(lines))
-        lines.clear()
-        writer.writerows(itertools.islice(rows, CSV_BLOCK_ROWS))
+    writer.writerows(rows)
 
 
 @contextlib.contextmanager
@@ -204,27 +190,30 @@ def cmd_build(args):
 
 
 def cmd_table(args):
+    from concurrent.futures.process import BrokenProcessPool  # deferred: 8 ms to import
+
     jobs = _resolve_jobs(args.jobs)
     l, b, sizes = TABLES[args.command]
-    with _destination(args.out) as out:
-        pool = candidate_pool(field(l), b, include_e_infinity=getattr(args, "include_e_infinity", False))
-        with contextlib.closing(sweep(pool, sizes, jobs)) as rows:
-            if args.format == "csv":
-                write_csv(rows, out)
-            else:
-                out.write(_histogram_text(rows, l, b))
+    try:
+        with _destination(args.out) as out:
+            pool = candidate_pool(field(l), b, include_e_infinity=getattr(args, "include_e_infinity", False))
+            with contextlib.closing(sweep(pool, sizes, jobs)) as rows:
+                if args.format == "csv":
+                    write_csv(rows, out)
+                else:
+                    out.write(_histogram_text(rows, l, b))
+    except BrokenProcessPool:
+        print("error: a sweep worker died; the sweep stopped", file=sys.stderr)
+        return 1
     return 0
 
 
 # ---------------------------------------------------------------- verify
 
 def _nonzero_polys(spec, maxdeg):
-    seen = {}
-    for coeffs in itertools.product(range(spec.q), repeat=maxdeg + 1):
-        if any(coeffs):
-            p = poly(spec, coeffs)
-            seen[p.coeffs] = p
-    return sorted(seen.values(), key=lambda p: (len(p.coeffs), p.coeffs))
+    # distinct coefficient tuples strip to distinct polynomials
+    polys = (poly(spec, coeffs) for coeffs in itertools.product(range(spec.q), repeat=maxdeg + 1))
+    return sorted((p for p in polys if p.coeffs), key=lambda p: (len(p.coeffs), p.coeffs))
 
 
 def _check_field_axioms():
@@ -313,9 +302,27 @@ def _check_closed_form(l, b):
     return True, f"closed form {closed} == exhaustive {brute}"
 
 
+def _largest_coprime_family(spec, b):
+    # Pairwise coprime members share no irreducible factor, and a reducible
+    # member of degree b has one of degree <= b/2: at most one member per
+    # irreducible of degree b and one per irreducible of degree <= b/2.
+    return gauss_count(spec, b) + sum(gauss_count(spec, k) for k in range(1, b // 2 + 1))
+
+
+def _check_half_size_families():
+    # the paper's degree theorem: a negative-type family needs q^b / 2
+    # coprime degree-b members with nonzero constant term
+    for l in (1, 2, 3, 4):
+        spec = field(l)
+        feasible = [b for b in range(1, 7) if 2 * _largest_coprime_family(spec, b) >= spec.q**b]
+        if feasible != [1, 2]:
+            return False, f"q={spec.q}: half-size families possible at b in {feasible}"
+    return True, "q in {2,4,8,16}, b=1..6: possible only at b=1 and b=2"
+
+
 def _check_graph_equivalence(m):
     if not verify_desarguesian_equivalence(m):
-        return False, "kernel or union mismatch"
+        return False, "kernel mismatch"
     return True, f"all window-1 kernels and functions match at m={m}"
 
 
@@ -372,6 +379,7 @@ def cmd_verify(args):
         ("irreducible counts vs enumeration", _check_irreducible_counts),
         ("family count q=2 b=2", lambda: _check_closed_form(1, 2)),
         ("family count q=4 b=2", lambda: _check_closed_form(2, 2)),
+        ("half-size coprime families", _check_half_size_families),
         ("graph-subspace equivalence m=2", lambda: _check_graph_equivalence(2)),
         ("graph-subspace equivalence m=4", lambda: _check_graph_equivalence(4)),
         ("window-2 catalog", _check_window2_catalog),

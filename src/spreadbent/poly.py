@@ -65,14 +65,6 @@ def _same_spec(f: Poly, g: Poly) -> FieldSpec:
     return f.spec
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    spec = _same_spec(f, g)
-    n = max(len(f.coeffs), len(g.coeffs))
-    a = f.coeffs + (0,) * (n - len(f.coeffs))
-    b = g.coeffs + (0,) * (n - len(g.coeffs))
-    return poly(spec, [x ^ y for x, y in zip(a, b)])
-
-
 def poly_mul(f: Poly, g: Poly) -> Poly:
     spec = _same_spec(f, g)
     if f.is_zero or g.is_zero:
@@ -86,39 +78,24 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     return poly(spec, out)
 
 
-def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> list[int]:
-    """Divide the coefficient list r by the nonzero g in place.
-
-    r is left holding the remainder, trailing zeros stripped; the quotient
-    is returned as a list. Works on the spec's log tables directly, so the
-    Euclidean loops build no Poly per step.
+def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> None:
+    """Reduce the coefficient list r modulo the nonzero g in place, leaving
+    the remainder with trailing zeros stripped. Works on the spec's log
+    tables directly, so the Euclidean loops build no Poly per step.
     """
     exp, log, order = spec.exp, spec.log, spec.q - 1
     dg = len(g) - 1
     lead_log = log[g[-1]]
     tail = [(j, log[c]) for j, c in enumerate(g[:-1]) if c]
-    quot = [0] * max(len(r) - dg, 0)
     for k in range(len(r) - 1 - dg, -1, -1):
         top = r[k + dg]
         if top:
             e = (log[top] - lead_log) % order
-            quot[k] = exp[e]
             for j, lc in tail:
                 r[k + j] ^= exp[e + lc]
     del r[dg:]
     while r and not r[-1]:
         r.pop()
-    return quot
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: f = q*g + r with deg r < deg g."""
-    spec = _same_spec(f, g)
-    if g.is_zero:
-        raise SpreadbentError("division by the zero polynomial")
-    r = list(f.coeffs)
-    q = _reduce(spec, r, g.coeffs)
-    return Poly(spec, tuple(q)), Poly(spec, tuple(r))
 
 
 def monic(f: Poly) -> Poly:
@@ -208,23 +185,6 @@ def gauss_count(spec: FieldSpec, k: int) -> int:
     return total // k
 
 
-def max_family_size(spec: FieldSpec, b: int) -> int:
-    """Largest pairwise-coprime family of degree-b polynomials with nonzero
-    constant term: the irreducibles of degree b plus one product per
-    irreducible of each degree up to b/2."""
-    if b < 1:
-        raise SpreadbentError(f"b must be >= 1, got {b}")
-    return gauss_count(spec, b) + sum(gauss_count(spec, k) for k in range(1, b // 2 + 1))
-
-
-def feasible_degrees(b: int, spec: FieldSpec) -> bool:
-    """Whether a half-space-sized coprime family exists at this degree:
-    2 * N_b >= q^b. Holds exactly for b in {1, 2}."""
-    if b < 1:
-        raise SpreadbentError(f"b must be >= 1, got {b}")
-    return 2 * max_family_size(spec, b) >= spec.q**b
-
-
 def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
     """Closed-form count of the degree-b nonzero-constant coprime families
     of size 2^(m-1), i.e. of the negative-type functions they generate.
@@ -252,18 +212,6 @@ def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
             pairings = factorial(2 * c) // (factorial(c) * (1 << c))
             total += comb(i2, a) * comb(i1, bb) * comb(i1 - bb, 2 * c) * pairings
     return total
-
-
-def pairwise_coprime(family: list[Poly]) -> bool:
-    """True iff every unordered pair of the family has gcd 1."""
-    if not family:
-        raise SpreadbentError("empty family")
-    spec = family[0].spec
-    for f in family[1:]:
-        if f.spec != spec:
-            raise SpreadbentError(f"{f.spec} vs {spec}")
-    unit = one(spec)
-    return all(poly_gcd(f, g) == unit for f, g in itertools.combinations(family, 2))
 
 
 def format_poly(f: Poly) -> str:

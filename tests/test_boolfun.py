@@ -121,13 +121,15 @@ def test_walsh_matches_naive_small():
     for n in range(1, 9):
         for _ in range(10):
             tt = TruthTable(n, rng.getrandbits(1 << n))
-            assert list(walsh_transform(tt).values) == naive_walsh(tt)
+            spectrum = walsh_transform(tt)
+            assert list(spectrum) == naive_walsh(tt)
+            assert not spectrum.flags.writeable
 
 
 def test_parseval():
     g, h = golden_pair()
     for tt in (g, h):
-        values = walsh_transform(tt).values.astype(np.int64)
+        values = walsh_transform(tt).astype(np.int64)
         assert int((values**2).sum()) == 1 << (2 * tt.n)
 
 

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import TAG_ONE, Catalog, candidate_pool, desarguesian_spread, enumerate_families
 from spreadbent.gf2e import FieldSpec, field
 from spreadbent.lrs import build_partial_spread
-from spreadbent.poly import feasible_degrees, gauss_count, max_family_size, pairwise_coprime, poly
+from spreadbent.poly import gauss_count, poly
 from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
 
@@ -141,9 +142,6 @@ INPUT_ERRORS = {
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
     "gauss_count": (lambda: gauss_count(field(1), 0), "k must be >= 1, got 0"),
-    "max_family_size": (lambda: max_family_size(field(1), 0), "b must be >= 1, got 0"),
-    "feasible_degrees": (lambda: feasible_degrees(0, field(1)), "b must be >= 1, got 0"),
-    "pairwise_coprime": (lambda: pairwise_coprime([]), "empty family"),
     "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be >= 2, got 1"),
     "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be >= 2, got 1"),
     "ds_rank_bounds": (lambda: ds_rank_bounds(1), "m must be >= 2, got 1"),
@@ -449,7 +447,6 @@ def fail_partway(monkeypatch, exc):
 
     real = families.analyze
     monkeypatch.setattr(families, "analyze", analyze)
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 10)
 
 
 def test_failed_sweep_leaves_out_file_untouched(tmp_path, capsys, monkeypatch):
@@ -477,7 +474,6 @@ class ClosedAfterHeader(io.StringIO):
 
 
 def test_closed_stdout_stops_the_sweep(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 10)
     stdout = ClosedAfterHeader()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["table2", "--format", "csv", "--jobs", "2"]) == 141
@@ -486,6 +482,45 @@ def test_closed_stdout_stops_the_sweep(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "t=9" not in err  # stopped inside the first catalog
+
+
+class KillsAWorkerOnTheFirstRow(io.StringIO):
+    """A stdout that SIGKILLs one sweep worker when the first CSV row arrives."""
+
+    killed = False
+
+    def write(self, text):
+        if self.tell() and not self.killed:
+            self.killed = True
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        return super().write(text)
+
+
+def test_dead_worker_exits_1_with_one_error_line(capsys, monkeypatch):
+    def slow_fields(catalog, item):
+        time.sleep(0.01)
+        return real(catalog, item)
+
+    real = families._fields
+    monkeypatch.setattr(families, "_fields", slow_fields)
+    monkeypatch.setattr(families, "BATCH", 8)
+    monkeypatch.setattr(sys, "stdout", KillsAWorkerOnTheFirstRow())
+    assert main(["table2", "--format", "csv", "--jobs", "2"]) == 1
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error:") == 1
+    assert err.endswith("\nerror: a sweep worker died; the sweep stopped\n")
+
+
+@pytest.mark.parametrize("l,b,largest", [(1, 3, 3), (2, 2, 9), (1, 2, 2), (2, 1, 3)])
+def test_largest_coprime_family_matches_brute_force(l, b, largest):
+    # the bound verify's half-size check rests on is reached by a family
+    spec = field(l)
+    assert cli._largest_coprime_family(spec, b) == largest
+    members = [p for p in cli._nonzero_polys(spec, b) if p.degree == b and p.coeffs[0]]
+    assert next(families.coprime_subsets(members, largest), None) is not None
+    assert next(families.coprime_subsets(members, largest + 1), None) is None
 
 
 def test_verify_passes(capsys):
@@ -499,6 +534,7 @@ def test_verify_passes(capsys):
         "irreducible counts vs enumeration (q in {2,4}, degrees 1..4): PASS\n"
         "family count q=2 b=2 (closed form 1 == exhaustive 1): PASS\n"
         "family count q=4 b=2 (closed form 12 == exhaustive 12): PASS\n"
+        "half-size coprime families (q in {2,4,8,16}, b=1..6: possible only at b=1 and b=2): PASS\n"
         "graph-subspace equivalence m=2 (all window-1 kernels and functions match at m=2): PASS\n"
         "graph-subspace equivalence m=4 (all window-1 kernels and functions match at m=4): PASS\n"
         "window-2 catalog (174 = 165+3+6 and 64 = 55+6+3, all supports distinct): PASS\n"
@@ -516,7 +552,7 @@ def assert_module_verifies(module):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.endswith(": PASS") for line in lines)
 
 

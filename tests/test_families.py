@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -35,11 +36,15 @@ from spreadbent.families import (
 )
 from spreadbent.gf2e import field
 from spreadbent.lrs import Subspace, build_matrix, gf2_basis, kernel
-from spreadbent.poly import closed_form_family_count, pairwise_coprime
+from spreadbent.poly import closed_form_family_count, one, poly_gcd
 
 GF2 = field(1)
 GF4 = field(2)
 GF16 = field(4)
+
+
+def coprime(*polys):
+    return all(poly_gcd(f, g) == one(f.spec) for f, g in itertools.combinations(polys, 2))
 
 
 def tag_counts(pool):
@@ -68,7 +73,7 @@ def test_window2_pool_gf4():
         TAG_ONE: 1,
         TAG_XPOW: 1,
     }
-    assert pairwise_coprime(list(pool.members[:6]))
+    assert coprime(*pool.members[:6])
 
 
 def test_window2_pool_gf2():
@@ -108,10 +113,8 @@ def test_catalog_sizes():
 def test_catalog_indexing():
     catalog = enumerate_families(candidate_pool(GF4, 2), 9)
     listed = list(catalog)
-    assert catalog[-1] == listed[-1] == catalog[63]
-    assert catalog[10:13] == listed[10:13]
-    assert catalog[::20] == listed[::20]
-    for k in (64, -65):
+    assert [catalog[k] for k in range(64)] == listed
+    for k in (64, -1):
         with pytest.raises(IndexError):
             catalog[k]
 
@@ -155,7 +158,7 @@ def test_kernel_graph_is_the_gcd_graph(l, b, wide):
         sum(
             1 << j
             for j in range(i + 1, len(members))
-            if pairwise_coprime([members[i], members[j]])
+            if coprime(members[i], members[j])
         )
         for i in range(len(members))
     )
@@ -203,7 +206,8 @@ def test_unrestricted_filter_is_larger():
     pool = candidate_pool(GF4, 2)
     unrestricted = sum(1 for _ in coprime_subsets(list(pool.members), 8))
     assert unrestricted == 273
-    assert all(pairwise_coprime(list(fs.polys)) for fs in enumerate_families(pool, 8)[:10])
+    catalog = enumerate_families(pool, 8)
+    assert all(coprime(*catalog[k].polys) for k in range(10))
 
 
 def test_nonzero_constant_members():
@@ -247,6 +251,17 @@ def test_desarguesian_equivalence_small():
     assert verify_desarguesian_equivalence(2)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_desarguesian_check_sees_swapped_kernels(monkeypatch, m):
+    real = candidate_pool(field(m), 1)
+    pool = families.CandidatePool(real.spec, real.b, real.members, real.tags)
+    kernels = list(real.kernels)
+    kernels[1], kernels[2] = kernels[2], kernels[1]
+    pool.__dict__["kernels"] = tuple(kernels)
+    monkeypatch.setattr(families, "candidate_pool", lambda spec, b: pool)
+    assert not verify_desarguesian_equivalence(m)
+
+
 def test_build_bent_raises_on_wrong_size():
     pool = candidate_pool(GF2, 2)
     fs = enumerate_families(pool, 2)[0]
@@ -276,7 +291,7 @@ def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
         assert fs == catalog.family(fid, combo)
         tt, spectrum = catalog.build(fid, combo)
         assert tt == build_bent(fs)[0]
-        assert np.array_equal(spectrum.values, walsh_transform(tt).values)
+        assert np.array_equal(spectrum, walsh_transform(tt))
         built += 1
     assert built == catalog.size > 0
 
@@ -372,7 +387,7 @@ def test_sweep_workers_wait_for_the_reader(monkeypatch):
     real = ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
-    monkeypatch.setattr(families, "MAX_BATCH", 4)
+    monkeypatch.setattr(families, "BATCH", 4)
     catalog = enumerate_families(candidate_pool(GF16, 1), 8)
     with contextlib.closing(families._analyzed(catalog, 2)) as analyzed:
         item, fields = next(analyzed)
@@ -380,6 +395,19 @@ def test_sweep_workers_wait_for_the_reader(monkeypatch):
     assert multiprocessing.active_children() == []
     assert item == (0, catalog.indices(0))
     assert fields == families._fields(catalog, item)
+
+
+def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
+    # small batches let an early close stop soon: the whole 12870-family
+    # catalog at two jobs goes out in batches of at most 64 functions
+    sent = []
+    real = ProcessPoolExecutor.submit
+    monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                        lambda self, *args: sent.append(args) or real(self, *args))
+    monkeypatch.setattr(families, "_fields", lambda catalog, item: (0,) * 6)
+    rows = sum(1 for _ in families.sweep(candidate_pool(GF16, 1), (8,), 2))
+    assert rows == sum(len(batch) for _, batch in sent) == 12870
+    assert max(len(batch) for _, batch in sent) <= 64
 
 
 def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
@@ -393,7 +421,7 @@ def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
 
     real = families._fields
     monkeypatch.setattr(families, "_fields", slow_fields)
-    monkeypatch.setattr(families, "MAX_BATCH", 8)
+    monkeypatch.setattr(families, "BATCH", 8)
     catalog = enumerate_families(candidate_pool(GF16, 1), 8)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
@@ -424,7 +452,7 @@ def test_bent_from_kernels_checks():
     spread = [catalog.pool.kernels[i] for i in catalog.indices(0)]
     tt, spectrum = bent_from_kernels(spread, "PS-")
     assert tt.hex() == build_bent(catalog[0])[0].hex()
-    assert np.array_equal(spectrum.values, walsh_transform(tt).values)
+    assert np.array_equal(spectrum, walsh_transform(tt))
     with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
         bent_from_kernels([spread[0], spread[0]], "PS-")
     with pytest.raises(ConstructionRejected, match="need 2 members"):

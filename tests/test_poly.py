@@ -7,20 +7,16 @@ from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.gf2e import field
 from spreadbent.poly import (
     Poly,
+    _reduce,
     closed_form_family_count,
     enumerate_irreducibles,
-    feasible_degrees,
     format_poly,
     gauss_count,
     is_irreducible,
-    max_family_size,
     monic,
     one,
-    pairwise_coprime,
     parse_poly,
     poly,
-    poly_add,
-    poly_divmod,
     poly_gcd,
     poly_mul,
     x_power,
@@ -36,6 +32,11 @@ def all_polys(spec, maxdeg):
     for coeffs in itertools.product(range(spec.q), repeat=maxdeg + 1):
         out.add(poly(spec, coeffs).coeffs)
     return [Poly(spec, c) for c in sorted(out, key=lambda c: (len(c), c))]
+
+
+def xor(f, g):
+    """f + g over GF(2^l): coefficient-wise XOR."""
+    return poly(f.spec, [a ^ b for a, b in itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
 
 
 def test_normalization_strips_trailing_zeros():
@@ -75,23 +76,22 @@ def test_mul_gf4():
 def test_ring_identities():
     polys = all_polys(GF4, 2)[:20]
     for f, g in itertools.combinations(polys, 2):
-        assert poly_add(f, g) == poly_add(g, f)
         assert poly_mul(f, g) == poly_mul(g, f)
-        assert poly_add(f, f).is_zero
     z = zero(GF4)
     for f in polys:
         assert poly_mul(f, z).is_zero
-        assert poly_add(f, z) == f
 
 
 def test_divmod_property():
+    # _reduce leaves the r of f = q*g + r with deg r < deg g
     polys = [p for p in all_polys(GF4, 2) if not p.is_zero]
+    quotients = all_polys(GF4, 2)
     for f, g in itertools.product(polys[:15], polys[:15]):
-        q, r = poly_divmod(f, g)
-        assert poly_add(poly_mul(q, g), r) == f
+        coeffs = list(f.coeffs)
+        _reduce(GF4, coeffs, g.coeffs)
+        r = Poly(GF4, tuple(coeffs))
         assert r.degree < g.degree
-    with pytest.raises(SpreadbentError, match="division by the zero polynomial"):
-        poly_divmod(polys[0], zero(GF4))
+        assert any(xor(poly_mul(q, g), r) == f for q in quotients)
 
 
 def test_gcd_is_monic_common_divisor():
@@ -100,8 +100,8 @@ def test_gcd_is_monic_common_divisor():
     g = poly_mul(poly(GF4, (2, 1)), poly(GF4, (3, 1)))
     d = poly_gcd(f, g)
     assert d == poly(GF4, (2, 1))
-    assert poly_divmod(f, d)[1].is_zero
-    assert poly_divmod(g, d)[1].is_zero
+    assert poly_gcd(f, d) == monic(d)
+    assert poly_gcd(g, d) == monic(d)
 
 
 def test_gcd_edge_cases():
@@ -147,16 +147,15 @@ def test_gauss_count_matches_enumeration():
             assert gauss_count(spec, k) == len(enumerate_irreducibles(spec, k))
 
 
-def test_max_family_size_values():
-    assert max_family_size(GF2, 3) == 3
-    assert max_family_size(GF4, 2) == 9
-
-
 def test_feasible_degrees():
+    # the degree theorem that verify checks: a half-size coprime family of
+    # degree-b polynomials exists only at b = 1 and b = 2
+    from spreadbent.cli import _largest_coprime_family
+
     for spec in (GF2, GF4, field(3)):
-        assert feasible_degrees(1, spec)
-        assert feasible_degrees(2, spec)
-        assert not feasible_degrees(3, spec)
+        assert 2 * _largest_coprime_family(spec, 1) >= spec.q
+        assert 2 * _largest_coprime_family(spec, 2) >= spec.q**2
+        assert not 2 * _largest_coprime_family(spec, 3) >= spec.q**3
 
 
 def test_closed_form_family_count_values():
@@ -170,12 +169,6 @@ def test_closed_form_family_count_errors():
         closed_form_family_count(GF2, 3, 3)
     with pytest.raises(SpreadbentError, match=r"need l\*b = m"):
         closed_form_family_count(GF4, 2, 3)
-
-
-def test_pairwise_coprime():
-    fam = [poly(GF2, c) for c in [(1, 1), (1, 1, 1), (0, 1)]]
-    assert pairwise_coprime(fam)
-    assert not pairwise_coprime(fam + [poly(GF2, (1, 0, 0, 1))])  # shares X+1
 
 
 def test_format_parse_round_trip():

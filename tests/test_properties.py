@@ -2,9 +2,9 @@
 GF(2) Sylvester and kernel tests of the LRS layer (l <= 5), and for the
 family catalog built on it.
 
-The references here work at the Poly level through poly_mul and poly_add,
-so they share no code with the list-based division inside poly_divmod and
-poly_gcd. The catalog reference scans every index tuple, so it shares no
+The references here work at the Poly level through poly_mul and a local
+coefficient XOR, so they share no code with the list-based reduction
+_reduce inside poly_gcd. The catalog reference scans every index tuple, so it shares no
 code with the clique walk. The EA test checks the development rank's
 EA-invariance on catalog functions, the property the classification rests
 on, and the last test checks from_spread's mask union against the set
@@ -36,11 +36,10 @@ from spreadbent.lrs import (
 )
 from spreadbent.poly import (
     Poly,
+    _reduce,
     monic,
     one,
     poly,
-    poly_add,
-    poly_divmod,
     poly_gcd,
     poly_mul,
 )
@@ -77,29 +76,41 @@ def window_pairs(draw):
     return f, g
 
 
-def reference_gcd(f: Poly, g: Poly) -> Poly:
-    """Euclid by repeated subtraction of monomial multiples of g."""
+def xor(f: Poly, g: Poly) -> Poly:
+    """f + g over GF(2^l): coefficient-wise XOR."""
+    return poly(f.spec, [a ^ b for a, b in itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
+
+
+def reference_remainder(f: Poly, g: Poly) -> Poly:
+    """f modulo the nonzero g, by repeated subtraction of monomial multiples
+    of g: f = q*g + r with deg r < deg g by construction."""
     spec = f.spec
+    r = f
+    while not r.is_zero and r.degree >= g.degree:
+        c = fe_mul(spec, r.coeffs[-1], fe_inv(spec, g.coeffs[-1]))
+        shift = int(r.degree - g.degree)
+        reduced = xor(r, poly_mul(Poly(spec, (0,) * shift + (c,)), g))
+        assert reduced.degree < r.degree, "leading term did not cancel"
+        r = reduced
+    return r
+
+
+def reference_gcd(f: Poly, g: Poly) -> Poly:
+    """Euclid on reference_remainder."""
     while not g.is_zero:
-        r = f
-        while not r.is_zero and r.degree >= g.degree:
-            c = fe_mul(spec, r.coeffs[-1], fe_inv(spec, g.coeffs[-1]))
-            shift = int(r.degree - g.degree)
-            reduced = poly_add(r, poly_mul(Poly(spec, (0,) * shift + (c,)), g))
-            assert reduced.degree < r.degree, "leading term did not cancel"
-            r = reduced
-        f, g = g, r
+        f, g = g, reference_remainder(f, g)
     return monic(f)
 
 
 @settings(deadline=None)
 @given(poly_pairs())
 def test_divmod_identity(pair):
+    # _reduce leaves the remainder of f = q*g + r, deg r < deg g
     f, g = pair
     assume(not g.is_zero)
-    q, r = poly_divmod(f, g)
-    assert poly_add(poly_mul(q, g), r) == f
-    assert r.degree < g.degree
+    coeffs = list(f.coeffs)
+    _reduce(f.spec, coeffs, g.coeffs)
+    assert Poly(f.spec, tuple(coeffs)) == reference_remainder(f, g)
 
 
 @settings(deadline=None)
@@ -109,8 +120,8 @@ def test_gcd_is_monic_common_divisor(pair):
     assume(not (f.is_zero and g.is_zero))
     d = poly_gcd(f, g)
     assert d.coeffs[-1] == 1
-    assert poly_divmod(f, d)[1].is_zero
-    assert poly_divmod(g, d)[1].is_zero
+    assert reference_remainder(f, d).is_zero
+    assert reference_remainder(g, d).is_zero
     assert d == reference_gcd(f, g)
 
 
