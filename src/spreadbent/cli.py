@@ -265,9 +265,10 @@ def _check_triangle(spec, maxdeg):
 
     pairs = 0
     for f, g in itertools.combinations_with_replacement(polys, 2):
-        if f.degree == 0 and g.degree == 0:
+        # polys run by degree, so g's degree is the pair's window size
+        b = len(g.coeffs) - 1
+        if b == 0:
             continue
-        b = int(max(f.degree, g.degree))
         coprime = poly_gcd(f, g) == unit
         invertible = sylvester_resultant_nonzero(f, g, b)
         disjoint = trivial_intersection(kernel_of(f, b), kernel_of(g, b))

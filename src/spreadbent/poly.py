@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import ConstructionRejected, SpreadbentError
-from .gf2e import FieldSpec, fe_inv, fe_mul
+from .gf2e import FieldSpec, fe_mul
 
 NEG_INF = float("-inf")
 
@@ -98,15 +98,13 @@ def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> None:
         r.pop()
 
 
-def monic(f: Poly) -> Poly:
-    if f.is_zero or f.coeffs[-1] == 1:
-        return f
-    inv = fe_inv(f.spec, f.coeffs[-1])
-    return Poly(f.spec, tuple(fe_mul(f.spec, inv, c) for c in f.coeffs))
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(f, 0) = monic(f)."""
+    """Monic greatest common divisor; gcd(f, 0) = f made monic.
+
+    The Euclidean loop runs _reduce on coefficient lists, and the result
+    is made monic by one shift of its logs: dividing by the leading
+    coefficient c subtracts log c from every nonzero coefficient's log.
+    """
     spec = _same_spec(f, g)
     if f.is_zero and g.is_zero:
         raise ConstructionRejected("gcd(0, 0) is undefined")
@@ -114,42 +112,41 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     while b:
         _reduce(spec, a, b)
         a, b = b, a
-    return monic(Poly(spec, tuple(a)))
+    if a[-1] != 1:
+        exp, log = spec.exp, spec.log
+        shift = spec.q - 1 - log[a[-1]]
+        a = [exp[log[c] + shift] if c else 0 for c in a]
+    return Poly(spec, tuple(a))
 
 
 def _monic_of_degree(spec: FieldSpec, d: int):
+    # lexicographic by coefficient tuple, constant term first
     for tail in itertools.product(range(spec.q), repeat=d):
         yield Poly(spec, tail + (1,))
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Trial division against all monic polynomials of degree <= deg f / 2.
-
-    Each trial divides a copy of f's coefficient list in place through
-    _reduce, with no Poly per divisor. Only meant for desk-scale degrees;
-    the loop count is q^(deg/2).
-    """
-    if f.degree < 1:
-        raise SpreadbentError(f"irreducibility needs degree >= 1, got {f.degree}")
-    d = int(f.degree)
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(range(f.spec.q), repeat=e):
-            r = list(f.coeffs)
-            _reduce(f.spec, r, tail + (1,))
-            if not r:
-                return False
-    return True
 
 
 def enumerate_irreducibles(spec: FieldSpec, degree: int) -> list[Poly]:
     """All monic irreducibles of the given degree with nonzero constant
     term, lexicographic by coefficient tuple (constant term first). Only
-    degree 1 loses a member to that rule: X itself."""
+    degree 1 loses a member to that rule: X itself.
+
+    A sieve: a reducible f of degree d has an irreducible factor p of
+    degree e <= d/2, and when f(0) != 0 so do p and the monic cofactor.
+    Striking every such product p*g from the candidates leaves the
+    irreducibles.
+    """
     if degree < 1:
         raise SpreadbentError(f"degree must be >= 1, got {degree}")
-    out = [f for f in _monic_of_degree(spec, degree) if f.coeffs[0] != 0 and is_irreducible(f)]
-    out.sort(key=lambda f: f.coeffs)
-    return out
+    composite = {
+        poly_mul(p, g).coeffs
+        for e in range(1, degree // 2 + 1)
+        for p in enumerate_irreducibles(spec, e)
+        for g in _monic_of_degree(spec, degree - e)
+        if g.coeffs[0]
+    }
+    return [
+        f for f in _monic_of_degree(spec, degree) if f.coeffs[0] and f.coeffs not in composite
+    ]
 
 
 def _moebius(n: int) -> int:

@@ -44,6 +44,23 @@ def naive_walsh(tt):
     ]
 
 
+def butterfly_walsh(tt):
+    # the n-stage butterfly on the polarity table, O(n 2^n) int64 additions
+    s = 1 - 2 * tt.array().astype(np.int64)
+    for h in (1 << i for i in range(tt.n)):
+        v = s.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        right = v[:, h:].copy()
+        v[:, :h] = left + right
+        v[:, h:] = left - right
+    return s
+
+
+def tables(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda bits: TruthTable(n, bits)))
+
+
 def subset_sum_anf(bits, n):
     # the definition: coefficient I is the XOR of f(k) over every k subset of I
     out = 0
@@ -126,6 +143,26 @@ def test_walsh_matches_naive_small():
             assert not spectrum.flags.writeable
 
 
+@settings(deadline=None, max_examples=60)
+@given(tables(8))
+def test_walsh_matches_naive_on_drawn_tables(tt):
+    assert list(walsh_transform(tt)) == naive_walsh(tt)
+
+
+def test_walsh_matches_butterfly_large():
+    # the constant tables put +-2^n in W(0), the largest value a product
+    # must carry exactly
+    rng = random.Random(16)
+    for n in (10, 12, 14, 16):
+        full = (1 << (1 << n)) - 1
+        for bits in (0, full, rng.getrandbits(1 << n)):
+            tt = TruthTable(n, bits)
+            spectrum = walsh_transform(tt)
+            assert spectrum.dtype == np.int32
+            assert np.array_equal(spectrum, butterfly_walsh(tt))
+            assert int((spectrum.astype(np.int64) ** 2).sum()) == 1 << (2 * n)
+
+
 def test_parseval():
     g, h = golden_pair()
     for tt in (g, h):
@@ -174,8 +211,7 @@ def test_anf_matches_subset_sum_definition_exhaustive():
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10).flatmap(
-    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda bits: TruthTable(n, bits))))
+@given(tables(10))
 def test_anf_matches_subset_sum_definition(tt):
     check_anf_oracle(tt)
 

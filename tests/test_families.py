@@ -13,6 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from gf2_reference import gf2_basis
 from spreadbent import families
 from spreadbent.boolfun import algebraic_degree, anf, walsh_transform
 from spreadbent.cli import TABLES
@@ -35,7 +36,7 @@ from spreadbent.families import (
     verify_desarguesian_equivalence,
 )
 from spreadbent.gf2e import field
-from spreadbent.lrs import Subspace, build_matrix, gf2_basis, kernel
+from spreadbent.lrs import Subspace, build_matrix, kernel
 from spreadbent.poly import closed_form_family_count, one, poly_gcd
 
 GF2 = field(1)

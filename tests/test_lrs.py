@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
+from gf2_reference import gf2_basis
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import candidate_pool, desarguesian_spread
 from spreadbent.gf2e import _bitpoly_mulmod, field
 from spreadbent.lrs import (
     build_matrix,
     build_partial_spread,
-    gf2_basis,
     kernel,
     sylvester_resultant_nonzero,
     trivial_intersection,

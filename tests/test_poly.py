@@ -12,8 +12,6 @@ from spreadbent.poly import (
     enumerate_irreducibles,
     format_poly,
     gauss_count,
-    is_irreducible,
-    monic,
     one,
     parse_poly,
     poly,
@@ -100,15 +98,33 @@ def test_gcd_is_monic_common_divisor():
     g = poly_mul(poly(GF4, (2, 1)), poly(GF4, (3, 1)))
     d = poly_gcd(f, g)
     assert d == poly(GF4, (2, 1))
-    assert poly_gcd(f, d) == monic(d)
-    assert poly_gcd(g, d) == monic(d)
+    assert poly_gcd(f, d) == d
+    assert poly_gcd(g, d) == d
 
 
 def test_gcd_edge_cases():
     f = poly(GF4, (2, 2))
-    assert poly_gcd(f, zero(GF4)) == monic(f)
+    assert poly_gcd(f, zero(GF4)) == poly(GF4, (1, 1))
+    assert poly_gcd(zero(GF4), poly(GF4, (3, 2, 3))) == poly(GF4, (1, 3, 1))
     with pytest.raises(ConstructionRejected, match=r"gcd\(0, 0\) is undefined"):
         poly_gcd(zero(GF4), zero(GF4))
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Trial division against all monic polynomials of degree <= deg f / 2,
+    the oracle for enumerate_irreducibles' sieve. Each trial divides a copy
+    of f's coefficient list in place through _reduce; the loop count is
+    q^(deg/2)."""
+    if f.degree < 1:
+        raise SpreadbentError(f"irreducibility needs degree >= 1, got {f.degree}")
+    d = int(f.degree)
+    for e in range(1, d // 2 + 1):
+        for tail in itertools.product(range(f.spec.q), repeat=e):
+            r = list(f.coeffs)
+            _reduce(f.spec, r, tail + (1,))
+            if not r:
+                return False
+    return True
 
 
 def test_irreducibility_gf2():
@@ -142,9 +158,15 @@ def test_gauss_count_values():
 
 
 def test_gauss_count_matches_enumeration():
-    for spec in (GF2, GF4):
-        for k in range(1, 5):
-            assert gauss_count(spec, k) == len(enumerate_irreducibles(spec, k))
+    # the sieve against trial division and the divisor-sum count, over
+    # degrees whose q^k candidates trial division gets through quickly
+    for l, top in ((1, 6), (2, 4), (3, 3), (4, 2)):
+        spec = field(l)
+        for k in range(1, top + 1):
+            sieved = enumerate_irreducibles(spec, k)
+            candidates = (poly(spec, c + (1,)) for c in itertools.product(range(spec.q), repeat=k))
+            assert sieved == [f for f in candidates if f.coeffs[0] and is_irreducible(f)]
+            assert len(sieved) == gauss_count(spec, k)
 
 
 def test_feasible_degrees():

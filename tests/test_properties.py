@@ -17,6 +17,7 @@ import itertools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gf2_reference import gf2_basis
 from spreadbent.boolfun import TruthTable, from_spread, is_bent
 from spreadbent.families import (
     TAG_IRREDUCIBLE,
@@ -29,7 +30,6 @@ from spreadbent.families import (
 from spreadbent.gf2e import fe_inv, fe_mul, field
 from spreadbent.lrs import (
     build_matrix,
-    gf2_basis,
     kernel,
     sylvester_resultant_nonzero,
     trivial_intersection,
@@ -37,7 +37,6 @@ from spreadbent.lrs import (
 from spreadbent.poly import (
     Poly,
     _reduce,
-    monic,
     one,
     poly,
     poly_gcd,
@@ -96,10 +95,11 @@ def reference_remainder(f: Poly, g: Poly) -> Poly:
 
 
 def reference_gcd(f: Poly, g: Poly) -> Poly:
-    """Euclid on reference_remainder."""
+    """Euclid on reference_remainder, scaled monic by the field inverse."""
     while not g.is_zero:
         f, g = g, reference_remainder(f, g)
-    return monic(f)
+    inv = fe_inv(f.spec, f.coeffs[-1])
+    return Poly(f.spec, tuple(fe_mul(f.spec, inv, c) for c in f.coeffs))
 
 
 @settings(deadline=None)
