@@ -170,9 +170,9 @@ def cmd_build(args):
                 file=sys.stderr,
             )
             return 2
-        combo = catalog.indices(args.family_id)
-        fs = catalog.family(args.family_id, combo)
-        tt, spectrum = catalog.build(args.family_id, combo)
+        item = next(catalog.walk(args.family_id))
+        fs = catalog.family(*item)
+        tt, spectrum = catalog.build(*item)
     else:
         polys = tuple(parse_poly(spec, text) for text in args.polys.split(";"))
         fs = FamilySpec(

@@ -27,10 +27,12 @@ members per member), branching on the lowest candidate: take it, or skip
 it. Since the irreducibles come before the products in pool order, the
 admissibility rule is a single clause of that walk: skipping an irreducible
 clears every product. A memoized count of each (candidates, still-to-pick)
-state gives the catalog size without listing it, finds family k in |pool|
-steps, and prunes the depth-first listing to branches that still hold a
-family. The walk takes before it skips, so families come in lexicographic
-index order, and family_id k is the k-th of them.
+state gives the catalog size without listing it and prunes the walk to
+branches that still hold a family. The walk takes before it skips, so
+families come in lexicographic index order, and family_id k is the k-th of
+them. Skipping whole the branches counted below k, a walk from k reaches
+family k in |pool| steps: lookups walk from their id, and sweep workers
+from the start offsets they are sent.
 
 The catalog's graph comes from the kernels themselves: two members are
 compatible when their kernels meet only in zero, which is the
@@ -50,7 +52,7 @@ needs about 2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
 kernels and checks every pair through build_partial_spread first. analyze
 reads a checked function's fields, and sweep analyzes whole catalogs into
-CSV rows, in catalog order, yielding each as it is analyzed: the one path
+CSV rows, in catalog order, yielding each as its batch arrives: the one path
 that build, table1/table2 and the acceptance goldens run.
 """
 
@@ -240,32 +242,29 @@ class _Cliques:
             self._memo[key] = hit
         return hit
 
-    def unrank(self, k):
-        """The k-th index tuple, 0 <= k < count(full, t)."""
-        mask, r, combo = self.full, self.t, []
-        while r:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            taken = mask & self.after[i]
-            below = self.count(taken, r - 1)
-            if k < below:
-                combo.append(i)
-                mask, r = taken, r - 1
-            else:
-                k -= below
+    def walk(self, start=0):
+        """Every index tuple from the start-th on: depth-first, take before
+        skip, so lexicographic order. Branches counted before start are
+        skipped whole, so the first tuple costs at most |pool| steps."""
+        combo, stack = [], [(self.full, self.t)]
+        while stack:
+            mask, r = stack.pop()
+            if self.count(mask, r) <= start:
+                continue
+            del combo[self.t - r:]
+            while r:
+                low = mask & -mask
+                i = low.bit_length() - 1
+                taken = mask & self.after[i]
+                below = self.count(taken, r - 1)
                 mask = self.skip(mask, low)
-        return tuple(combo)
-
-    def walk(self, mask, r, prefix=()):
-        """Depth-first, take before skip: lexicographic order."""
-        if r == 0:
-            yield prefix
-            return
-        while self.count(mask, r):
-            low = mask & -mask
-            i = low.bit_length() - 1
-            yield from self.walk(mask & self.after[i], r - 1, prefix + (i,))
-            mask = self.skip(mask, low)
+                if start < below:
+                    stack.append((mask, r))
+                    combo.append(i)
+                    mask, r = taken, r - 1
+                else:
+                    start -= below
+            yield tuple(combo)
 
 
 def coprime_subsets(members: list[Poly], t: int):
@@ -282,18 +281,17 @@ def coprime_subsets(members: list[Poly], t: int):
     for i, j in itertools.combinations(range(len(members)), 2):
         if poly_gcd(members[i], members[j]) == unit:
             after[i] |= 1 << j
-    cliques = _Cliques(after, t)
-    yield from cliques.walk(cliques.full, t)
+    yield from _Cliques(after, t).walk()
 
 
 class Catalog:
     """The admissible size-t families of a pool, indexed by family_id.
 
-    catalog[k] unranks family k and iteration walks them in order; neither
-    lists the catalog. size is the exact count and may exceed sys.maxsize,
-    where len() cannot report it. walk() yields (family_id, member indices)
-    pairs without building a FamilySpec, and build() turns such a pair into
-    its checked bent function from the pool's kernels.
+    walk(k) yields (family_id, member indices) pairs from family k on,
+    without building a FamilySpec; catalog[k] is the first of them, and
+    iteration walks from 0, so none lists the catalog. size is the exact
+    count and may exceed sys.maxsize, where len() cannot report it. build()
+    turns a pair into its checked bent function from the pool's kernels.
     """
 
     def __init__(self, pool: CandidatePool, t: int):
@@ -319,16 +317,9 @@ class Catalog:
         self._cliques = _Cliques(pool.disjoint_after, t, irreducibles, products)
         self.size = self._cliques.count(self._cliques.full, t)
 
-    def indices(self, k: int) -> tuple[int, ...]:
-        """Pool indices of the members of family k, 0 <= k < size; out of
-        range it raises IndexError."""
-        if not 0 <= k < self.size:
-            raise IndexError(f"family id {k} out of range for {self.size} families")
-        return self._cliques.unrank(k)
-
-    def walk(self):
-        """(family_id, member indices) for every family, in catalog order."""
-        return enumerate(self._cliques.walk(self._cliques.full, self._cliques.t))
+    def walk(self, start=0):
+        """(family_id, member indices) of each family from start >= 0 on."""
+        return enumerate(self._cliques.walk(start), start)
 
     def family(self, family_id: int, combo: tuple[int, ...]) -> FamilySpec:
         return FamilySpec(
@@ -348,7 +339,9 @@ class Catalog:
         return self.size
 
     def __getitem__(self, k: int) -> FamilySpec:
-        return self.family(k, self.indices(k))
+        if not 0 <= k < self.size:
+            raise IndexError(f"family id {k} out of range for {self.size} families")
+        return self.family(*next(self.walk(k)))
 
     def __iter__(self):
         for family_id, combo in self.walk():
@@ -426,47 +419,54 @@ _WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
 BATCH = 64
 
 
+def _rows(catalog: Catalog, start: int) -> list[list]:
+    """The CSV rows of the BATCH families from family_id start on."""
+    pool = catalog.pool
+    names = [format_poly(p) for p in pool.members]
+    return [
+        [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo),
+         *_fields(catalog, (fid, combo))]
+        for fid, combo in itertools.islice(catalog.walk(start), BATCH)
+    ]
+
+
 def _init_worker(catalog):
     global _WORKER_CATALOG
     _WORKER_CATALOG = catalog
 
 
-def _worker_fields(batch):
-    return [_fields(_WORKER_CATALOG, item) for item in batch]
+def _worker_rows(start):
+    return _rows(_WORKER_CATALOG, start)
 
 
-def _analyzed(catalog: Catalog, jobs: int):
-    """(item, fields) for each (family_id, member indices) item of catalog,
-    in catalog order: in this process for jobs=1, else over jobs worker
-    processes that each hold the catalog.
+def _batches(catalog: Catalog, jobs: int):
+    """_rows from every BATCH-th family_id of catalog, in catalog order: in
+    this process for jobs=1, else over jobs worker processes that each hold
+    the catalog and are sent only start offsets.
 
-    Workers get batches of BATCH items, cut lazily from the walk, and at
-    most 2*jobs batches are out at once: a new one goes out only as the
-    caller takes the results of the oldest. So neither side lists the
-    catalog, and a caller that stops reading (a stalled pipe) stops the
-    workers instead of piling up their results.
+    At most 2*jobs batches are out at once: a new one goes out only as the
+    caller takes the rows of the oldest, so a caller that stops reading (a
+    stalled pipe) stops the workers instead of piling up their results.
     Closing the generator cancels the queued batches and waits for those a
     worker already holds. A worker that dies (kill -9, the OOM killer)
     breaks the pool: the next result raises BrokenProcessPool, instead of
     waiting forever for the dead worker's batch.
     """
-    walk = catalog.walk()
+    starts = range(0, catalog.size, BATCH)
     if jobs == 1:
-        for item in walk:
-            yield item, _fields(catalog, item)
+        yield from (_rows(catalog, start) for start in starts)
         return
     from concurrent.futures import ProcessPoolExecutor  # deferred: 8 ms to import
 
     workers = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(catalog,))
     try:
         out = collections.deque()
-        while batch := list(itertools.islice(walk, BATCH)):
-            out.append((batch, workers.submit(_worker_fields, batch)))
+        for start in starts:
+            out.append(workers.submit(_worker_rows, start))
             if len(out) == 2 * jobs:
-                batch, result = out.popleft()
-                yield from zip(batch, result.result())
-        for batch, result in out:
-            yield from zip(batch, result.result())
+                yield out.popleft().result()
+        while out:
+            yield out.popleft().result()
     finally:
         workers.shutdown(cancel_futures=True)
 
@@ -476,19 +476,18 @@ def sweep(pool: CandidatePool, sizes, jobs: int):
     fields) of every function of the pool's size-t catalog for each t in
     sizes, in catalog order; the rows are the same for every jobs >= 1.
 
-    Each row is built and yielded as its result arrives and none is kept,
-    so a caller that writes each row out holds at most a few worker
-    batches, whatever the catalog size. Progress goes to stderr. Close the
-    generator to stop early: that ends the walk and stops any worker
-    processes once their current batches finish.
+    Each row is yielded as its batch arrives and none is kept, so a caller
+    that writes each row out holds at most a few batches, whatever the
+    catalog size. Progress goes to stderr. Close the generator to stop
+    early: that ends the walk and stops any worker processes once their
+    current batches finish.
     """
-    names = [format_poly(p) for p in pool.members]
     for t in sizes:
         catalog = enumerate_families(pool, t)
         print(f"catalog l={pool.spec.l} b={pool.b} t={t}: {catalog.size} families", file=sys.stderr)
-        with contextlib.closing(_analyzed(catalog, jobs)) as analyzed:
-            for done, ((fid, combo), fields) in enumerate(analyzed, 1):
-                yield [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo), *fields]
+        with contextlib.closing(_batches(catalog, jobs)) as batches:
+            for done, row in enumerate(itertools.chain.from_iterable(batches), 1):
+                yield row
                 if done % 2000 == 0:
                     print(f"  analyzed {done}/{catalog.size}", file=sys.stderr)
 

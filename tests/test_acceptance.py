@@ -201,7 +201,7 @@ def test_universal_bent_properties(window1_minus, window2_both):
     plus_catalog = enumerate_families(candidate_pool(field(4), 1), 9)
     for fid in [*range(25), *range(0, plus_catalog.size, 500)]:
         fs = plus_catalog[fid]
-        tt, _ = plus_catalog.build(fid, plus_catalog.indices(fid))
+        tt, _ = plus_catalog.build(*next(plus_catalog.walk(fid)))
         _check_universal(fs, tt)
         counts[(fs.n, fs.spread_type)] += 1
     for n in (4, 6, 8):

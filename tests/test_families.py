@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import random
 import signal
 import time
 import tracemalloc
@@ -178,6 +179,56 @@ def test_last_family_at_l7_is_the_pool_tail():
     assert catalog[0].polys == pool.members[:64]
 
 
+def kth_subset(n, t, k):
+    """The k-th t-subset of range(n) in lexicographic order, by the
+    combinatorial number system: C(n - i - 1, t - 1) subsets take i first."""
+    combo = []
+    for i in range(n):
+        if not t:
+            break
+        below = math.comb(n - i - 1, t - 1)
+        if k < below:
+            combo.append(i)
+            t -= 1
+        else:
+            k -= below
+    return tuple(combo)
+
+
+@pytest.mark.parametrize("plus", [False, True], ids=["ps-", "ps+"])
+@pytest.mark.parametrize("l", range(2, 8))
+def test_window1_lookups_are_lexicographic_subsets(l, plus):
+    # every pair of a window-1 pool is coprime, so family k is the k-th
+    # t-subset of the pool's q members
+    q = 1 << l
+    t = q // 2 + plus
+    catalog = enumerate_families(candidate_pool(field(l), 1), t)
+    assert catalog.size == math.comb(q, t)
+    rng = random.Random(l * 2 + plus)
+    ids = [0, 1, catalog.size // 2, catalog.size - 1, *(rng.randrange(catalog.size) for _ in range(50))]
+    for k in ids:
+        fid, combo = next(catalog.walk(k))
+        assert (fid, combo) == (k, kth_subset(q, t, k))
+        assert catalog[k].polys == tuple(catalog.pool.members[i] for i in combo)
+
+
+def test_clique_walk_edge_cases():
+    empty = families._Cliques([], 2)
+    assert list(empty.walk()) == []
+    # t = 0: one empty clique, at start 0 only
+    for after in ([], [0b10, 0]):
+        none_left = families._Cliques(after, 0)
+        assert list(none_left.walk()) == [()]
+        assert list(none_left.walk(1)) == []
+    triangle = families._Cliques([0b110, 0b100, 0], 2)
+    assert list(triangle.walk()) == [(0, 1), (0, 2), (1, 2)]
+    assert list(triangle.walk(2)) == [(1, 2)]
+    for start in (3, 4, 1 << 70):
+        assert list(triangle.walk(start)) == []
+    # no edges: no pair, however many vertices
+    assert list(families._Cliques([0, 0, 0], 2).walk()) == []
+
+
 def test_catalog_rejects_other_sizes():
     with pytest.raises(SpreadbentError, match="family size 4 matches neither spread type"):
         enumerate_families(candidate_pool(GF2, 2), 4)
@@ -297,6 +348,27 @@ def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
     assert built == catalog.size > 0
 
 
+# Every catalog with l*b <= 4, as (l, b, include_e_infinity).
+WALK_CATALOGS = SMALL_CATALOGS + [(1, 1, False), (4, 1, False), (4, 1, True)]
+
+
+@pytest.mark.parametrize("plus", [False, True], ids=["ps-", "ps+"])
+@pytest.mark.parametrize("l,b,e_inf", WALK_CATALOGS)
+def test_walk_from_every_start(l, b, e_inf, plus):
+    # the walk from any start is the full walk's suffix: whole suffixes
+    # from every start up to a few hundred families; in the n=8 catalogs
+    # the first 8 families from every start, and whole suffixes from three
+    catalog = enumerate_families(candidate_pool(field(l), b, include_e_infinity=e_inf),
+                                 (1 << (l * b - 1)) + plus)
+    full = list(catalog.walk())
+    assert [fid for fid, _ in full] == list(range(catalog.size))
+    span = catalog.size if catalog.size <= 500 else 8
+    for start in range(catalog.size + 1):
+        assert list(itertools.islice(catalog.walk(start), span)) == full[start:start + span]
+    for start in (1, catalog.size // 3, catalog.size - 1):
+        assert list(catalog.walk(start)) == full[start:]
+
+
 def test_catalog_solves_each_kernel_once():
     catalog = enumerate_families(candidate_pool(GF4, 2), 8)
     first = catalog.pool.kernels[3]
@@ -307,7 +379,8 @@ def test_catalog_solves_each_kernel_once():
     assert other._cliques.after is catalog._cliques.after
     assert first == kernel(build_matrix(catalog.pool.members[3], 2))
     with pytest.raises(IndexError):
-        catalog.indices(catalog.size)
+        catalog[catalog.size]
+    assert list(catalog.walk(catalog.size)) == []
 
 
 def test_pools_and_catalogs_are_memoized():
@@ -361,8 +434,9 @@ def test_catalog_pickles(command):
         assert copy.size == catalog.size
         assert list(copy.walk()) == list(catalog.walk())
         for fid in (0, catalog.size // 3, catalog.size - 1):
-            combo = catalog.indices(fid)
-            assert copy.build(fid, combo)[0].hex() == catalog.build(fid, combo)[0].hex()
+            item = next(catalog.walk(fid))
+            assert next(copy.walk(fid)) == item
+            assert copy.build(*item)[0].hex() == catalog.build(*item)[0].hex()
 
 
 def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
@@ -382,33 +456,33 @@ def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
 
 
 def test_sweep_workers_wait_for_the_reader(monkeypatch):
-    # a reader that stops taking rows stops the walk: 2*jobs batches go out
-    # before the first result, and no more until the reader takes it
+    # a reader that stops taking rows stops the walk: 2*jobs start offsets
+    # go out before the first row, and no more until the reader takes it
     sent = []
     real = ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
     monkeypatch.setattr(families, "BATCH", 4)
-    catalog = enumerate_families(candidate_pool(GF16, 1), 8)
-    with contextlib.closing(families._analyzed(catalog, 2)) as analyzed:
-        item, fields = next(analyzed)
-        assert [len(batch) for _, batch in sent] == [4] * 4
+    pool = candidate_pool(GF16, 1)
+    with contextlib.closing(families.sweep(pool, (8,), 2)) as rows:
+        row = next(rows)
+        assert sent == [(families._worker_rows, start) for start in (0, 4, 8, 12)]
     assert multiprocessing.active_children() == []
-    assert item == (0, catalog.indices(0))
-    assert fields == families._fields(catalog, item)
+    with contextlib.closing(families.sweep(pool, (8,), 1)) as rows:
+        assert row == next(rows)
 
 
 def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
     # small batches let an early close stop soon: the whole 12870-family
-    # catalog at two jobs goes out in batches of at most 64 functions
+    # catalog at two jobs goes out as one start offset per 64 families
     sent = []
     real = ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
     monkeypatch.setattr(families, "_fields", lambda catalog, item: (0,) * 6)
-    rows = sum(1 for _ in families.sweep(candidate_pool(GF16, 1), (8,), 2))
-    assert rows == sum(len(batch) for _, batch in sent) == 12870
-    assert max(len(batch) for _, batch in sent) <= 64
+    rows = [row[0] for row in families.sweep(candidate_pool(GF16, 1), (8,), 2)]
+    assert rows == list(range(12870))
+    assert [start for _, start in sent] == list(range(0, 12870, 64))
 
 
 def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
@@ -423,19 +497,33 @@ def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
     real = families._fields
     monkeypatch.setattr(families, "_fields", slow_fields)
     monkeypatch.setattr(families, "BATCH", 8)
-    catalog = enumerate_families(candidate_pool(GF16, 1), 8)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with contextlib.closing(families._analyzed(catalog, 2)) as analyzed:
-            next(analyzed)
+        with contextlib.closing(families.sweep(candidate_pool(GF16, 1), (8,), 2)) as rows:
+            next(rows)
             os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
             with pytest.raises(BrokenProcessPool):
-                for _ in analyzed:
+                for _ in rows:
                     pass
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_workers_sweep_the_same_rows():
+    # spawned workers start from a fresh import and share no memory with
+    # this process: all they get is the pickled catalog and start offsets
+    pool = candidate_pool(GF4, 2)
+    want = list(families.sweep(pool, (8, 9), 1))
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        got = list(families.sweep(pool, (8, 9), 2))
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert got == want
     assert multiprocessing.active_children() == []
 
 
@@ -450,7 +538,7 @@ def test_interleaved_sweeps_keep_their_own_catalogs():
 
 def test_bent_from_kernels_checks():
     catalog = enumerate_families(candidate_pool(GF2, 2), 2)
-    spread = [catalog.pool.kernels[i] for i in catalog.indices(0)]
+    spread = [catalog.pool.kernels[i] for i in next(catalog.walk())[1]]
     tt, spectrum = bent_from_kernels(spread, "PS-")
     assert tt.hex() == build_bent(catalog[0])[0].hex()
     assert np.array_equal(spectrum, walsh_transform(tt))

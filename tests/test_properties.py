@@ -229,6 +229,8 @@ def test_catalog_matches_brute_force(pool, plus, data):
     if want:
         for k in data.draw(st.lists(st.integers(0, len(want) - 1), max_size=5)):
             assert cat[k] == listed[k]
+    for start in data.draw(st.lists(st.integers(0, len(want)), max_size=5)):
+        assert [cat.family(*item) for item in cat.walk(start)] == listed[start:]
 
 
 @settings(deadline=None, max_examples=60)
@@ -252,7 +254,7 @@ def catalog_of(l, b, t, include_e_infinity=False):
 def catalog_functions(draw):
     catalog = catalog_of(*draw(st.sampled_from(EA_CATALOGS)))
     fid = draw(st.integers(0, catalog.size - 1))
-    return catalog.build(fid, catalog.indices(fid))[0]
+    return catalog.build(*next(catalog.walk(fid)))[0]
 
 
 def invertible_matrices(n):
@@ -301,7 +303,7 @@ def test_from_spread_is_the_support_of_the_union(shape, plus, data):
     catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus, e_inf)
     assume(catalog.size)
     fid = data.draw(st.integers(0, catalog.size - 1))
-    spread = [catalog.pool.kernels[i] for i in catalog.indices(fid)]
+    spread = [catalog.pool.kernels[i] for i in next(catalog.walk(fid))[1]]
     union = set().union(*(s.vectors for s in spread))
     if not plus:
         union.discard(0)
