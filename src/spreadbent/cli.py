@@ -51,13 +51,12 @@ from .families import (
     verify_desarguesian_equivalence,
 )
 from .gf2e import describe, fe_inv, fe_mul, field
-from .lrs import build_matrix, build_partial_spread, kernel, sylvester_resultant_nonzero, trivial_intersection
+from .lrs import build_matrix, build_partial_spread, kernel, sylvester_resultant_nonzero
 from .poly import (
     closed_form_family_count,
     enumerate_irreducibles,
     format_poly,
     gauss_count,
-    one,
     parse_poly,
     poly,
     poly_gcd,
@@ -253,25 +252,23 @@ def _check_goldens():
 
 def _check_triangle(spec, maxdeg):
     polys = _nonzero_polys(spec, maxdeg)
-    unit = one(spec)
-    kernels = {}
-
-    def kernel_of(p, b):
-        # keyed by coefficients: hashing a Poly rehashes its FieldSpec
-        key = (p.coeffs, b)
-        if key not in kernels:
-            kernels[key] = kernel(build_matrix(p, b))
-        return kernels[key]
-
+    # the kernel mask of each polynomial at each window size from its
+    # degree up: every one a pair reads, each solved and read once
+    masks = {
+        (p.coeffs, b): kernel(build_matrix(p, b)).mask
+        for p in polys
+        for b in range(max(len(p.coeffs) - 1, 1), maxdeg + 1)
+    }
     pairs = 0
     for f, g in itertools.combinations_with_replacement(polys, 2):
         # polys run by degree, so g's degree is the pair's window size
         b = len(g.coeffs) - 1
         if b == 0:
             continue
-        coprime = poly_gcd(f, g) == unit
+        coprime = poly_gcd(f, g).coeffs == (1,)
         invertible = sylvester_resultant_nonzero(f, g, b)
-        disjoint = trivial_intersection(kernel_of(f, b), kernel_of(g, b))
+        # the two kernels meet only in zero: bit 0 is their one common bit
+        disjoint = masks[f.coeffs, b] & masks[g.coeffs, b] == 1
         if not (coprime == invertible == disjoint):
             return False, (
                 f"{format_poly(f)} vs {format_poly(g)}: gcd=1 is {coprime}, "

@@ -276,10 +276,9 @@ def coprime_subsets(members: list[Poly], t: int):
     the kernel graph of its pool and layers the catalog admissibility rule
     on top.
     """
-    unit = one(members[0].spec) if members else None
     after = [0] * len(members)
     for i, j in itertools.combinations(range(len(members)), 2):
-        if poly_gcd(members[i], members[j]) == unit:
+        if poly_gcd(members[i], members[j]).coeffs == (1,):
             after[i] |= 1 << j
     yield from _Cliques(after, t).walk()
 

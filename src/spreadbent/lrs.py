@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul
-from .poly import Poly, one, poly_gcd
+from .poly import Poly, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,14 @@ def build_matrix(f: Poly, b: int) -> tuple[int, ...]:
         raise ConstructionRejected("the zero polynomial defines no recurrence")
     if f.degree > b:
         raise SpreadbentError(f"degree {f.degree} exceeds window size b={b}")
-    return _gf2_rows(f, b)
+    return _gf2_rows(f.spec.modulus, f.coeffs, b)
 
 
 @functools.lru_cache(maxsize=16)
-def _mul_bits(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+def _mul_bits(modulus: int) -> tuple[tuple[int, ...], ...]:
     # entry [c][j'] is the mask of input bits j for which bit j' of
     # c*alpha^j is set: row j' of the GF(2) matrix of x -> c*x
+    spec = FieldSpec(modulus.bit_length() - 1, modulus)
     images = [[fe_mul(spec, c, 1 << j) for j in range(spec.l)] for c in range(spec.q)]
     return tuple(
         tuple(sum(1 << j for j, y in enumerate(ys) if y >> jp & 1) for jp in range(spec.l))
@@ -84,20 +85,47 @@ def _mul_bits(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _gf2_rows(f: Poly, b: int) -> tuple[int, ...]:
-    """The b x 2b band matrix of f as b*l GF(2) rows over flattened vectors.
+def _gf2_rows(modulus: int, coeffs: tuple[int, ...], b: int) -> tuple[int, ...]:
+    """The b x 2b band matrix of the polynomial with these coefficients over
+    GF(2)[X]/(modulus), as b*l GF(2) rows over flattened vectors.
 
     Band row i splits into l rows, one per output bit j': bit i'*l + j of
     the GF(2) row is bit j' of c*alpha^j, where c is the entry in column i'.
     Band row 0 is the window of f, and band row i is row 0 moved i
     coordinates up, so its GF(2) rows are those of row 0 shifted by i*l bits.
+    The memo is keyed by ints, not by the Poly: hashing a Poly rehashes its
+    FieldSpec, and the modulus alone tells two fields of one degree apart.
     """
-    l, table = f.spec.l, _mul_bits(f.spec)
+    l, table = modulus.bit_length() - 1, _mul_bits(modulus)
     low = [
-        sum(table[c][jp] << (k * l) for k, c in enumerate(window(f, b)) if c)
+        sum(table[c][jp] << (k * l) for k, c in enumerate(coeffs) if c)
         for jp in range(l)
     ]
     return tuple(row << (i * l) for i in range(b) for row in low)
+
+
+def _absorb(pivots: dict[int, int], rows: tuple[int, ...]) -> bool:
+    """Reduce each row against the pivots (top bit -> reduced row) and add
+    it as a new pivot; False as soon as one row reduces to zero."""
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=4096)
+def _echelon(modulus: int, coeffs: tuple[int, ...], b: int) -> dict[int, int] | None:
+    """The band rows of one polynomial in echelon form, or None when they
+    are dependent (only the zero polynomial's are). The memo hands out one
+    dict per key, so callers copy it before adding rows."""
+    pivots: dict[int, int] = {}
+    return pivots if _absorb(pivots, _gf2_rows(modulus, coeffs, b)) else None
 
 
 def kernel(rows: tuple[int, ...]) -> Subspace:
@@ -146,24 +174,19 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     gcd(f, g) = 1 whenever at most one of the two windows is
     degree-deficient.
 
-    The stack has 2*b*l rows of 2*b*l bits, so it is singular as soon as
-    one row reduces to zero against the pivots of the rows before it.
+    f's rows are brought to echelon form once per (field, polynomial, b)
+    in a memo; each call copies those pivots and reduces only g's rows
+    against them. The stack has 2*b*l rows of 2*b*l bits, so it is
+    singular as soon as one row reduces to zero against the pivots of the
+    rows before it.
     """
-    if f.is_zero and g.is_zero:
+    fc, gc = f.coeffs, g.coeffs
+    if not fc and not gc:
         raise ConstructionRejected("resultant of two zero polynomials")
-    if max(f.degree, g.degree) > b:
+    if max(len(fc), len(gc)) > b + 1:
         raise SpreadbentError(f"degrees exceed window size b={b}")
-    pivots: dict[int, int] = {}  # top bit -> reduced row
-    for row in _gf2_rows(f, b) + _gf2_rows(g, b):
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-        else:
-            return False
-    return True
+    pivots = _echelon(f.spec.modulus, fc, b)
+    return pivots is not None and _absorb(pivots.copy(), _gf2_rows(g.spec.modulus, gc, b))
 
 
 def trivial_intersection(a: Subspace, b: Subspace) -> bool:
@@ -186,9 +209,8 @@ def build_partial_spread(family: list[Poly], b: int) -> list[Subspace]:
     """
     if not family:
         raise SpreadbentError("empty family")
-    unit = one(family[0].spec)
     for f, g in itertools.combinations(family, 2):
-        if poly_gcd(f, g) != unit:
+        if poly_gcd(f, g).coeffs != (1,):
             raise ConstructionRejected(f"gcd != 1 for {f.coeffs} and {g.coeffs}")
     spread = [kernel(build_matrix(f, b)) for f in family]
     for (i, f), (j, g) in itertools.combinations(enumerate(family), 2):

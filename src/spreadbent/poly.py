@@ -81,16 +81,22 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
 def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> None:
     """Reduce the coefficient list r modulo the nonzero g in place, leaving
     the remainder with trailing zeros stripped. Works on the spec's log
-    tables directly, so the Euclidean loops build no Poly per step.
+    tables directly, so the Euclidean loops build no Poly per step: the
+    lead's inverse log is folded into the tail's logs once per divisor, so
+    each step multiplies by the quotient term with one log lookup.
     """
-    exp, log, order = spec.exp, spec.log, spec.q - 1
+    exp, log = spec.exp, spec.log
+    order = len(log) - 1
     dg = len(g) - 1
-    lead_log = log[g[-1]]
-    tail = [(j, log[c]) for j, c in enumerate(g[:-1]) if c]
+    inv = order - log[g[dg]]
+    tail = []
+    for j in range(dg):
+        if g[j]:
+            tail.append((j, (log[g[j]] + inv) % order))
     for k in range(len(r) - 1 - dg, -1, -1):
         top = r[k + dg]
         if top:
-            e = (log[top] - lead_log) % order
+            e = log[top]
             for j, lc in tail:
                 r[k + j] ^= exp[e + lc]
     del r[dg:]
@@ -105,16 +111,18 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     is made monic by one shift of its logs: dividing by the leading
     coefficient c subtracts log c from every nonzero coefficient's log.
     """
-    spec = _same_spec(f, g)
-    if f.is_zero and g.is_zero:
-        raise ConstructionRejected("gcd(0, 0) is undefined")
+    spec = f.spec if f.spec is g.spec else _same_spec(f, g)
     a, b = list(f.coeffs), list(g.coeffs)
+    if not a and not b:
+        raise ConstructionRejected("gcd(0, 0) is undefined")
+    if len(a) < len(b):  # gcd is symmetric: divide the longer list first
+        a, b = b, a
     while b:
         _reduce(spec, a, b)
         a, b = b, a
     if a[-1] != 1:
         exp, log = spec.exp, spec.log
-        shift = spec.q - 1 - log[a[-1]]
+        shift = len(log) - 1 - log[a[-1]]
         a = [exp[log[c] + shift] if c else 0 for c in a]
     return Poly(spec, tuple(a))
 
@@ -221,4 +229,8 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
         body = body[1:-1]
     if not body:
         return zero(spec)
-    return poly(spec, [int(c) for c in body.split(",")])
+    try:
+        coeffs = [int(c) for c in body.split(",")]
+    except ValueError:
+        raise SpreadbentError(f"cannot parse polynomial {text!r}") from None
+    return poly(spec, coeffs)

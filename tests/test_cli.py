@@ -20,7 +20,7 @@ from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import TAG_ONE, Catalog, candidate_pool, desarguesian_spread, enumerate_families
 from spreadbent.gf2e import FieldSpec, field
 from spreadbent.lrs import build_partial_spread
-from spreadbent.poly import gauss_count, poly
+from spreadbent.poly import gauss_count, parse_poly, poly
 from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
 
@@ -120,8 +120,9 @@ def test_build_by_family_id_matches_manifest(capsys):
     pytest.param("[1,2];[1,1,1]", 2,
                  "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]",
                  id="coefficient-range"),
-    pytest.param("[1,x];[1,1,1]", 2, "invalid literal for int() with base 10: 'x'",
-                 id="not-integer"),
+    pytest.param("[1,x];[1,1,1]", 2, "cannot parse polynomial '[1,x]'", id="not-integer"),
+    pytest.param("[1,1];[x]", 2, "cannot parse polynomial '[x]'", id="no-coefficient"),
+    pytest.param("[1,,1];[1,1]", 2, "cannot parse polynomial '[1,,1]'", id="empty-coefficient"),
     pytest.param("[1,1,0,1];[1,0,1]", 2, "degree 3 exceeds window size b=2",
                  id="degree-above-window"),
 ])
@@ -141,6 +142,7 @@ INPUT_ERRORS = {
     "build_partial_spread": (lambda: build_partial_spread([], 2), "empty family"),
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
+    "parse_poly": (lambda: parse_poly(field(1), "[1,,1]"), "cannot parse polynomial '[1,,1]'"),
     "gauss_count": (lambda: gauss_count(field(1), 0), "k must be >= 1, got 0"),
     "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be >= 2, got 1"),
     "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be >= 2, got 1"),

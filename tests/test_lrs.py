@@ -5,7 +5,7 @@ import pytest
 from gf2_reference import gf2_basis
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import candidate_pool, desarguesian_spread
-from spreadbent.gf2e import _bitpoly_mulmod, field
+from spreadbent.gf2e import FieldSpec, _bitpoly_mulmod, field
 from spreadbent.lrs import (
     build_matrix,
     build_partial_spread,
@@ -113,6 +113,47 @@ def test_sylvester_matches_gcd():
             continue
         b = int(max(f.degree, g.degree))
         assert sylvester_resultant_nonzero(f, g, b) == (poly_gcd(f, g) == unit)
+
+
+def _reference_rows(f, b):
+    """The band's b*l GF(2) rows, built here from the shift-and-reduce
+    product with no memo: row (i, j') has bit i'*l + j set when bit j' of
+    c*alpha^j is, c being band row i's entry in column i'."""
+    spec, l = f.spec, f.spec.l
+    return [
+        sum(
+            1 << ((i + k) * l + j)
+            for k, c in enumerate(window(f, b))
+            for j in range(l)
+            if _bitpoly_mulmod(c, 1 << j, spec.modulus, l) >> jp & 1
+        )
+        for i in range(b)
+        for jp in range(l)
+    ]
+
+
+def test_band_rows_and_sylvester_tell_two_moduli_of_one_degree_apart():
+    # GF(8) by X^3 + X^2 + 1 and by the canonical X^3 + X + 1: the same
+    # coefficient ints name different elements, so each memo must key on
+    # the modulus, not on l or the coefficients alone. The two fields'
+    # calls interleave, so a memo keyed on less serves one field's rows
+    # to the other.
+    specs = (FieldSpec(3, 0b1101), field(3))
+    assert specs[1].modulus == 0b1011
+    rows = [build_matrix(poly(spec, (3, 1)), 1) for spec in specs]
+    assert rows[0] != rows[1]
+    assert rows == [tuple(_reference_rows(poly(spec, (3, 1)), 1)) for spec in specs]
+    verdicts = {spec: [] for spec in specs}
+    for c in range(1, 8):
+        for c0, c1 in itertools.product(range(1, 8), range(8)):
+            for spec in specs:
+                f, g = poly(spec, (c, 1)), poly(spec, (c0, c1, 1))
+                full = len(gf2_basis(_reference_rows(f, 2) + _reference_rows(g, 2))) == 12
+                assert sylvester_resultant_nonzero(f, g, 2) == full
+                assert sylvester_resultant_nonzero(g, f, 2) == full
+                verdicts[spec].append(full)
+    # X + c divides the quadratic over one modulus and not the other
+    assert verdicts[specs[0]] != verdicts[specs[1]]
 
 
 # Every pool with l*b <= 4, as (l, b, include_e_infinity).

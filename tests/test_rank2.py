@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spreadbent.boolfun import TruthTable, from_spread
+from gf2_reference import derivative_rank
+from spreadbent.boolfun import TruthTable, anf, from_spread, mobius
 from spreadbent.gf2e import field
 from spreadbent.lrs import build_partial_spread
 from spreadbent.poly import poly
@@ -84,3 +87,23 @@ def test_classification_thresholds():
     # at m=1 every bent function is x1*x2 plus affine terms, MM and DS at
     # once, with rank 4: nothing is beyond either family
     assert classify(4, 1) == WITHIN_MM_RANGE
+
+
+@st.composite
+def tables(draw, max_n=10):
+    """A random table, or the table of a sum of at most six random
+    monomials: random tables mostly rank at 2^n or a power of two just
+    below it, and sparse ANFs reach the ranks in between."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        return TruthTable(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    monomials = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return TruthTable(n, mobius(sum(1 << m for m in set(monomials)), n))
+
+
+@settings(deadline=None, max_examples=100)
+@given(tables())
+def test_development_rank_matches_derivative_space(tt):
+    """A second rank algorithm: the dimension of the ANF's partial-derivative
+    space, with no development matrix and no column elimination."""
+    assert development_rank(tt) == derivative_rank(anf(tt).bits, tt.n)
