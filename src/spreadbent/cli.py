@@ -171,7 +171,7 @@ def cmd_build(args):
             return 2
         item = next(catalog.walk(args.family_id))
         fs = catalog.family(*item)
-        tt, spectrum = catalog.build(*item)
+        (tt,), (spectrum,) = catalog.build([item])
     else:
         polys = tuple(parse_poly(spec, text) for text in args.polys.split(";"))
         fs = FamilySpec(
@@ -219,14 +219,15 @@ def _check_field_axioms():
     for l in (1, 2, 3, 4):
         spec = field(l)
         elems = range(spec.q)
-        for x in elems:
+        # the product table, one fe_mul per entry: row x holds x*y for
+        # every y, so row x*y holds (x*y)*z for every z
+        mul = [[fe_mul(spec, x, y) for y in elems] for x in elems]
+        for x, row in enumerate(mul):
             for y in elems:
-                if fe_mul(spec, x, y) != fe_mul(spec, y, x):
+                if row[y] != mul[y][x]:
                     return False, f"commutativity fails in GF(2^{l})"
-                for z in elems:
-                    lhs = fe_mul(spec, fe_mul(spec, x, y), z)
-                    if lhs != fe_mul(spec, x, fe_mul(spec, y, z)):
-                        return False, f"associativity fails in GF(2^{l})"
+                if mul[row[y]] != [row[yz] for yz in mul[y]]:
+                    return False, f"associativity fails in GF(2^{l})"
         for x in range(1, spec.q):
             if fe_mul(spec, x, fe_inv(spec, x)) != 1:
                 return False, f"inverse fails for {x} in GF(2^{l})"
@@ -329,10 +330,10 @@ def _check_window2_catalog():
     observed = {}
     for spread_type, t, want in (("PS-", 8, (165, 3, 6)), ("PS+", 9, (55, 6, 3))):
         catalog = enumerate_families(pool, t)
-        supports = set()
+        items = list(catalog.walk())
+        supports = {tt.bits for tt in catalog.build(items)[0]}
         no_product = with_square = without_square = 0
-        for fid, combo in catalog.walk():
-            supports.add(catalog.build(fid, combo)[0].hex())
+        for _, combo in items:
             tags = [pool.tags[i] for i in combo]
             if TAG_PRODUCT not in tags:
                 no_product += 1
@@ -359,8 +360,8 @@ def _check_window3_catalog():
         return False, f"counts ({len(minus)}, {len(plus)}), want (5, 1)"
     for catalog in (minus, plus):
         want_weight = 32 + (4 if catalog.spread_type == "PS+" else -4)
-        for fid, combo in catalog.walk():
-            tt, _ = catalog.build(fid, combo)
+        items = list(catalog.walk())
+        for (fid, _), tt in zip(items, catalog.build(items)[0]):
             if tt.weight() != want_weight:
                 return False, f"family {fid} weight {tt.weight()}"
             if algebraic_degree(anf(tt)) != 3:

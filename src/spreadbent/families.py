@@ -45,10 +45,13 @@ every catalog over it shares both. Both layers are memoized for the life
 of the process: candidate_pool returns one pool per argument set and
 enumerate_families one catalog per (pool, t), held on the pool, so a run
 of lookups solves each pool and counts each catalog once. A catalog
-builds its functions from those kernels (bent_from_kernels), and
-from_spread's union-size check confirms once more that they meet pairwise
-only in zero. The l=4, b=2 catalogs (n=16) are refused: their count alone
-needs about 2 million memoized states.
+builds its functions from those kernels, many families per call
+(bent_from_kernels): from_spread's union-size check confirms once more
+that each family's kernels meet pairwise only in zero, and one stacked
+Walsh product checks every spectrum of the batch flat. A sweep batch, a
+whole verify catalog and a single lookup all go through that one call.
+The l=4, b=2 catalogs (n=16) are refused: their count alone needs about
+2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it re-derives the
 kernels and checks every pair through build_partial_spread first. analyze
 reads a checked function's fields, and sweep analyzes whole catalogs into
@@ -74,7 +77,7 @@ from .boolfun import (
     from_spread,
     is_flat,
     nonlinearity,
-    walsh_transform,
+    walsh_spectra,
 )
 from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul, field
@@ -290,7 +293,8 @@ class Catalog:
     without building a FamilySpec; catalog[k] is the first of them, and
     iteration walks from 0, so none lists the catalog. size is the exact
     count and may exceed sys.maxsize, where len() cannot report it. build()
-    turns a pair into its checked bent function from the pool's kernels.
+    turns a list of pairs into their checked bent functions from the pool's
+    kernels, in one batch.
     """
 
     def __init__(self, pool: CandidatePool, t: int):
@@ -329,10 +333,16 @@ class Catalog:
             family_id=family_id,
         )
 
-    def build(self, family_id: int, combo: tuple[int, ...]) -> tuple[TruthTable, np.ndarray]:
-        """The checked function of a (family_id, member indices) pair."""
-        spread = [self.pool.kernels[i] for i in combo]
-        return bent_from_kernels(spread, self.spread_type, family_id)
+    def build(self, items) -> tuple[list[TruthTable], np.ndarray]:
+        """The checked functions of (family_id, member indices) pairs, as
+        bent_from_kernels returns them: the tables and the stacked
+        spectra, in the order of items."""
+        kernels = self.pool.kernels
+        ids, spreads = [], []
+        for family_id, combo in items:
+            ids.append(family_id)
+            spreads.append([kernels[i] for i in combo])
+        return bent_from_kernels(spreads, self.spread_type, ids)
 
     def __len__(self):
         return self.size
@@ -375,28 +385,35 @@ def nonzero_constant_members(pool: CandidatePool) -> list[Poly]:
 
 
 def bent_from_kernels(
-    spread: list[Subspace], spread_type: str, family_id: int = -1
-) -> tuple[TruthTable, np.ndarray]:
-    """The checked constructor: member kernels -> bent table and its spectrum.
+    spreads: list[list[Subspace]], spread_type: str, family_ids: list[int]
+) -> tuple[list[TruthTable], np.ndarray]:
+    """The checked constructor: one or more families' member kernels ->
+    their bent tables and the k x 2^n array of their spectra.
 
-    from_spread checks the member count for spread_type ("PS-" or "PS+"),
-    every member's size, and the size of the union, which is
+    from_spread checks each family's member count for spread_type ("PS-"
+    or "PS+"), every member's size, and the size of the union, which is
     t*(2^m - 1) + 1 exactly when the members meet pairwise only in zero.
-    One Walsh transform then checks the spectrum flat.
+    One stacked Walsh transform then checks every spectrum flat; a
+    rejection names the first non-flat family by its entry of family_ids.
     """
-    tt = from_spread(spread, plus_type=spread_type == "PS+")
-    spectrum = walsh_transform(tt)
-    if not is_flat(spectrum):
-        raise ConstructionRejected(f"family {family_id} produced a non-flat spectrum")
-    return tt, spectrum
+    plus_type = spread_type == "PS+"
+    tables = [from_spread(spread, plus_type) for spread in spreads]
+    spectra = walsh_spectra(tables)
+    flat = is_flat(spectra)
+    if not flat.all():
+        raise ConstructionRejected(
+            f"family {family_ids[int(flat.argmin())]} produced a non-flat spectrum"
+        )
+    return tables, spectra
 
 
 def build_bent(family: FamilySpec) -> tuple[TruthTable, np.ndarray]:
     """The checked function of an ad-hoc family and its spectrum, from
     scratch: kernels solved and pairs checked by build_partial_spread, then
-    bent_from_kernels."""
+    bent_from_kernels as a batch of one."""
     spread = build_partial_spread(list(family.polys), family.b)
-    return bent_from_kernels(spread, family.spread_type, family.family_id)
+    (tt,), (spectrum,) = bent_from_kernels([spread], family.spread_type, [family.family_id])
+    return tt, spectrum
 
 
 def analyze(tt: TruthTable, spectrum: np.ndarray) -> tuple:
@@ -404,11 +421,6 @@ def analyze(tt: TruthTable, spectrum: np.ndarray) -> tuple:
     degree, nonlinearity, development rank and classification."""
     degree, rank = algebraic_degree(anf(tt)), development_rank(tt)
     return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
-
-
-def _fields(catalog: Catalog, item: tuple) -> tuple:
-    """analyze's fields of one (family_id, member indices) item of catalog."""
-    return analyze(*catalog.build(*item))
 
 
 _WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
@@ -419,13 +431,15 @@ BATCH = 64
 
 
 def _rows(catalog: Catalog, start: int) -> list[list]:
-    """The CSV rows of the BATCH families from family_id start on."""
+    """The CSV rows of the BATCH families from family_id start on, built
+    as one batch."""
     pool = catalog.pool
     names = [format_poly(p) for p in pool.members]
+    items = list(itertools.islice(catalog.walk(start), BATCH))
     return [
         [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo),
-         *_fields(catalog, (fid, combo))]
-        for fid, combo in itertools.islice(catalog.walk(start), BATCH)
+         *analyze(tt, spectrum)]
+        for (fid, combo), tt, spectrum in zip(items, *catalog.build(items))
     ]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import ConstructionRejected, SpreadbentError
-from .gf2e import FieldSpec, fe_mul
+from .gf2e import FieldSpec
 
 NEG_INF = float("-inf")
 
@@ -65,17 +65,26 @@ def _same_spec(f: Poly, g: Poly) -> FieldSpec:
     return f.spec
 
 
+def _product(spec: FieldSpec, f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """The product of two nonzero coefficient lists, read off the spec's
+    log tables: g's logs are taken once, and each term of f adds its log
+    to them. A field has no zero divisors, so the lead stays nonzero."""
+    exp, log = spec.exp, spec.log
+    out = [0] * (len(f) + len(g) - 1)
+    terms = [(j, log[c]) for j, c in enumerate(g) if c]
+    for i, c in enumerate(f):
+        if c:
+            e = log[c]
+            for j, lc in terms:
+                out[i + j] ^= exp[e + lc]
+    return tuple(out)
+
+
 def poly_mul(f: Poly, g: Poly) -> Poly:
     spec = _same_spec(f, g)
     if f.is_zero or g.is_zero:
         return zero(spec)
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs):
-            out[i + j] ^= fe_mul(spec, a, b)
-    return poly(spec, out)
+    return Poly(spec, _product(spec, f.coeffs, g.coeffs))
 
 
 def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> None:
@@ -127,10 +136,21 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return Poly(spec, tuple(a))
 
 
-def _monic_of_degree(spec: FieldSpec, d: int):
-    # lexicographic by coefficient tuple, constant term first
-    for tail in itertools.product(range(spec.q), repeat=d):
-        yield Poly(spec, tail + (1,))
+def _monic_nonzero_constant(q: int, d: int):
+    # the monic degree-d coefficient tuples with nonzero constant term,
+    # lexicographic, constant term first
+    for head in itertools.product(range(1, q), *[range(q)] * (d - 1)):
+        yield head + (1,)
+
+
+def _irreducible_coeffs(spec: FieldSpec, degree: int) -> list[tuple[int, ...]]:
+    composite = {
+        _product(spec, p, g)
+        for e in range(1, degree // 2 + 1)
+        for p in _irreducible_coeffs(spec, e)
+        for g in _monic_nonzero_constant(spec.q, degree - e)
+    }
+    return [f for f in _monic_nonzero_constant(spec.q, degree) if f not in composite]
 
 
 def enumerate_irreducibles(spec: FieldSpec, degree: int) -> list[Poly]:
@@ -138,23 +158,14 @@ def enumerate_irreducibles(spec: FieldSpec, degree: int) -> list[Poly]:
     term, lexicographic by coefficient tuple (constant term first). Only
     degree 1 loses a member to that rule: X itself.
 
-    A sieve: a reducible f of degree d has an irreducible factor p of
-    degree e <= d/2, and when f(0) != 0 so do p and the monic cofactor.
-    Striking every such product p*g from the candidates leaves the
-    irreducibles.
+    A sieve on coefficient tuples: a reducible f of degree d has an
+    irreducible factor p of degree e <= d/2, and when f(0) != 0 so do p
+    and the monic cofactor. Striking every such product p*g from the
+    candidates leaves the irreducibles, and only they become a Poly.
     """
     if degree < 1:
         raise SpreadbentError(f"degree must be >= 1, got {degree}")
-    composite = {
-        poly_mul(p, g).coeffs
-        for e in range(1, degree // 2 + 1)
-        for p in enumerate_irreducibles(spec, e)
-        for g in _monic_of_degree(spec, degree - e)
-        if g.coeffs[0]
-    }
-    return [
-        f for f in _monic_of_degree(spec, degree) if f.coeffs[0] and f.coeffs not in composite
-    ]
+    return [Poly(spec, f) for f in _irreducible_coeffs(spec, degree)]
 
 
 def _moebius(n: int) -> int:

@@ -234,8 +234,9 @@ def test_every_build_shape_finishes_or_is_refused(capsys, monkeypatch, l, b, plu
     start = time.perf_counter()
     if (l, b) == (7, 1):
         # n=14: the lookup is checked, the build (a 2 GiB rank temporary) is not run
-        def stop(catalog, family_id, combo):
-            raise LookupDone(catalog.family(family_id, combo))
+        def stop(catalog, items):
+            (item,) = items
+            raise LookupDone(catalog.family(*item))
         monkeypatch.setattr(Catalog, "build", stop)
         with pytest.raises(LookupDone) as done:
             main(argv)
@@ -499,12 +500,12 @@ class KillsAWorkerOnTheFirstRow(io.StringIO):
 
 
 def test_dead_worker_exits_1_with_one_error_line(capsys, monkeypatch):
-    def slow_fields(catalog, item):
+    def slow_analyze(tt, spectrum):
         time.sleep(0.01)
-        return real(catalog, item)
+        return real(tt, spectrum)
 
-    real = families._fields
-    monkeypatch.setattr(families, "_fields", slow_fields)
+    real = families.analyze
+    monkeypatch.setattr(families, "analyze", slow_analyze)
     monkeypatch.setattr(families, "BATCH", 8)
     monkeypatch.setattr(sys, "stdout", KillsAWorkerOnTheFirstRow())
     assert main(["table2", "--format", "csv", "--jobs", "2"]) == 1
@@ -542,6 +543,26 @@ def test_verify_passes(capsys):
         "window-2 catalog (174 = 165+3+6 and 64 = 55+6+3, all supports distinct): PASS\n"
         "window-3 catalog (5 negative + 1 positive, all bent of degree 3): PASS\n"
     )
+
+
+@pytest.mark.parametrize("wrong,law", [
+    # one wrong entry: 2*1 reads 3 in GF(4), while 1*2 is still 2
+    ({(2, 2, 1): 3}, "commutativity fails in GF(2^2)"),
+    # a symmetric wrong pair: 2*3 and 3*2 read 1 in GF(8), where both
+    # are 6, so the table stays commutative
+    ({(3, 2, 3): 1, (3, 3, 2): 1}, "associativity fails in GF(2^3)"),
+], ids=["commutativity", "associativity"])
+def test_verify_fails_on_a_wrong_product(capsys, monkeypatch, wrong, law):
+    # the field check reads every law off a table of cli.fe_mul's products
+    real = cli.fe_mul
+    monkeypatch.setattr(
+        cli, "fe_mul", lambda spec, x, y: wrong.get((spec.l, x, y), real(spec, x, y))
+    )
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == f"field axioms ({law}): FAIL"
+    assert all(line.endswith(": PASS") for line in lines[1:])
 
 
 def assert_module_verifies(module):

@@ -337,15 +337,16 @@ SMALL_CATALOGS = [
 def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
     pool = candidate_pool(field(l), b, include_e_infinity=e_inf)
     catalog = enumerate_families(pool, (1 << (l * b - 1)) + plus)
-    built = 0
-    for fid, combo in catalog.walk():
+    items = list(catalog.walk())
+    tables, spectra = catalog.build(items)
+    assert len(tables) == len(spectra) == catalog.size > 0
+    for (fid, combo), tt, spectrum in zip(items, tables, spectra):
         fs = catalog[fid]
         assert fs == catalog.family(fid, combo)
-        tt, spectrum = catalog.build(fid, combo)
         assert tt == build_bent(fs)[0]
         assert np.array_equal(spectrum, walsh_transform(tt))
-        built += 1
-    assert built == catalog.size > 0
+        # a batch of one builds the same function
+        assert catalog.build([(fid, combo)])[0] == [tt]
 
 
 # Every catalog with l*b <= 4, as (l, b, include_e_infinity).
@@ -436,7 +437,7 @@ def test_catalog_pickles(command):
         for fid in (0, catalog.size // 3, catalog.size - 1):
             item = next(catalog.walk(fid))
             assert next(copy.walk(fid)) == item
-            assert copy.build(*item)[0].hex() == catalog.build(*item)[0].hex()
+            assert copy.build([item])[0] == catalog.build([item])[0]
 
 
 def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
@@ -444,7 +445,7 @@ def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
     # fixed well below one byte per family of the 12870-family catalog
     pool = candidate_pool(GF16, 1)
     enumerate_families(pool, 8)  # the count memo is the catalog's, not the sweep's
-    monkeypatch.setattr(families, "_fields", lambda catalog, item: (0,) * 6)
+    monkeypatch.setattr(families, "analyze", lambda tt, spectrum: (0,) * 6)
     tracemalloc.start()
     try:
         rows = sum(1 for _ in families.sweep(pool, (8,), 1))
@@ -479,7 +480,7 @@ def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
     real = ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
-    monkeypatch.setattr(families, "_fields", lambda catalog, item: (0,) * 6)
+    monkeypatch.setattr(families, "analyze", lambda tt, spectrum: (0,) * 6)
     rows = [row[0] for row in families.sweep(candidate_pool(GF16, 1), (8,), 2)]
     assert rows == list(range(12870))
     assert [start for _, start in sent] == list(range(0, 12870, 64))
@@ -487,15 +488,15 @@ def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
 
 def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
     # a worker killed mid-sweep must end the sweep with an error, not hang it
-    def slow_fields(catalog, item):
+    def slow_analyze(tt, spectrum):
         time.sleep(0.01)
-        return real(catalog, item)
+        return real(tt, spectrum)
 
     def hung(signum, frame):
         raise TimeoutError("the sweep hung after its worker died")
 
-    real = families._fields
-    monkeypatch.setattr(families, "_fields", slow_fields)
+    real = families.analyze
+    monkeypatch.setattr(families, "analyze", slow_analyze)
     monkeypatch.setattr(families, "BATCH", 8)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
@@ -539,15 +540,31 @@ def test_interleaved_sweeps_keep_their_own_catalogs():
 def test_bent_from_kernels_checks():
     catalog = enumerate_families(candidate_pool(GF2, 2), 2)
     spread = [catalog.pool.kernels[i] for i in next(catalog.walk())[1]]
-    tt, spectrum = bent_from_kernels(spread, "PS-")
+    (tt,), (spectrum,) = bent_from_kernels([spread], "PS-", [0])
     assert tt.hex() == build_bent(catalog[0])[0].hex()
     assert np.array_equal(spectrum, walsh_transform(tt))
     with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
-        bent_from_kernels([spread[0], spread[0]], "PS-")
+        bent_from_kernels([spread, [spread[0], spread[0]]], "PS-", [0, 1])
     with pytest.raises(ConstructionRejected, match="need 2 members"):
-        bent_from_kernels(spread[:1], "PS-")
+        bent_from_kernels([spread[:1]], "PS-", [0])
     with pytest.raises(ConstructionRejected, match="need 3 members"):
-        bent_from_kernels(spread, "PS+")
+        bent_from_kernels([spread], "PS+", [0])
+
+
+def test_batch_rejection_names_the_non_flat_family(monkeypatch):
+    # the stacked flatness test reports the batch member that fails it
+    catalog = enumerate_families(candidate_pool(GF4, 2), 8)
+    items = list(itertools.islice(catalog.walk(10), 5))
+    real = families.walsh_spectra
+
+    def third_not_flat(tables):
+        spectra = real(tables).copy()
+        spectra[2, 0] += 2
+        return spectra
+
+    monkeypatch.setattr(families, "walsh_spectra", third_not_flat)
+    with pytest.raises(ConstructionRejected, match="^family 12 produced a non-flat spectrum$"):
+        catalog.build(items)
 
 
 def test_bent_from_kernels_rejects_non_flat_spectrum():
@@ -558,4 +575,4 @@ def test_bent_from_kernels_rejects_non_flat_spectrum():
         Subspace(n=4, vectors=(0, 3, 5, 6)),
     ]
     with pytest.raises(ConstructionRejected, match="family 7 produced a non-flat spectrum"):
-        bent_from_kernels(fake, "PS-", family_id=7)
+        bent_from_kernels([fake], "PS-", [7])

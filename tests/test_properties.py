@@ -4,7 +4,8 @@ family catalog built on it.
 
 The references here work at the Poly level through poly_mul and a local
 coefficient XOR, so they share no code with the list-based reduction
-_reduce inside poly_gcd. The catalog reference scans every index tuple, so it shares no
+_reduce inside poly_gcd; poly_mul itself is checked against a schoolbook
+product through fe_mul. The catalog reference scans every index tuple, so it shares no
 code with the clique walk. The EA test checks the development rank's
 EA-invariance on catalog functions, the property the classification rests
 on, and the last test checks from_spread's mask union against the set
@@ -27,7 +28,7 @@ from spreadbent.families import (
     coprime_subsets,
     enumerate_families,
 )
-from spreadbent.gf2e import fe_inv, fe_mul, field
+from spreadbent.gf2e import FieldSpec, fe_inv, fe_mul, field
 from spreadbent.lrs import (
     build_matrix,
     kernel,
@@ -100,6 +101,27 @@ def reference_gcd(f: Poly, g: Poly) -> Poly:
         f, g = g, reference_remainder(f, g)
     inv = fe_inv(f.spec, f.coeffs[-1])
     return Poly(f.spec, tuple(fe_mul(f.spec, inv, c) for c in f.coeffs))
+
+
+def schoolbook_product(f: Poly, g: Poly) -> Poly:
+    """f * g with every coefficient product through fe_mul."""
+    out = [0] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] ^= fe_mul(f.spec, a, b)
+    return poly(f.spec, out)
+
+
+# GF(2^l) for l = 1..5, and GF(8) under its second modulus X^3 + X^2 + 1
+MUL_SPECS = st.sampled_from([field(l) for l in range(1, 6)] + [FieldSpec(3, 0b1101)])
+
+
+@settings(deadline=None)
+@given(MUL_SPECS.flatmap(lambda spec: st.tuples(polys(spec, 6), polys(spec, 6))))
+def test_poly_mul_matches_schoolbook(pair):
+    # poly_mul reads the log tables itself; the reference goes through fe_mul
+    f, g = pair
+    assert poly_mul(f, g) == schoolbook_product(f, g)
 
 
 @settings(deadline=None)
@@ -254,7 +276,7 @@ def catalog_of(l, b, t, include_e_infinity=False):
 def catalog_functions(draw):
     catalog = catalog_of(*draw(st.sampled_from(EA_CATALOGS)))
     fid = draw(st.integers(0, catalog.size - 1))
-    return catalog.build(*next(catalog.walk(fid)))[0]
+    return catalog.build([next(catalog.walk(fid))])[0][0]
 
 
 def invertible_matrices(n):
