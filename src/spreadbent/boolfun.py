@@ -18,6 +18,7 @@ one-table case.
 from __future__ import annotations
 
 import functools
+import itertools
 import string
 from dataclasses import dataclass
 
@@ -118,9 +119,11 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
     weight 2^(n-1) - 2^(m-1). Positive type: one extra member and the zero
     vector kept in, weight 2^(n-1) + 2^(m-1).
 
-    The union is the OR of the members' masks, and that int is the table.
-    For t subspaces its popcount is t*(2^m - 1) + 1 exactly when they meet
-    pairwise only in zero; any other count raises ConstructionRejected.
+    The one partial-spread check, for catalog and ad-hoc families alike:
+    with every member 2^m vectors of F_2^n holding zero, the union (the OR
+    of the masks, and the table) has popcount t*(2^m - 1) + 1 exactly when
+    the members meet pairwise only in zero. Any other count raises
+    ConstructionRejected naming the first overlapping pair by position.
     """
     if not spread:
         raise ConstructionRejected("empty spread")
@@ -131,13 +134,16 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
         raise ConstructionRejected(
             f"need {t_expected} members for this type at n={n}, got {len(spread)}"
         )
-    union = 0
-    for s in spread:
-        if s.n != n or len(s.vectors) != (1 << m):
-            raise ConstructionRejected(f"member has n={s.n}, size {len(s.vectors)}")
-        union |= s.mask
-    if union.bit_count() != len(spread) * ((1 << m) - 1) + 1:
-        raise ConstructionRejected("spread members share nonzero vectors")
+    union, size = 0, 1 << m
+    for k, s in enumerate(spread):
+        mask = s.mask
+        if s.n != n or mask.bit_count() != size or not mask & 1:
+            raise ConstructionRejected(f"member {k} is not {size} vectors of F_2^{n} with 0")
+        union |= mask
+    if union.bit_count() != len(spread) * (size - 1) + 1:
+        pairs = itertools.combinations(range(len(spread)), 2)
+        i, j = next((i, j) for i, j in pairs if spread[i].mask & spread[j].mask != 1)
+        raise ConstructionRejected(f"spread members {i} and {j} share nonzero vectors")
     return TruthTable(n, union if plus_type else union & ~1)
 
 

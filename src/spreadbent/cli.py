@@ -4,8 +4,9 @@ run the two benchmark sweeps, and self-check the whole pipeline.
 Exit codes: 0 success, 1 self-check failure or a dead sweep worker (kill
 -9, the OOM killer), reported in one error line, 2 bad arguments (any
 ValueError, SpreadbentError among them, and an --out path that cannot be
-written), 3 construction rejected (ConstructionRejected: a non-coprime
-family, a wrong family size, overlapping kernels), 141 stdout closed by
+written), 3 construction rejected (ConstructionRejected: a wrong family
+size, a zero polynomial, or two members whose kernels share nonzero
+vectors, which a shared factor always causes), 141 stdout closed by
 its reader, as `| head` does (the status a shell reports for a process
 that SIGPIPE ends); the sweep then stops once its workers finish the
 batches they hold.

@@ -52,9 +52,9 @@ Walsh product checks every spectrum of the batch flat. A sweep batch, a
 whole verify catalog and a single lookup all go through that one call.
 The l=4, b=2 catalogs (n=16) are refused: their count alone needs about
 2 million memoized states.
-build_bent is the from-scratch path for ad-hoc families: it re-derives the
-kernels and checks every pair through build_partial_spread first. analyze
-reads a checked function's fields, and sweep analyzes whole catalogs into
+build_bent is the from-scratch path for ad-hoc families: it solves their
+kernels and sends them through that same call, with no check of its own.
+analyze reads a checked function's fields, and sweep analyzes catalogs into
 CSV rows, in catalog order, yielding each as its batch arrives: the one path
 that build, table1/table2 and the acceptance goldens run.
 """
@@ -391,8 +391,8 @@ def bent_from_kernels(
     their bent tables and the k x 2^n array of their spectra.
 
     from_spread checks each family's member count for spread_type ("PS-"
-    or "PS+"), every member's size, and the size of the union, which is
-    t*(2^m - 1) + 1 exactly when the members meet pairwise only in zero.
+    or "PS+"), every member's size and zero vector, and the size of the
+    union, t*(2^m - 1) + 1 just when the members meet pairwise only in 0.
     One stacked Walsh transform then checks every spectrum flat; a
     rejection names the first non-flat family by its entry of family_ids.
     """
@@ -409,8 +409,8 @@ def bent_from_kernels(
 
 def build_bent(family: FamilySpec) -> tuple[TruthTable, np.ndarray]:
     """The checked function of an ad-hoc family and its spectrum, from
-    scratch: kernels solved and pairs checked by build_partial_spread, then
-    bent_from_kernels as a batch of one."""
+    scratch: kernels solved by build_partial_spread, then checked and
+    built by bent_from_kernels as a batch of one."""
     spread = build_partial_spread(list(family.polys), family.b)
     (tt,), (spectrum,) = bent_from_kernels([spread], family.spread_type, [family.family_id])
     return tt, spectrum

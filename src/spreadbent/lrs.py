@@ -21,17 +21,21 @@ band row becomes l int rows, one per output bit. An F_q-linear map has the
 same kernel as its flattened GF(2) image and is invertible exactly when
 that image is, so kernels and the Sylvester check eliminate int rows by
 XOR, with no field multiplication.
+
+build_partial_spread only solves a family's kernels; boolfun.from_spread
+alone checks that they meet pairwise only in zero. A shared factor always
+makes two kernels overlap, and coprime polynomials can too when both
+windows are deficient (1 and X at b=2), so a gcd test adds nothing.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul
-from .poly import Poly, poly_gcd
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -189,33 +193,7 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     return pivots is not None and _absorb(pivots.copy(), _gf2_rows(g.spec.modulus, gc, b))
 
 
-def trivial_intersection(a: Subspace, b: Subspace) -> bool:
-    """True iff the two subspaces share only the zero vector."""
-    if a.n != b.n:
-        raise ConstructionRejected(f"ambient dimensions differ: {a.n} vs {b.n}")
-    return a.mask & b.mask == 1
-
-
 def build_partial_spread(family: list[Poly], b: int) -> list[Subspace]:
-    """Kernels of all family members, checked pairwise for trivial overlap.
-
-    This is the from-scratch path for ad-hoc families: the pairwise gcd test
-    rejects shared factors, and the kernel-mask intersection re-check stays on
-    because coprimality is only a faithful proxy when at most one member has
-    degree below the window size (two short windows can share solutions
-    despite coprime polynomials). Catalog families skip both: their pool's
-    kernel graph settles the overlap once per pair, and from_spread's
-    union-size check confirms it.
-    """
-    if not family:
-        raise SpreadbentError("empty family")
-    for f, g in itertools.combinations(family, 2):
-        if poly_gcd(f, g).coeffs != (1,):
-            raise ConstructionRejected(f"gcd != 1 for {f.coeffs} and {g.coeffs}")
-    spread = [kernel(build_matrix(f, b)) for f in family]
-    for (i, f), (j, g) in itertools.combinations(enumerate(family), 2):
-        if not trivial_intersection(spread[i], spread[j]):
-            raise ConstructionRejected(
-                f"kernels of {f.coeffs} and {g.coeffs} overlap at window size b={b}"
-            )
-    return spread
+    """The kernels of the family's members at window size b, in family
+    order, unchecked: from_spread is the partial-spread check."""
+    return [kernel(build_matrix(f, b)) for f in family]

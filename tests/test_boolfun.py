@@ -273,13 +273,27 @@ def test_from_spread_size_errors():
 
 def test_from_spread_overlap_error():
     spread = build_partial_spread(MINUS_FAMILY, b=2)
-    with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
+    with pytest.raises(ConstructionRejected, match="^spread members 0 and 1 share nonzero"):
         from_spread([spread[0], spread[0]], plus_type=False)
-    # members that miss 0 leave the union one vector too large
+    # the overlapping pair is named by position; members 0 and 1 are disjoint
+    with pytest.raises(ConstructionRejected, match="^spread members 1 and 2 share nonzero"):
+        from_spread([spread[0], spread[1], spread[1]], plus_type=True)
+
+
+def test_from_spread_member_errors():
+    # each member must be 2^m vectors of the first member's F_2^n, 0 among them
+    spread = build_partial_spread(MINUS_FAMILY, b=2)
+    n2_kernel = build_partial_spread([poly(GF2, (1, 1))], b=1)[0]
+    n6_set = Subspace(n=6, vectors=(0, 16, 32, 48))  # the right size, the wrong arity
+    wrong_size = Subspace(n=4, vectors=(0, 5, 10))
     no_zero = Subspace(n=4, vectors=(1, 2, 3, 4))
-    for members in ([no_zero, spread[0]], [no_zero, Subspace(n=4, vectors=(5, 6, 8, 9))]):
-        with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
+    duplicated = Subspace(n=4, vectors=(0, 4, 4, 8))
+    cases = [(1, n2_kernel), (1, n6_set), (1, wrong_size), (0, no_zero), (1, duplicated)]
+    for k, bad in cases:
+        members = [spread[0], bad] if k else [bad, spread[0]]
+        with pytest.raises(ConstructionRejected) as caught:
             from_spread(members, plus_type=False)
+        assert str(caught.value) == f"member {k} is not 4 vectors of F_2^4 with 0"
 
 
 def test_format_anf_degenerate():

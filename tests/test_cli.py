@@ -19,7 +19,6 @@ from spreadbent.cli import main
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import TAG_ONE, Catalog, candidate_pool, desarguesian_spread, enumerate_families
 from spreadbent.gf2e import FieldSpec, field
-from spreadbent.lrs import build_partial_spread
 from spreadbent.poly import gauss_count, parse_poly, poly
 from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
@@ -110,25 +109,33 @@ def test_build_by_family_id_matches_manifest(capsys):
     assert out.startswith("id=0; l=1; b=2; type=PS-; polys=")
 
 
-@pytest.mark.parametrize("polys, code, err", [
-    pytest.param("[1,0,1];[1,0,1]", 3, "gcd != 1 for (1, 0, 1) and (1, 0, 1)", id="gcd"),
-    pytest.param("[1,0,1]", 3, "need 2 members for this type at n=4, got 1", id="member-count"),
-    pytest.param("[];[]", 3, "gcd(0, 0) is undefined", id="gcd-of-zeros"),
-    pytest.param("[];[1]", 3, "the zero polynomial defines no recurrence", id="zero-poly"),
-    pytest.param("[1];[1,1]", 3, "kernels of (1,) and (1, 1) overlap at window size b=2",
+@pytest.mark.parametrize("l, b, polys, code, err", [
+    pytest.param(1, 2, "[1,0,1];[1,0,1]", 3, "spread members 0 and 1 share nonzero vectors",
+                 id="gcd"),
+    pytest.param(1, 2, "[1,0,1]", 3, "need 2 members for this type at n=4, got 1",
+                 id="member-count"),
+    pytest.param(1, 2, "[];[]", 3, "the zero polynomial defines no recurrence",
+                 id="gcd-of-zeros"),
+    pytest.param(1, 2, "[];[1]", 3, "the zero polynomial defines no recurrence", id="zero-poly"),
+    pytest.param(1, 2, "[1];[1,1]", 3, "spread members 0 and 1 share nonzero vectors",
                  id="short-windows-overlap"),
-    pytest.param("[1,2];[1,1,1]", 2,
+    pytest.param(1, 2, "[0,1];[0,1]", 3, "spread members 0 and 1 share nonzero vectors",
+                 id="two-short-windows-share-x"),
+    pytest.param(3, 1, "[1,1];[2,1];[3,1];[3,1]", 3,
+                 "spread members 2 and 3 share nonzero vectors", id="names-members-2-and-3"),
+    pytest.param(1, 2, "[1,2];[1,1,1]", 2,
                  "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]",
                  id="coefficient-range"),
-    pytest.param("[1,x];[1,1,1]", 2, "cannot parse polynomial '[1,x]'", id="not-integer"),
-    pytest.param("[1,1];[x]", 2, "cannot parse polynomial '[x]'", id="no-coefficient"),
-    pytest.param("[1,,1];[1,1]", 2, "cannot parse polynomial '[1,,1]'", id="empty-coefficient"),
-    pytest.param("[1,1,0,1];[1,0,1]", 2, "degree 3 exceeds window size b=2",
+    pytest.param(1, 2, "[1,x];[1,1,1]", 2, "cannot parse polynomial '[1,x]'", id="not-integer"),
+    pytest.param(1, 2, "[1,1];[x]", 2, "cannot parse polynomial '[x]'", id="no-coefficient"),
+    pytest.param(1, 2, "[1,,1];[1,1]", 2, "cannot parse polynomial '[1,,1]'",
+                 id="empty-coefficient"),
+    pytest.param(1, 2, "[1,1,0,1];[1,0,1]", 2, "degree 3 exceeds window size b=2",
                  id="degree-above-window"),
 ])
-def test_build_by_polys_exit_codes(capsys, polys, code, err):
+def test_build_by_polys_exit_codes(capsys, l, b, polys, code, err):
     # 3: the family is rejected; 2: the input is outside what is supported
-    argv = ("build", "--l", "1", "--b", "2", "--polys", polys)
+    argv = ("build", "--l", str(l), "--b", str(b), "--polys", polys)
     assert run(capsys, *argv) == (code, "", f"error: {err}\n")
 
 
@@ -139,7 +146,6 @@ INPUT_ERRORS = {
     "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
     "field": (lambda: field(0), "extension degree must be positive, got 0"),
-    "build_partial_spread": (lambda: build_partial_spread([], 2), "empty family"),
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
     "parse_poly": (lambda: parse_poly(field(1), "[1,,1]"), "cannot parse polynomial '[1,,1]'"),

@@ -38,7 +38,7 @@ from spreadbent.families import (
 )
 from spreadbent.gf2e import field
 from spreadbent.lrs import Subspace, build_matrix, kernel
-from spreadbent.poly import closed_form_family_count, one, poly_gcd
+from spreadbent.poly import closed_form_family_count, one, poly, poly_gcd
 
 GF2 = field(1)
 GF4 = field(2)
@@ -323,6 +323,24 @@ def test_build_bent_raises_on_wrong_size():
     )
     with pytest.raises(ConstructionRejected, match="need 2 members"):
         build_bent(broken)
+
+
+@pytest.mark.parametrize("l, b, coeff_lists, pair", [
+    # both divisible by X + 1, whose window is short at b=2
+    pytest.param(1, 2, [(1, 0, 1), (1, 1)], "0 and 1", id="common-factor"),
+    # gcd(1, X) = 1, yet both kernels at b=2 hold the vector with only the
+    # last coordinate set
+    pytest.param(1, 2, [(1,), (0, 1)], "0 and 1", id="two-short-windows"),
+    # over GF(8) the first three linears are pairwise coprime; the fourth
+    # repeats the third
+    pytest.param(3, 1, [(1, 1), (2, 1), (3, 1), (3, 1)], "2 and 3", id="gf8-repeated-member"),
+])
+def test_build_bent_rejects_overlapping_kernels(l, b, coeff_lists, pair):
+    # no gcd test runs: from_spread's union count refuses the family
+    polys = tuple(poly(field(l), c) for c in coeff_lists)
+    fs = families.FamilySpec(l=l, b=b, polys=polys, spread_type="PS-", family_id=-1)
+    with pytest.raises(ConstructionRejected, match=f"^spread members {pair} share nonzero vectors$"):
+        build_bent(fs)
 
 
 # Every catalog small enough to rebuild from scratch, as (l, b, include_e_infinity).

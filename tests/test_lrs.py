@@ -11,7 +11,6 @@ from spreadbent.lrs import (
     build_partial_spread,
     kernel,
     sylvester_resultant_nonzero,
-    trivial_intersection,
     window,
 )
 from spreadbent.poly import one, poly, poly_gcd, x_power
@@ -172,7 +171,7 @@ def test_kernel_masks_and_intersections_match_sets(l, b, e_inf):
     for k in kernels:
         assert _members(k.mask, k.n) == set(k.vectors)
     for x, y in itertools.combinations_with_replacement(kernels, 2):
-        assert trivial_intersection(x, y) == (set(x.vectors) & set(y.vectors) == {0})
+        assert (x.mask & y.mask == 1) == (set(x.vectors) & set(y.vectors) == {0})
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -181,32 +180,30 @@ def test_desarguesian_masks_match_sets(m):
     for s in spread:
         assert _members(s.mask, s.n) == set(s.vectors)
     for x, y in itertools.combinations_with_replacement(spread, 2):
-        assert trivial_intersection(x, y) == (x is not y)
+        assert (x.mask & y.mask == 1) == (x is not y)
 
 
-def test_trivial_intersection_dimension_check():
-    a = kernel(build_matrix(poly(GF2, (1, 0, 1)), 2))
-    b = kernel(build_matrix(poly(GF2, (1, 1)), 1))
-    with pytest.raises(ConstructionRejected, match="ambient dimensions differ: 4 vs 2"):
-        trivial_intersection(a, b)
-
-
-def test_build_partial_spread_rejects_common_factor():
-    fam = [poly(GF2, (1, 0, 1)), poly(GF2, (1, 1))]  # both divisible by X + 1
-    with pytest.raises(ConstructionRejected, match="gcd != 1"):
-        build_partial_spread(fam, b=2)
-
-
-def test_build_partial_spread_rejects_two_short_windows():
-    # gcd(1, X) = 1, yet both kernels at window size 2 contain the vector
-    # with only the last coordinate set; the set-level re-check must fire
-    fam = [one(GF2), x_power(GF2, 1)]
-    with pytest.raises(ConstructionRejected, match="overlap at window size b=2"):
-        build_partial_spread(fam, b=2)
+@pytest.mark.parametrize("l,top", [(1, 3), (2, 2), (3, 1)])
+def test_shared_factor_always_overlaps_kernels(l, top):
+    # Every pair of nonzero polynomials of degree <= top with gcd != 1, at
+    # every window b from their larger degree up to top, two deficient
+    # windows included: the kernels share a nonzero vector. So from_spread's
+    # union count rejects every non-coprime family without a gcd test.
+    spec = field(l)
+    polys = [poly(spec, c) for c in itertools.product(range(spec.q), repeat=top + 1) if any(c)]
+    unit, pairs = one(spec), 0
+    for f, g in itertools.combinations_with_replacement(polys, 2):
+        if poly_gcd(f, g) == unit:
+            continue
+        for b in range(int(max(f.degree, g.degree)), top + 1):
+            assert kernel(build_matrix(f, b)).mask & kernel(build_matrix(g, b)).mask != 1
+            pairs += 1
+    assert pairs == {1: 70, 2: 504, 3: 224}[l]
 
 
 def test_build_partial_spread_known_family():
     fam = [poly(GF2, (1, 0, 1)), poly(GF2, (1, 1, 1)), x_power(GF2, 2), one(GF2)]
     spread = build_partial_spread(fam, b=2)
+    assert spread == [kernel(build_matrix(f, 2)) for f in fam]
     union = set().union(*(s.vectors for s in spread))
     assert len(union) == 4 * 3 + 1  # pairwise trivial overlap: only 0 shared
