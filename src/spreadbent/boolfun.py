@@ -34,6 +34,8 @@ class _Bits:
     bits: int
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 0:
+            raise SpreadbentError(f"expected an arity n >= 0, got n={self.n!r}")
         if not isinstance(self.bits, int) or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise SpreadbentError(f"expected an int of {1 << self.n} bits for n={self.n}")
 
@@ -44,7 +46,10 @@ class TruthTable(_Bits):
 
     @classmethod
     def from_support(cls, n: int, support) -> "TruthTable":
-        return cls(n, sum(1 << k for k in set(support)))
+        support = set(support)
+        if support and min(support) < 0:
+            raise SpreadbentError(f"expected a support of indices >= 0, got {min(support)}")
+        return cls(n, sum(1 << k for k in support))
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
@@ -120,10 +125,10 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
     vector kept in, weight 2^(n-1) + 2^(m-1).
 
     The one partial-spread check, for catalog and ad-hoc families alike:
-    with every member 2^m vectors of F_2^n holding zero, the union (the OR
-    of the masks, and the table) has popcount t*(2^m - 1) + 1 exactly when
-    the members meet pairwise only in zero. Any other count raises
-    ConstructionRejected naming the first overlapping pair by position.
+    with every member a Subspace of F_2^n, so 2^m vectors holding zero, the
+    union (the OR of the masks, and the table) has popcount t*(2^m - 1) + 1
+    exactly when the members meet pairwise only in zero. Any other count
+    raises ConstructionRejected naming the first overlapping pair by position.
     """
     if not spread:
         raise ConstructionRejected("empty spread")
@@ -134,13 +139,12 @@ def from_spread(spread: list[Subspace], plus_type: bool) -> TruthTable:
         raise ConstructionRejected(
             f"need {t_expected} members for this type at n={n}, got {len(spread)}"
         )
-    union, size = 0, 1 << m
+    union = 0
     for k, s in enumerate(spread):
-        mask = s.mask
-        if s.n != n or mask.bit_count() != size or not mask & 1:
-            raise ConstructionRejected(f"member {k} is not {size} vectors of F_2^{n} with 0")
-        union |= mask
-    if union.bit_count() != len(spread) * (size - 1) + 1:
+        if s.n != n:
+            raise ConstructionRejected(f"member {k} is a subspace of F_2^{s.n}, not of F_2^{n}")
+        union |= s.mask
+    if union.bit_count() != len(spread) * ((1 << m) - 1) + 1:
         pairs = itertools.combinations(range(len(spread)), 2)
         i, j = next((i, j) for i, j in pairs if spread[i].mask & spread[j].mask != 1)
         raise ConstructionRejected(f"spread members {i} and {j} share nonzero vectors")
@@ -178,10 +182,10 @@ def walsh_spectra(tables: list[TruthTable]) -> np.ndarray:
     It is exact: every partial sum is an integer of magnitude at most 2^n,
     far inside float64's 2^53.
     """
-    n = tables[0].n
-    if any(tt.n != n for tt in tables):
-        arities = sorted({tt.n for tt in tables})
-        raise SpreadbentError(f"expected tables of one arity, got n={arities}")
+    arities = sorted({tt.n for tt in tables})
+    if len(arities) != 1:
+        raise SpreadbentError(f"expected one or more tables of one arity, got n={arities}")
+    n = arities[0]
     a, k = n // 2, len(tables)
     raw = np.frombuffer(b"".join(tt._bytes() for tt in tables), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(k, -1), axis=1, bitorder="little")[:, : 1 << n]

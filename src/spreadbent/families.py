@@ -30,7 +30,7 @@ clears every product. A memoized count of each (candidates, still-to-pick)
 state gives the catalog size without listing it and prunes the walk to
 branches that still hold a family. The walk takes before it skips, so
 families come in lexicographic index order, and family_id k is the k-th of
-them. Skipping whole the branches counted below k, a walk from k reaches
+them. Skipping the branches counted below k whole, a walk from k reaches
 family k in |pool| steps: lookups walk from their id, and sweep workers
 from the start offsets they are sent.
 
@@ -391,10 +391,11 @@ def bent_from_kernels(
     their bent tables and the k x 2^n array of their spectra.
 
     from_spread checks each family's member count for spread_type ("PS-"
-    or "PS+"), every member's size and zero vector, and the size of the
-    union, t*(2^m - 1) + 1 just when the members meet pairwise only in 0.
-    One stacked Walsh transform then checks every spectrum flat; a
-    rejection names the first non-flat family by its entry of family_ids.
+    or "PS+"), every member's arity (a Subspace checks its own basis), and
+    the size of the union, t*(2^m - 1) + 1 just when the members meet
+    pairwise only in 0. One stacked Walsh transform then checks every
+    spectrum flat; a rejection names the first non-flat family by its entry
+    of family_ids.
     """
     plus_type = spread_type == "PS+"
     tables = [from_spread(spread, plus_type) for spread in spreads]
@@ -515,17 +516,14 @@ def manifest_line(family: FamilySpec) -> str:
 
 def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
-    flattened with the canonical bit convention (first coordinate low)."""
+    flattened with the canonical bit convention (first coordinate low).
+    E_a is spanned by (e_j, a*e_j) and E_inf by (0, e_j), e_j = alpha^j."""
     if m < 2:
         raise SpreadbentError(f"m must be >= 2, got {m}")
-    spec = field(m)
-    out = []
-    for a in range(spec.q):
-        vectors = tuple(sorted(x | (fe_mul(spec, a, x) << m) for x in range(spec.q)))
-        out.append(Subspace(n=2 * m, vectors=vectors))
-    e_inf = tuple(y << m for y in range(spec.q))
-    out.append(Subspace(n=2 * m, vectors=e_inf))
-    return out
+    spec, units = field(m), [1 << j for j in range(m)]
+    graphs = [Subspace(2 * m, tuple(e | fe_mul(spec, a, e) << m for e in units))
+              for a in range(spec.q)]
+    return graphs + [Subspace(2 * m, tuple(e << m for e in units))]
 
 
 def verify_desarguesian_equivalence(m: int) -> bool:
@@ -533,7 +531,7 @@ def verify_desarguesian_equivalence(m: int) -> bool:
 
     The window-1 pool must hold one map a + X for each a in GF(q) (X
     itself for a = 0), and the kernel of each, solved once by the pool,
-    must equal the graph subspace E_a vector for vector. Returns True only
+    must equal the graph subspace E_a as a set. Returns True only
     if both hold. Then every window-1 function, the indicator of a union of
     kernels, is the indicator of the union of the matching E_a.
     """
@@ -544,4 +542,4 @@ def verify_desarguesian_equivalence(m: int) -> bool:
     graph_of = [p.coeffs[0] for p in pool.members]
     if sorted(graph_of) != list(range(spec.q)):
         return False
-    return all(k.vectors == graphs[a].vectors for k, a in zip(pool.kernels, graph_of))
+    return all(k == graphs[a] for k, a in zip(pool.kernels, graph_of))

@@ -7,7 +7,8 @@ is embedded as the window (c_0, ..., c_e, 0, ..., 0), so the constant 1
 pins the first b coordinates to zero and X^b pins the last b, two
 complementary coordinate subspaces.
 
-The kernel of the map has exactly q^b elements. Flattening sends a vector
+The kernel of the map has exactly q^b elements, spanned by the l*b
+generators that kernel returns as a Subspace. Flattening sends a vector
 over F_q to an n-bit integer with coordinate 0 in the LOW bits: bit i*l + j
 of the integer is the alpha^j coefficient of coordinate i. Printed as an
 n-character bit string (index 0 last, i.e. the string is read coordinate 0
@@ -31,7 +32,7 @@ windows are deficient (1 and X at b=2), so a gcd test adds nothing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul
@@ -40,18 +41,32 @@ from .poly import Poly
 
 @dataclass(frozen=True)
 class Subspace:
-    """An (n/2)-dimensional GF(2) subspace of F_2^n, fully enumerated.
-
-    vectors holds all 2^(n/2) flattened elements, sorted. mask is the same set
-    as one int with bit v set for each member v, built on first use: unions
-    and intersections of subspaces are then single OR and AND operations,
-    and a truth table is the OR of its members' masks. The bits are set in
-    a bytearray and converted once, in time linear in 2^n / 8 + 2^(n/2);
-    OR-ing 1 << v into an int copies the whole int at every step.
+    """An (n/2)-dimensional GF(2) subspace of F_2^n, built from a basis of
+    n/2 independent ints in [0, 2^n), n even and >= 2, or SpreadbentError:
+    the one definition of a spread member. vectors, the sorted span, comes
+    from the basis by XOR doubling, and equality and hash read it, not bases.
+    mask is the same set as one int, bit v set for each member v, built on
+    first use, so unions and intersections are single OR and AND operations.
+    Its bits are set in a bytearray and converted once, in time linear in
+    2^n / 8 + 2^(n/2), where OR-ing in 1 << v would copy the int each time.
     """
 
     n: int
-    vectors: tuple[int, ...]
+    basis: tuple[int, ...] = field(compare=False)
+    vectors: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, basis = self.n, self.basis
+        if not isinstance(n, int) or n < 2 or n % 2:
+            raise SpreadbentError(f"a subspace needs an even arity n >= 2, got n={n!r}")
+        if not (isinstance(basis, tuple) and len(basis) == n // 2
+                and all(isinstance(v, int) and 0 <= v < 1 << n for v in basis)
+                and _absorb({}, basis)):
+            raise SpreadbentError(f"expected {n // 2} independent ints in [0, 2^{n}), got {basis!r}")
+        vectors = [0]
+        for v in basis:
+            vectors += [w ^ v for w in vectors]
+        object.__setattr__(self, "vectors", tuple(sorted(vectors)))
 
     @functools.cached_property
     def mask(self) -> int:
@@ -133,16 +148,14 @@ def _echelon(modulus: int, coeffs: tuple[int, ...], b: int) -> dict[int, int] | 
 
 
 def kernel(rows: tuple[int, ...]) -> Subspace:
-    """All q^b solutions of the banded system, flattened and sorted.
+    """The q^b solutions of the banded system, as a Subspace of l*b generators.
 
     rows are build_matrix's b*l GF(2) rows of the F_q band, which has the
     same kernel as its flattened GF(2) image. They are brought to reduced
-    echelon form as ints. Each free column c gives one of the l*b
-    generators: bit c, plus the pivot bit of every row that has bit c set.
-    XOR spans the rest.
+    echelon form as ints. Each free column c gives one generator: bit c,
+    plus the pivot bit of every row that has bit c set.
     """
-    dim = len(rows)
-    n = 2 * dim
+    dim, n = len(rows), 2 * len(rows)
     pivots: dict[int, int] = {}  # pivot column -> its reduced row
     for row in rows:
         for c, p in pivots.items():
@@ -156,16 +169,11 @@ def kernel(rows: tuple[int, ...]) -> Subspace:
             pivots[c] = row
     if len(pivots) < dim:
         raise ConstructionRejected(f"recurrence matrix has GF(2) rank {len(pivots)} < {dim}")
-    basis = [
+    return Subspace(n, tuple(
         1 << c | sum(1 << pc for pc, p in pivots.items() if p >> c & 1)
         for c in range(n)
         if c not in pivots
-    ]
-    vectors = [0]
-    for v in basis:
-        vectors += [w ^ v for w in vectors]
-    vectors.sort()
-    return Subspace(n=n, vectors=tuple(vectors))
+    ))
 
 
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:

@@ -1,7 +1,7 @@
 """Hypothesis profiles. The default run keeps each test's own settings;
 `--hypothesis-profile=deep` raises the example count of every test that
-does not fix its own, as CI does for the polynomial and Sylvester
-properties."""
+does not fix its own, as CI does for the polynomial, Sylvester and
+subspace-image properties."""
 
 from hypothesis import settings
 

@@ -281,19 +281,20 @@ def test_from_spread_overlap_error():
 
 
 def test_from_spread_member_errors():
-    # each member must be 2^m vectors of the first member's F_2^n, 0 among them
+    # each member must be a subspace of the first member's F_2^n
     spread = build_partial_spread(MINUS_FAMILY, b=2)
     n2_kernel = build_partial_spread([poly(GF2, (1, 1))], b=1)[0]
-    n6_set = Subspace(n=6, vectors=(0, 16, 32, 48))  # the right size, the wrong arity
-    wrong_size = Subspace(n=4, vectors=(0, 5, 10))
-    no_zero = Subspace(n=4, vectors=(1, 2, 3, 4))
-    duplicated = Subspace(n=4, vectors=(0, 4, 4, 8))
-    cases = [(1, n2_kernel), (1, n6_set), (1, wrong_size), (0, no_zero), (1, duplicated)]
-    for k, bad in cases:
-        members = [spread[0], bad] if k else [bad, spread[0]]
+    n6_subspace = Subspace(6, (1, 2, 4))
+    for bad in (n2_kernel, n6_subspace):
         with pytest.raises(ConstructionRejected) as caught:
-            from_spread(members, plus_type=False)
-        assert str(caught.value) == f"member {k} is not 4 vectors of F_2^4 with 0"
+            from_spread([spread[0], bad], plus_type=False)
+        assert str(caught.value) == f"member 1 is a subspace of F_2^{bad.n}, not of F_2^4"
+    # a member of the wrong size, without zero or with a repeated vector
+    # cannot be built: n/2 independent vectors span exactly 2^(n/2), 0 among them
+    for basis in [(0, 5, 10), (1, 2, 3, 4), (0, 4, 4, 8), (5,), (0, 5), (4, 4)]:
+        with pytest.raises(SpreadbentError) as caught:
+            Subspace(4, basis)
+        assert str(caught.value) == f"expected 2 independent ints in [0, 2^4), got {basis}"
 
 
 def test_format_anf_degenerate():

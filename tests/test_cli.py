@@ -14,11 +14,19 @@ import pytest
 
 import spreadbent
 from spreadbent import cli, families
-from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
+from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent, walsh_spectra
 from spreadbent.cli import main
 from spreadbent.errors import ConstructionRejected, SpreadbentError
-from spreadbent.families import TAG_ONE, Catalog, candidate_pool, desarguesian_spread, enumerate_families
+from spreadbent.families import (
+    TAG_ONE,
+    Catalog,
+    bent_from_kernels,
+    candidate_pool,
+    desarguesian_spread,
+    enumerate_families,
+)
 from spreadbent.gf2e import FieldSpec, field
+from spreadbent.lrs import Subspace
 from spreadbent.poly import gauss_count, parse_poly, poly
 from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
@@ -143,7 +151,29 @@ def test_build_by_polys_exit_codes(capsys, l, b, polys, code, err):
 # (gf2e.field's "no irreducible of degree l found" cannot be reached.)
 INPUT_ERRORS = {
     "TruthTable": (lambda: TruthTable(2, 1 << 4), "expected an int of 4 bits for n=2"),
+    "TruthTable.negative-arity": (lambda: TruthTable(-1, 0), "expected an arity n >= 0, got n=-1"),
     "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
+    "TruthTable.from_support": (lambda: TruthTable.from_support(4, [-1]),
+                                "expected a support of indices >= 0, got -1"),
+    "walsh_spectra": (lambda: walsh_spectra([]),
+                      "expected one or more tables of one arity, got n=[]"),
+    "bent_from_kernels": (lambda: bent_from_kernels([], "PS-", []),
+                          "expected one or more tables of one arity, got n=[]"),
+    # a Subspace checks its basis, so no spread member can hold -1 or 16
+    "Subspace.vector-list": (lambda: Subspace(4, (0, 1, 2, -1)),
+                             "expected 2 independent ints in [0, 2^4), got (0, 1, 2, -1)"),
+    "Subspace.negative-basis-vector": (lambda: Subspace(4, (1, -2)),
+                                       "expected 2 independent ints in [0, 2^4), got (1, -2)"),
+    "Subspace.vector-too-large": (lambda: Subspace(4, (1, 16)),
+                                  "expected 2 independent ints in [0, 2^4), got (1, 16)"),
+    "Subspace.dependent": (lambda: Subspace(6, (3, 5, 6)),
+                           "expected 3 independent ints in [0, 2^6), got (3, 5, 6)"),
+    "Subspace.wrong-length": (lambda: Subspace(4, (1, 2, 4)),
+                              "expected 2 independent ints in [0, 2^4), got (1, 2, 4)"),
+    "Subspace.odd-arity": (lambda: Subspace(3, (1,)),
+                           "a subspace needs an even arity n >= 2, got n=3"),
+    "Subspace.arity-below-2": (lambda: Subspace(0, ()),
+                               "a subspace needs an even arity n >= 2, got n=0"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
     "field": (lambda: field(0), "extension degree must be positive, got 0"),
     "poly": (lambda: poly(field(1), (1, 2)),

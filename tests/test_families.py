@@ -16,7 +16,7 @@ import pytest
 
 from gf2_reference import gf2_basis
 from spreadbent import families
-from spreadbent.boolfun import algebraic_degree, anf, walsh_transform
+from spreadbent.boolfun import TruthTable, algebraic_degree, anf, walsh_transform
 from spreadbent.cli import TABLES
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
@@ -37,7 +37,7 @@ from spreadbent.families import (
     verify_desarguesian_equivalence,
 )
 from spreadbent.gf2e import field
-from spreadbent.lrs import Subspace, build_matrix, kernel
+from spreadbent.lrs import build_matrix, kernel
 from spreadbent.poly import closed_form_family_count, one, poly, poly_gcd
 
 GF2 = field(1)
@@ -585,12 +585,11 @@ def test_batch_rejection_names_the_non_flat_family(monkeypatch):
         catalog.build(items)
 
 
-def test_bent_from_kernels_rejects_non_flat_spectrum():
-    # Two 4-sets meeting only in zero pass every size check, but they are
-    # not subspaces and their union minus zero is not bent.
-    fake = [
-        Subspace(n=4, vectors=(0, 1, 2, 4)),
-        Subspace(n=4, vectors=(0, 3, 5, 6)),
-    ]
+def test_bent_from_kernels_rejects_non_flat_spectrum(monkeypatch):
+    # Every family of checked subspaces that passes from_spread is bent, so
+    # the flat check, the independent bent certificate, is reached through
+    # a from_spread that hands back a table that is not bent.
+    spread = [kernel(build_matrix(poly(GF2, c), 2)) for c in [(1, 0, 1), (1, 1, 1)]]
+    monkeypatch.setattr(families, "from_spread", lambda members, plus_type: TruthTable(4, 0b111))
     with pytest.raises(ConstructionRejected, match="family 7 produced a non-flat spectrum"):
-        bent_from_kernels([fake], "PS-", [7])
+        bent_from_kernels([spread], "PS-", [7])

@@ -8,8 +8,10 @@ _reduce inside poly_gcd; poly_mul itself is checked against a schoolbook
 product through fe_mul. The catalog reference scans every index tuple, so it shares no
 code with the clique walk. The EA test checks the development rank's
 EA-invariance on catalog functions, the property the classification rests
-on, and the last test checks from_spread's mask union against the set
-union of the kernels.
+on. The from_spread tests check its mask union against the set union of
+the kernels, and map catalog spreads through invertible matrices, basis
+vector by basis vector, to check Subspace's span, mask and equality
+against brute force.
 """
 
 import functools
@@ -24,12 +26,14 @@ from spreadbent.families import (
     TAG_IRREDUCIBLE,
     TAG_PRODUCT,
     CandidatePool,
+    bent_from_kernels,
     candidate_pool,
     coprime_subsets,
     enumerate_families,
 )
 from spreadbent.gf2e import FieldSpec, fe_inv, fe_mul, field
 from spreadbent.lrs import (
+    Subspace,
     build_matrix,
     kernel,
     sylvester_resultant_nonzero,
@@ -329,3 +333,37 @@ def test_from_spread_is_the_support_of_the_union(shape, plus, data):
     if not plus:
         union.discard(0)
     assert from_spread(spread, plus) == TruthTable.from_support(2 * l * b, union)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(MASK_CATALOGS), st.booleans(), st.data())
+def test_subspace_images_under_invertible_maps(shape, plus, data):
+    """A catalog spread mapped by an invertible A, one basis vector at a
+    time, is a spread of the same type whose function g has g(Ax) = f(x)."""
+    l, b, e_inf = shape
+    catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus, e_inf)
+    assume(catalog.size)
+    n = 2 * l * b
+    rows = data.draw(invertible_matrices(n))
+
+    def image(x):
+        return sum(parity(row & x) << i for i, row in enumerate(rows))
+
+    item = next(catalog.walk(data.draw(st.integers(0, catalog.size - 1))))
+    spread = [catalog.pool.kernels[i] for i in item[1]]
+    images = [Subspace(n, tuple(image(v) for v in s.basis)) for s in spread]
+    for s in images:
+        span = {
+            functools.reduce(int.__xor__, combo, 0)
+            for r in range(len(s.basis) + 1)
+            for combo in itertools.combinations(s.basis, r)
+        }
+        assert s.vectors == tuple(sorted(span))
+        assert s.mask == sum(1 << v for v in span)
+        # the same span from another basis (at m = 1 there is no other)
+        basis = s.basis[:-1] + (s.basis[-1] ^ s.basis[0],) if len(s.basis) > 1 else s.basis
+        other = Subspace(n, basis)
+        assert other == s and hash(other) == hash(s)
+    (f,), _ = catalog.build([item])
+    (g,), _ = bent_from_kernels([images], catalog.spread_type, [item[0]])
+    assert all(g.bits >> image(x) & 1 == f.bits >> x & 1 for x in range(1 << n))
