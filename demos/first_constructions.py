@@ -64,7 +64,7 @@ for p, tag in zip(pool.members, pool.tags):
 
 for t in (4, 5):
     for fs in enumerate_families(pool, t):
-        tt, _ = build_bent(fs)
+        tt = build_bent(fs)
         print(f"  {manifest_line(fs)}")
         print(f"    hex={tt.hex()} weight={tt.weight()} "
               f"degree={algebraic_degree(anf(tt))}")

@@ -33,7 +33,7 @@ for t, label in ((8, "negative type"), (9, "positive type")):
     ranks = []
     extremal = {}
     for fs in families:
-        rank = development_rank(build_bent(fs)[0])
+        rank = development_rank(build_bent(fs))
         ranks.append(rank)
         extremal.setdefault(rank, fs)
 

@@ -28,14 +28,18 @@ from .errors import ConstructionRejected, SpreadbentError
 from .lrs import Subspace
 
 
+def _check_arity(n) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise SpreadbentError(f"expected an arity n >= 0, got n={n!r}")
+
+
 @dataclass(frozen=True)
 class _Bits:
     n: int
     bits: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise SpreadbentError(f"expected an arity n >= 0, got n={self.n!r}")
+        _check_arity(self.n)
         if not isinstance(self.bits, int) or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise SpreadbentError(f"expected an int of {1 << self.n} bits for n={self.n}")
 
@@ -53,6 +57,7 @@ class TruthTable(_Bits):
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
+        _check_arity(n)
         digits = max(1 << n >> 2, 1)
         if len(text) != digits or not set(text) <= set(string.hexdigits):
             raise SpreadbentError(f"expected {digits} hex digits for n={n}")

@@ -172,16 +172,16 @@ def cmd_build(args):
             return 2
         item = next(catalog.walk(args.family_id))
         fs = catalog.family(*item)
-        (tt,), (spectrum,) = catalog.build([item])
+        (tt,) = catalog.build([item])
     else:
         polys = tuple(parse_poly(spec, text) for text in args.polys.split(";"))
         fs = FamilySpec(
             l=args.l, b=args.b, polys=polys,
             spread_type="PS+" if plus else "PS-", family_id=-1,
         )
-        tt, spectrum = build_bent(fs)
+        tt = build_bent(fs)
     # the CSV's analysis columns, with bent and anf printed before rank
-    fields = list(zip(CSV_HEADER[5:], analyze(tt, spectrum)))
+    fields = list(zip(CSV_HEADER[5:], analyze(tt)))
     fields[4:4] = [("bent", "true"), ("anf", format_anf(anf(tt)))]
     print(manifest_line(fs))
     for key, value in fields:
@@ -332,7 +332,7 @@ def _check_window2_catalog():
     for spread_type, t, want in (("PS-", 8, (165, 3, 6)), ("PS+", 9, (55, 6, 3))):
         catalog = enumerate_families(pool, t)
         items = list(catalog.walk())
-        supports = {tt.bits for tt in catalog.build(items)[0]}
+        supports = {tt.bits for tt in catalog.build(items)}
         no_product = with_square = without_square = 0
         for _, combo in items:
             tags = [pool.tags[i] for i in combo]
@@ -362,7 +362,7 @@ def _check_window3_catalog():
     for catalog in (minus, plus):
         want_weight = 32 + (4 if catalog.spread_type == "PS+" else -4)
         items = list(catalog.walk())
-        for (fid, _), tt in zip(items, catalog.build(items)[0]):
+        for (fid, _), tt in zip(items, catalog.build(items)):
             if tt.weight() != want_weight:
                 return False, f"family {fid} weight {tt.weight()}"
             if algebraic_degree(anf(tt)) != 3:

@@ -48,15 +48,18 @@ of lookups solves each pool and counts each catalog once. A catalog
 builds its functions from those kernels, many families per call
 (bent_from_kernels): from_spread's union-size check confirms once more
 that each family's kernels meet pairwise only in zero, and one stacked
-Walsh product checks every spectrum of the batch flat. A sweep batch, a
+Walsh product checks every spectrum of the batch flat. Only the checked
+tables leave that call; the spectra stay inside it. A sweep batch, a
 whole verify catalog and a single lookup all go through that one call.
 The l=4, b=2 catalogs (n=16) are refused: their count alone needs about
 2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it solves their
 kernels and sends them through that same call, with no check of its own.
-analyze reads a checked function's fields, and sweep analyzes catalogs into
-CSV rows, in catalog order, yielding each as its batch arrives: the one path
-that build, table1/table2 and the acceptance goldens run.
+analyze reads a checked function's fields from its table alone: the flat
+check fixed max|W| = 2^m, so the nonlinearity is 2^(n-1) - 2^(m-1) with no
+second transform. sweep analyzes catalogs into CSV rows, in catalog order,
+yielding each as its batch arrives: the one path that build, table1/table2
+and the acceptance goldens run.
 """
 
 from __future__ import annotations
@@ -68,17 +71,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .boolfun import (
-    TruthTable,
-    algebraic_degree,
-    anf,
-    from_spread,
-    is_flat,
-    nonlinearity,
-    walsh_spectra,
-)
+from .boolfun import TruthTable, algebraic_degree, anf, from_spread, is_flat, walsh_spectra
 from .errors import ConstructionRejected, SpreadbentError
 from .gf2e import FieldSpec, fe_mul, field
 from .lrs import Subspace, build_matrix, build_partial_spread, kernel
@@ -145,6 +138,10 @@ class FamilySpec:
     polys: tuple[Poly, ...]
     spread_type: str  # "PS-" or "PS+"
     family_id: int
+
+    def __post_init__(self):
+        if self.spread_type not in ("PS-", "PS+"):
+            raise SpreadbentError(f"spread type must be 'PS-' or 'PS+', got {self.spread_type!r}")
 
     @property
     def m(self) -> int:
@@ -322,6 +319,8 @@ class Catalog:
 
     def walk(self, start=0):
         """(family_id, member indices) of each family from start >= 0 on."""
+        if start < 0:
+            raise SpreadbentError(f"a walk starts at a family id >= 0, got {start}")
         return enumerate(self._cliques.walk(start), start)
 
     def family(self, family_id: int, combo: tuple[int, ...]) -> FamilySpec:
@@ -333,16 +332,15 @@ class Catalog:
             family_id=family_id,
         )
 
-    def build(self, items) -> tuple[list[TruthTable], np.ndarray]:
-        """The checked functions of (family_id, member indices) pairs, as
-        bent_from_kernels returns them: the tables and the stacked
-        spectra, in the order of items."""
+    def build(self, items) -> list[TruthTable]:
+        """The checked bent tables of (family_id, member indices) pairs, in
+        the order of items, built by bent_from_kernels as one batch."""
         kernels = self.pool.kernels
         ids, spreads = [], []
         for family_id, combo in items:
             ids.append(family_id)
             spreads.append([kernels[i] for i in combo])
-        return bent_from_kernels(spreads, self.spread_type, ids)
+        return bent_from_kernels(spreads, self.spread_type == "PS+", ids)
 
     def __len__(self):
         return self.size
@@ -385,43 +383,45 @@ def nonzero_constant_members(pool: CandidatePool) -> list[Poly]:
 
 
 def bent_from_kernels(
-    spreads: list[list[Subspace]], spread_type: str, family_ids: list[int]
-) -> tuple[list[TruthTable], np.ndarray]:
+    spreads: list[list[Subspace]], plus_type: bool, family_ids: list[int]
+) -> list[TruthTable]:
     """The checked constructor: one or more families' member kernels ->
-    their bent tables and the k x 2^n array of their spectra.
+    their bent tables, in order.
 
-    from_spread checks each family's member count for spread_type ("PS-"
-    or "PS+"), every member's arity (a Subspace checks its own basis), and
-    the size of the union, t*(2^m - 1) + 1 just when the members meet
-    pairwise only in 0. One stacked Walsh transform then checks every
-    spectrum flat; a rejection names the first non-flat family by its entry
-    of family_ids.
+    from_spread checks each family's member count for the spread type
+    (positive when plus_type, as from_spread reads it), every member's
+    arity (a Subspace checks its own basis), and the size of the union,
+    t*(2^m - 1) + 1 just when the members meet pairwise only in 0. One
+    stacked Walsh transform then checks every spectrum flat; a rejection
+    names the first non-flat family by its entry of family_ids. The
+    spectra go no further: the tables are the certificate's output.
     """
-    plus_type = spread_type == "PS+"
     tables = [from_spread(spread, plus_type) for spread in spreads]
-    spectra = walsh_spectra(tables)
-    flat = is_flat(spectra)
+    flat = is_flat(walsh_spectra(tables))
     if not flat.all():
         raise ConstructionRejected(
             f"family {family_ids[int(flat.argmin())]} produced a non-flat spectrum"
         )
-    return tables, spectra
+    return tables
 
 
-def build_bent(family: FamilySpec) -> tuple[TruthTable, np.ndarray]:
-    """The checked function of an ad-hoc family and its spectrum, from
-    scratch: kernels solved by build_partial_spread, then checked and
-    built by bent_from_kernels as a batch of one."""
+def build_bent(family: FamilySpec) -> TruthTable:
+    """The checked bent table of an ad-hoc family, from scratch: kernels
+    solved by build_partial_spread, then checked and built by
+    bent_from_kernels as a batch of one."""
     spread = build_partial_spread(list(family.polys), family.b)
-    (tt,), (spectrum,) = bent_from_kernels([spread], family.spread_type, [family.family_id])
-    return tt, spectrum
+    (tt,) = bent_from_kernels([spread], family.spread_type == "PS+", [family.family_id])
+    return tt
 
 
-def analyze(tt: TruthTable, spectrum: np.ndarray) -> tuple:
+def analyze(tt: TruthTable) -> tuple:
     """The CSV analysis fields of a checked function: hex table, weight,
     degree, nonlinearity, development rank and classification."""
+    n, m = tt.n, tt.n // 2
     degree, rank = algebraic_degree(anf(tt)), development_rank(tt)
-    return tt.hex(), tt.weight(), degree, nonlinearity(spectrum), rank, classify(rank, tt.n // 2)
+    # bent_from_kernels' flat check certified max|W| = 2^m, which fixes
+    # the nonlinearity 2^(n-1) - max|W|/2
+    return tt.hex(), tt.weight(), degree, (1 << (n - 1)) - (1 << (m - 1)), rank, classify(rank, m)
 
 
 _WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
@@ -439,8 +439,8 @@ def _rows(catalog: Catalog, start: int) -> list[list]:
     items = list(itertools.islice(catalog.walk(start), BATCH))
     return [
         [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo),
-         *analyze(tt, spectrum)]
-        for (fid, combo), tt, spectrum in zip(items, *catalog.build(items))
+         *analyze(tt)]
+        for (fid, combo), tt in zip(items, catalog.build(items))
     ]
 
 

@@ -35,6 +35,18 @@ from dataclasses import dataclass
 
 from .errors import SpreadbentError
 
+# Each degree doubles a spec's 3*2^l-entry tables; supported shapes need
+# l <= 8 (n = 2*l*b <= 16), and GF(2^16) is the largest built.
+MAX_DEGREE = 16
+
+
+def _check_degree(l: int) -> None:
+    if l < 1:
+        raise SpreadbentError(f"extension degree must be positive, got {l}")
+    if l > MAX_DEGREE:
+        raise SpreadbentError(f"extension degree {l} exceeds the supported maximum {MAX_DEGREE}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The field GF(2^l) with its defining polynomial."""
@@ -46,6 +58,7 @@ class FieldSpec:
     log: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_degree(self.l)
         exp, log = _exp_log_tables(self.l, self.modulus)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "log", log)
@@ -104,8 +117,7 @@ def field(l: int) -> FieldSpec:
     search. The spec, tables included, is built once per degree and shared
     by every caller.
     """
-    if l < 1:
-        raise SpreadbentError(f"extension degree must be positive, got {l}")
+    _check_degree(l)
     for f in range(1 << l, 1 << (l + 1)):
         if f & 1 and _bitpoly_irreducible(f, l):
             return FieldSpec(l, f)

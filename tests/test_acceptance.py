@@ -49,7 +49,7 @@ def analyze_catalog(spec, b, t):
     """Build every catalog function at these parameters: (family, table)."""
     catalog = enumerate_families(candidate_pool(spec, b), t)
     items = list(catalog.walk())
-    return [(catalog.family(*item), tt) for item, tt in zip(items, catalog.build(items)[0])]
+    return [(catalog.family(*item), tt) for item, tt in zip(items, catalog.build(items))]
 
 
 def with_ranks(records, rows):
@@ -199,7 +199,7 @@ def test_universal_bent_properties(window1_minus, window2_both):
     plus_catalog = enumerate_families(candidate_pool(field(4), 1), 9)
     for fid in [*range(25), *range(0, plus_catalog.size, 500)]:
         fs = plus_catalog[fid]
-        (tt,), _ = plus_catalog.build([next(plus_catalog.walk(fid))])
+        (tt,) = plus_catalog.build([next(plus_catalog.walk(fid))])
         _check_universal(fs, tt)
         counts[(fs.n, fs.spread_type)] += 1
     for n in (4, 6, 8):

@@ -319,7 +319,7 @@ def sorted_anf_text(a):
 def test_format_anf_matches_sorted_rendering_on_catalogs(l, b, t):
     # both table2 catalogs and both window-3 catalogs, every function
     catalog = enumerate_families(candidate_pool(field(l), b), t)
-    for tt in catalog.build(catalog.walk())[0]:
+    for tt in catalog.build(catalog.walk()):
         a = anf(tt)
         assert format_anf(a) == sorted_anf_text(a)
 

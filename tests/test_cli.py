@@ -20,6 +20,7 @@ from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
     TAG_ONE,
     Catalog,
+    FamilySpec,
     bent_from_kernels,
     candidate_pool,
     desarguesian_spread,
@@ -153,11 +154,13 @@ INPUT_ERRORS = {
     "TruthTable": (lambda: TruthTable(2, 1 << 4), "expected an int of 4 bits for n=2"),
     "TruthTable.negative-arity": (lambda: TruthTable(-1, 0), "expected an arity n >= 0, got n=-1"),
     "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
+    "TruthTable.from_hex.negative-arity": (lambda: TruthTable.from_hex(-1, "0"),
+                                           "expected an arity n >= 0, got n=-1"),
     "TruthTable.from_support": (lambda: TruthTable.from_support(4, [-1]),
                                 "expected a support of indices >= 0, got -1"),
     "walsh_spectra": (lambda: walsh_spectra([]),
                       "expected one or more tables of one arity, got n=[]"),
-    "bent_from_kernels": (lambda: bent_from_kernels([], "PS-", []),
+    "bent_from_kernels": (lambda: bent_from_kernels([], False, []),
                           "expected one or more tables of one arity, got n=[]"),
     # a Subspace checks its basis, so no spread member can hold -1 or 16
     "Subspace.vector-list": (lambda: Subspace(4, (0, 1, 2, -1)),
@@ -176,6 +179,14 @@ INPUT_ERRORS = {
                                "a subspace needs an even arity n >= 2, got n=0"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
     "field": (lambda: field(0), "extension degree must be positive, got 0"),
+    "field.above-16": (lambda: field(17), "extension degree 17 exceeds the supported maximum 16"),
+    "FieldSpec.above-16": (lambda: FieldSpec(17, 0x2000b),
+                           "extension degree 17 exceeds the supported maximum 16"),
+    "FamilySpec.spread-type": (lambda: FamilySpec(1, 2, (), "XX", -1),
+                               "spread type must be 'PS-' or 'PS+', got 'XX'"),
+    "Catalog.walk.negative-start": (
+        lambda: enumerate_families(candidate_pool(field(1), 2), 2).walk(-1),
+        "a walk starts at a family id >= 0, got -1"),
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
     "parse_poly": (lambda: parse_poly(field(1), "[1,,1]"), "cannot parse polynomial '[1,,1]'"),
@@ -536,9 +547,9 @@ class KillsAWorkerOnTheFirstRow(io.StringIO):
 
 
 def test_dead_worker_exits_1_with_one_error_line(capsys, monkeypatch):
-    def slow_analyze(tt, spectrum):
+    def slow_analyze(tt):
         time.sleep(0.01)
-        return real(tt, spectrum)
+        return real(tt)
 
     real = families.analyze
     monkeypatch.setattr(families, "analyze", slow_analyze)

@@ -11,12 +11,18 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
 from gf2_reference import gf2_basis
 from spreadbent import families
-from spreadbent.boolfun import TruthTable, algebraic_degree, anf, walsh_transform
+from spreadbent.boolfun import (
+    TruthTable,
+    algebraic_degree,
+    anf,
+    is_bent,
+    nonlinearity,
+    walsh_transform,
+)
 from spreadbent.cli import TABLES
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
@@ -26,6 +32,7 @@ from spreadbent.families import (
     TAG_PRODUCT,
     TAG_SQUARE,
     TAG_XPOW,
+    analyze,
     bent_from_kernels,
     build_bent,
     candidate_pool,
@@ -272,7 +279,7 @@ def test_nonzero_constant_members():
 
 def test_build_bent_properties():
     for fs in enumerate_families(candidate_pool(GF2, 3), 4):
-        tt = build_bent(fs)[0]
+        tt = build_bent(fs)
         assert tt.n == 6
         assert tt.weight() == 2**5 - 2**2
         assert algebraic_degree(anf(tt)) == 3
@@ -356,15 +363,27 @@ def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
     pool = candidate_pool(field(l), b, include_e_infinity=e_inf)
     catalog = enumerate_families(pool, (1 << (l * b - 1)) + plus)
     items = list(catalog.walk())
-    tables, spectra = catalog.build(items)
-    assert len(tables) == len(spectra) == catalog.size > 0
-    for (fid, combo), tt, spectrum in zip(items, tables, spectra):
+    tables = catalog.build(items)
+    assert len(tables) == catalog.size > 0
+    for (fid, combo), tt in zip(items, tables):
         fs = catalog[fid]
         assert fs == catalog.family(fid, combo)
-        assert tt == build_bent(fs)[0]
-        assert np.array_equal(spectrum, walsh_transform(tt))
+        assert tt == build_bent(fs)
+        assert is_bent(tt)
         # a batch of one builds the same function
-        assert catalog.build([(fid, combo)])[0] == [tt]
+        assert catalog.build([(fid, combo)]) == [tt]
+
+
+@pytest.mark.parametrize("l, b, t, step", [
+    (2, 2, 8, 1), (2, 2, 9, 1), (1, 3, 4, 1), (1, 3, 5, 1), (4, 1, 8, 97), (4, 1, 9, 97),
+], ids=["table2-ps-", "table2-ps+", "window3-ps-", "window3-ps+", "window1-ps-", "window1-ps+"])
+def test_certified_nonlinearity_matches_the_measured_one(l, b, t, step):
+    # analyze derives the nonlinearity from the flat check's certificate;
+    # a transform of its own measures it: every step-th catalog function
+    catalog = enumerate_families(candidate_pool(field(l), b), t)
+    items = list(itertools.islice(catalog.walk(), 0, None, step))
+    for tt in catalog.build(items):
+        assert analyze(tt)[3] == nonlinearity(walsh_transform(tt))
 
 
 # Every catalog with l*b <= 4, as (l, b, include_e_infinity).
@@ -455,7 +474,7 @@ def test_catalog_pickles(command):
         for fid in (0, catalog.size // 3, catalog.size - 1):
             item = next(catalog.walk(fid))
             assert next(copy.walk(fid)) == item
-            assert copy.build([item])[0] == catalog.build([item])[0]
+            assert copy.build([item]) == catalog.build([item])
 
 
 def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
@@ -463,7 +482,7 @@ def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
     # fixed well below one byte per family of the 12870-family catalog
     pool = candidate_pool(GF16, 1)
     enumerate_families(pool, 8)  # the count memo is the catalog's, not the sweep's
-    monkeypatch.setattr(families, "analyze", lambda tt, spectrum: (0,) * 6)
+    monkeypatch.setattr(families, "analyze", lambda tt: (0,) * 6)
     tracemalloc.start()
     try:
         rows = sum(1 for _ in families.sweep(pool, (8,), 1))
@@ -498,7 +517,7 @@ def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
     real = ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
-    monkeypatch.setattr(families, "analyze", lambda tt, spectrum: (0,) * 6)
+    monkeypatch.setattr(families, "analyze", lambda tt: (0,) * 6)
     rows = [row[0] for row in families.sweep(candidate_pool(GF16, 1), (8,), 2)]
     assert rows == list(range(12870))
     assert [start for _, start in sent] == list(range(0, 12870, 64))
@@ -506,9 +525,9 @@ def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
 
 def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
     # a worker killed mid-sweep must end the sweep with an error, not hang it
-    def slow_analyze(tt, spectrum):
+    def slow_analyze(tt):
         time.sleep(0.01)
-        return real(tt, spectrum)
+        return real(tt)
 
     def hung(signum, frame):
         raise TimeoutError("the sweep hung after its worker died")
@@ -558,15 +577,15 @@ def test_interleaved_sweeps_keep_their_own_catalogs():
 def test_bent_from_kernels_checks():
     catalog = enumerate_families(candidate_pool(GF2, 2), 2)
     spread = [catalog.pool.kernels[i] for i in next(catalog.walk())[1]]
-    (tt,), (spectrum,) = bent_from_kernels([spread], "PS-", [0])
-    assert tt.hex() == build_bent(catalog[0])[0].hex()
-    assert np.array_equal(spectrum, walsh_transform(tt))
+    (tt,) = bent_from_kernels([spread], False, [0])
+    assert tt.hex() == build_bent(catalog[0]).hex()
+    assert is_bent(tt)
     with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
-        bent_from_kernels([spread, [spread[0], spread[0]]], "PS-", [0, 1])
+        bent_from_kernels([spread, [spread[0], spread[0]]], False, [0, 1])
     with pytest.raises(ConstructionRejected, match="need 2 members"):
-        bent_from_kernels([spread[:1]], "PS-", [0])
+        bent_from_kernels([spread[:1]], False, [0])
     with pytest.raises(ConstructionRejected, match="need 3 members"):
-        bent_from_kernels([spread], "PS+", [0])
+        bent_from_kernels([spread], True, [0])
 
 
 def test_batch_rejection_names_the_non_flat_family(monkeypatch):
@@ -592,4 +611,4 @@ def test_bent_from_kernels_rejects_non_flat_spectrum(monkeypatch):
     spread = [kernel(build_matrix(poly(GF2, c), 2)) for c in [(1, 0, 1), (1, 1, 1)]]
     monkeypatch.setattr(families, "from_spread", lambda members, plus_type: TruthTable(4, 0b111))
     with pytest.raises(ConstructionRejected, match="family 7 produced a non-flat spectrum"):
-        bent_from_kernels([spread], "PS-", [7])
+        bent_from_kernels([spread], False, [7])

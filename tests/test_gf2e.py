@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from spreadbent import gf2e
 from spreadbent.errors import SpreadbentError
 from spreadbent.gf2e import (
+    MAX_DEGREE,
     FieldSpec,
     _bitpoly_mulmod,
     describe,
@@ -99,6 +101,25 @@ def test_tables_stay_out_of_equality_and_repr():
     assert fresh == spec and hash(fresh) == hash(spec)
     assert repr(spec) == "FieldSpec(l=8, modulus=283)"
     assert spec.exp[1] == 3  # alpha has order 51 under 0x11B, so g = 3
+
+
+@pytest.mark.parametrize("build", [lambda: field(40), lambda: FieldSpec(17, 0x2000B)],
+                         ids=["field-40", "FieldSpec-17"])
+def test_degree_above_the_maximum_is_refused_before_any_work(monkeypatch, build):
+    # field(40) once searched for an irreducible and then built 2^41-entry
+    # tables: neither the search nor the tables may start
+    def forbidden(*args):
+        raise AssertionError("a refused degree must not reach the search or the tables")
+
+    monkeypatch.setattr(gf2e, "_bitpoly_irreducible", forbidden)
+    monkeypatch.setattr(gf2e, "_exp_log_tables", forbidden)
+    with pytest.raises(SpreadbentError, match="exceeds the supported maximum 16$"):
+        build()
+
+
+def test_largest_degree_builds():
+    spec = field(MAX_DEGREE)
+    assert fe_mul(spec, spec.exp[1], fe_inv(spec, spec.exp[1])) == 1
 
 
 def test_reducible_modulus_rejected():
