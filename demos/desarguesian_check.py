@@ -15,20 +15,19 @@ from spreadbent.families import (
 )
 from spreadbent.gf2e import field
 from spreadbent.lrs import build_matrix, kernel
-from spreadbent.poly import format_poly
+from spreadbent.poly import format_poly, one
 
 spec = field(2)
 graphs = desarguesian_spread(2)
 
 print("m = 2: kernels of a + X against multiplication graphs")
-pool = candidate_pool(spec, 1, include_e_infinity=True)
-for p, tag in zip(pool.members, pool.tags):
+# the pool holds the q maps a + X, X itself for a = 0; the constant 1,
+# whose kernel is the last spread member E_inf, is added by hand
+pool = candidate_pool(spec, 1)
+members = [(p, graphs[p.coeffs[0]], f"E_{p.coeffs[0]}") for p in pool.members]
+members.append((one(spec), graphs[-1], "E_inf"))
+for p, graph, name in members:
     ker = kernel(build_matrix(p, 1))
-    if tag == "constant-one":
-        graph, name = graphs[-1], "E_inf"
-    else:
-        a = p.coeffs[0] if p.degree == 1 else None
-        graph, name = graphs[a], f"E_{a}"
     status = "==" if ker.vectors == graph.vectors else "!="
     print(f"  ker({format_poly(p)}) = {ker.vectors} {status} {name}")
 

@@ -148,7 +148,7 @@ def _resolve_jobs(requested):
 
 def cmd_polys(args):
     spec = field(args.l)
-    pool = candidate_pool(spec, args.b, include_e_infinity=args.include_e_infinity)
+    pool = candidate_pool(spec, args.b)
     breakdown = ", ".join(f"{tag}: {n}" for tag, n in Counter(pool.tags).items())
     print(f"# pool {describe(spec)} b={args.b}: {len(pool.members)} members ({breakdown})")
     for p, tag in zip(pool.members, pool.tags):
@@ -160,7 +160,7 @@ def cmd_build(args):
     spec = field(args.l)
     plus = args.type == "ps+"
     if args.family_id is not None:
-        pool = candidate_pool(spec, args.b, include_e_infinity=args.include_e_infinity)
+        pool = candidate_pool(spec, args.b)
         catalog = enumerate_families(pool, (1 << (args.l * args.b - 1)) + plus)
         if not 0 <= args.family_id < catalog.size:
             print(
@@ -196,7 +196,7 @@ def cmd_table(args):
     l, b, sizes = TABLES[args.command]
     try:
         with _destination(args.out) as out:
-            pool = candidate_pool(field(l), b, include_e_infinity=getattr(args, "include_e_infinity", False))
+            pool = candidate_pool(field(l), b)
             with contextlib.closing(sweep(pool, sizes, jobs)) as rows:
                 if args.format == "csv":
                     write_csv(rows, out)
@@ -416,8 +416,6 @@ def _build_parser():
         if type_flag:
             p.add_argument("--type", choices=("ps-", "ps+"), default="ps-",
                            help="spread type (default ps-)")
-        p.add_argument("--include-e-infinity", action="store_true",
-                       help="admit the constant 1 into the window-1 pool")
 
     def add_output(p):
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
@@ -438,8 +436,6 @@ def _build_parser():
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("table1", help="rank distribution of the full window-1 catalog at n=8")
-    p.add_argument("--include-e-infinity", action="store_true",
-                   help="widen the pool with the constant 1 (off-catalog exploration)")
     add_output(p)
     p.set_defaults(func=cmd_table)
 

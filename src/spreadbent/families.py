@@ -4,8 +4,8 @@ A pool collects every feedback polynomial admitted at window size b over
 GF(2^l), each carrying a provenance tag:
 
   b=1   the q linear maps x -> ax + x': all monic linears a + X with a != 0,
-        plus X itself. The constant 1 (whose kernel is the complementary
-        coordinate subspace) is available behind include_e_infinity.
+        plus X itself, whose kernels are the graphs E_a of the Desarguesian
+        spread. Its one other member, E_inf = ker(1), is not in the pool.
   b=2   irreducible quadratics with nonzero constant term, squares of the
         admissible linears, products of two distinct admissible linears,
         and the window fillers 1 and X^2.
@@ -152,24 +152,26 @@ class FamilySpec:
         return 2 * self.m
 
 
-def candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool = False) -> CandidatePool:
+def _check_int(name: str, value) -> None:
+    # the memos key on value, where 2.0 == 2 and True == 1
+    if type(value) is not int:
+        raise SpreadbentError(f"{name} must be an int, got {value!r}")
+
+
+def candidate_pool(spec: FieldSpec, b: int) -> CandidatePool:
     """All admitted feedback polynomials at window size b, tagged by origin.
 
     Memoized for the life of the process: every spelling of one argument
-    set (positional, keyword or defaulted include_e_infinity) returns the
-    same pool object, so its kernels, kernel graph and catalogs are solved
-    once. A refused argument set raises and caches nothing.
+    set (positional or keyword) returns the same pool object, so its
+    kernels, kernel graph and catalogs are solved once. A refused argument
+    set raises and caches nothing.
     """
-    return _candidate_pool(spec, b, include_e_infinity)
+    _check_int("window size b", b)
+    return _candidate_pool(spec, b)
 
 
 @functools.cache
-def _candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool) -> CandidatePool:
-    if include_e_infinity and b != 1:
-        raise SpreadbentError(
-            f"include_e_infinity applies to window size b=1 only, got b={b}: "
-            "the b=2 and b=3 pools always hold the constant 1"
-        )
+def _candidate_pool(spec: FieldSpec, b: int) -> CandidatePool:
     members: list[Poly] = []
     tags: list[str] = []
 
@@ -180,9 +182,6 @@ def _candidate_pool(spec: FieldSpec, b: int, include_e_infinity: bool) -> Candid
 
     if b == 1:
         add(enumerate_irreducibles(spec, 1), TAG_IRREDUCIBLE)
-        if include_e_infinity:
-            members.append(one(spec))
-            tags.append(TAG_ONE)
         members.append(x_power(spec, 1))
         tags.append(TAG_XPOW)
     elif b == 2:
@@ -366,6 +365,7 @@ def enumerate_families(pool: CandidatePool, t: int) -> Catalog:
     the pool is, so its count memo serves every later lookup. A refused
     size raises and caches nothing.
     """
+    _check_int("family size t", t)
     catalog = pool._catalogs.get(t)
     if catalog is None:
         catalog = pool._catalogs[t] = Catalog(pool, t)
@@ -416,12 +416,19 @@ def build_bent(family: FamilySpec) -> TruthTable:
 
 def analyze(tt: TruthTable) -> tuple:
     """The CSV analysis fields of a checked function: hex table, weight,
-    degree, nonlinearity, development rank and classification."""
-    n, m = tt.n, tt.n // 2
+    degree, nonlinearity, development rank and classification.
+
+    A table that cannot be bent, of odd arity or below 2 or of a weight
+    other than 2^(n-1) -+ 2^(m-1), is refused. Any other must come from
+    bent_from_kernels: the nonlinearity is read off its flat check.
+    """
+    n, m, weight = tt.n, tt.n // 2, tt.weight()
+    if n < 2 or n % 2 or abs(weight - (1 << (n - 1))) != 1 << (m - 1):
+        raise SpreadbentError(f"no bent function of arity {n} has weight {weight}")
     degree, rank = algebraic_degree(anf(tt)), development_rank(tt)
     # bent_from_kernels' flat check certified max|W| = 2^m, which fixes
     # the nonlinearity 2^(n-1) - max|W|/2
-    return tt.hex(), tt.weight(), degree, (1 << (n - 1)) - (1 << (m - 1)), rank, classify(rank, m)
+    return tt.hex(), weight, degree, (1 << (n - 1)) - (1 << (m - 1)), rank, classify(rank, m)
 
 
 _WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from

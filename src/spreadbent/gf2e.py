@@ -59,6 +59,10 @@ class FieldSpec:
 
     def __post_init__(self):
         _check_degree(self.l)
+        if not isinstance(self.modulus, int) or self.modulus >> self.l != 1:
+            raise SpreadbentError(
+                f"modulus {self.modulus!r} is not a polynomial of degree {self.l}"
+            )
         exp, log = _exp_log_tables(self.l, self.modulus)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "log", log)

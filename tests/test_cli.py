@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -18,7 +19,6 @@ from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent, walsh
 from spreadbent.cli import main
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
-    TAG_ONE,
     Catalog,
     FamilySpec,
     bent_from_kernels,
@@ -178,12 +178,35 @@ INPUT_ERRORS = {
     "Subspace.arity-below-2": (lambda: Subspace(0, ()),
                                "a subspace needs an even arity n >= 2, got n=0"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
+    # a modulus of any other degree than l, or not an int, is refused
+    # before the tables are built
+    **{
+        f"FieldSpec.modulus-{name}": (
+            lambda l=l, modulus=modulus: FieldSpec(l, modulus),
+            f"modulus {modulus!r} is not a polynomial of degree {l}",
+        )
+        for name, l, modulus in (
+            ("negative", 2, -7), ("constant", 1, 1), ("zero", 2, 0), ("degree-below-l", 2, 0b11),
+            ("degree-above-l", 2, 0b1011), ("degree-above-l3", 3, 0b10011), ("float", 2, 7.0),
+        )
+    },
     "field": (lambda: field(0), "extension degree must be positive, got 0"),
     "field.above-16": (lambda: field(17), "extension degree 17 exceeds the supported maximum 16"),
     "FieldSpec.above-16": (lambda: FieldSpec(17, 0x2000b),
                            "extension degree 17 exceeds the supported maximum 16"),
     "FamilySpec.spread-type": (lambda: FamilySpec(1, 2, (), "XX", -1),
                                "spread type must be 'PS-' or 'PS+', got 'XX'"),
+    # the memos key on b and t, where 2.0 == 2 and True == 1
+    "candidate_pool.float-b": (lambda: candidate_pool(field(2), 2.0),
+                               "window size b must be an int, got 2.0"),
+    "candidate_pool.bool-b": (lambda: candidate_pool(field(4), True),
+                              "window size b must be an int, got True"),
+    "enumerate_families.float-t": (
+        lambda: enumerate_families(candidate_pool(field(1), 2), 2.0),
+        "family size t must be an int, got 2.0"),
+    "enumerate_families.bool-t": (
+        lambda: enumerate_families(candidate_pool(field(1), 1), True),
+        "family size t must be an int, got True"),
     "Catalog.walk.negative-start": (
         lambda: enumerate_families(candidate_pool(field(1), 2), 2).walk(-1),
         "a walk starts at a family id >= 0, got -1"),
@@ -207,15 +230,23 @@ def test_library_input_errors_are_spreadbent_errors(site):
     assert type(caught.value) is SpreadbentError
 
 
-@pytest.mark.parametrize("argv", [
-    ("polys", "--l", "2", "--b", "2"),
-    ("build", "--l", "2", "--b", "2", "--family-id", "5"),
-    ("polys", "--l", "1", "--b", "3"),
-], ids=["polys-b2", "build-b2", "polys-b3"])
-def test_include_e_infinity_refused_beyond_window_1(capsys, argv):
-    code, out, err = run(capsys, *argv, "--include-e-infinity")
-    assert (code, out) == (2, "")
-    assert "include_e_infinity applies to window size b=1 only" in err
+def test_non_int_sizes_leave_the_memos_to_the_int_calls(capsys):
+    # a refused 2.0 or True is never cached, so it cannot stand in for the
+    # int 2 or 1 that compares and hashes equal to it
+    for call in (lambda: candidate_pool(field(2), 2.0), lambda: candidate_pool(field(4), True)):
+        with pytest.raises(SpreadbentError, match="must be an int"):
+            call()
+    assert type(candidate_pool(field(2), 2).b) is int
+    code, out, _ = run(capsys, "build", "--l", "2", "--b", "2", "--family-id", "5")
+    assert code == 0 and out.startswith("id=5; l=2; b=2; type=PS-; ")
+    code, out, _ = run(capsys, "build", "--l", "4", "--b", "1", "--family-id", "0")
+    assert code == 0 and out.startswith("id=0; l=4; b=1; type=PS-; ")
+    pool = candidate_pool(field(4), 1)
+    wanted = list(itertools.islice(enumerate_families(pool, 8).walk(5), 3))
+    fresh = families.CandidatePool(pool.spec, pool.b, pool.members, pool.tags)
+    with pytest.raises(SpreadbentError, match="must be an int"):
+        enumerate_families(fresh, 8.0)
+    assert list(itertools.islice(enumerate_families(fresh, 8).walk(5), 3)) == wanted
 
 
 def test_build_family_id_out_of_range(capsys):
@@ -328,8 +359,7 @@ def no_rows():
     yield from ()
 
 
-@pytest.mark.parametrize("e_inf", [False, True], ids=["default", "include-e-infinity"])
-def test_table1_pool(capsys, monkeypatch, e_inf):
+def test_table1_pool(capsys, monkeypatch):
     # the arguments table1 hands the sweep, without running it
     calls = []
 
@@ -338,18 +368,31 @@ def test_table1_pool(capsys, monkeypatch, e_inf):
         return no_rows()
 
     monkeypatch.setattr(cli, "sweep", capture)
-    argv = ["table1", "--jobs", "1"] + ["--include-e-infinity"] * e_inf
-    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "table1", "--jobs", "1")[0] == 0
     [(pool, sizes)] = calls
     assert (pool.spec.l, pool.b, sizes) == (4, 1, (8,))
-    assert len(pool.members) == 16 + e_inf
-    assert pool.tags.count(TAG_ONE) == e_inf
+    assert pool is candidate_pool(field(4), 1)
+    assert len(pool.members) == 16
 
 
 def test_table2_refuses_include_e_infinity(capsys, guarded):
-    code, out, err = run(capsys, "table2", "--include-e-infinity")
-    assert (code, out) == (2, "")
-    assert "unrecognized arguments: --include-e-infinity" in err
+    # no subcommand takes the flag: the window-1 pool is the q maps a + X
+    for argv in (
+        ("polys", "--l", "4", "--b", "1"),
+        ("build", "--l", "4", "--b", "1", "--family-id", "0"),
+        ("table1",),
+        ("table2",),
+    ):
+        code, out, err = run(capsys, *argv, "--include-e-infinity")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --include-e-infinity" in err
+
+
+def test_e_infinity_is_an_ad_hoc_member(capsys):
+    # E_inf = ker(1) joins a family through --polys, as the member [1]
+    code, out, _ = run(capsys, "build", "--l", "2", "--b", "1", "--polys", "[1];[1,1]")
+    assert code == 0
+    assert "tt_hex=0ca9" in out.splitlines()
 
 
 def test_table2_histogram(capsys):

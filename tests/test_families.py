@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import math
 import multiprocessing
@@ -67,9 +68,6 @@ def test_window1_pool():
     pool = candidate_pool(GF16, 1)
     assert len(pool.members) == 16
     assert tag_counts(pool) == {TAG_IRREDUCIBLE: 15, TAG_XPOW: 1}
-    wide = candidate_pool(GF16, 1, include_e_infinity=True)
-    assert len(wide.members) == 17
-    assert tag_counts(wide)[TAG_ONE] == 1
 
 
 def test_window2_pool_gf4():
@@ -104,10 +102,6 @@ def test_pool_rejections():
         candidate_pool(GF4, 3)
     with pytest.raises(SpreadbentError, match="no candidate pool for b=4"):
         candidate_pool(GF2, 4)
-    # the b=2 and b=3 pools always hold 1, so the flag would change nothing
-    for spec, b in ((GF4, 2), (GF2, 2), (GF2, 3)):
-        with pytest.raises(SpreadbentError, match="window size b=1 only"):
-            candidate_pool(spec, b, include_e_infinity=True)
 
 
 def test_catalog_sizes():
@@ -144,8 +138,26 @@ def test_wide_window_catalog_at_n16_refused():
     assert time.perf_counter() - start < 1
 
 
-# (l, b, include_e_infinity) -> catalog sizes (PS-, PS+). At b=1 every
-# pair of distinct members is coprime, so every subset of the pool counts.
+@functools.cache
+def pool_of(l, b, e_inf=False):
+    """candidate_pool(field(l), b); with e_inf, the window-1 pool widened
+    by hand with the constant 1, ordered a + X, 1, X. The kernel of 1 is
+    E_inf, so the widened pool's kernels are the whole Desarguesian spread:
+    q + 1 members, every pair of them coprime."""
+    pool = candidate_pool(field(l), b)
+    if not e_inf:
+        return pool
+    assert b == 1
+    return families.CandidatePool(
+        pool.spec, b,
+        pool.members[:-1] + (one(pool.spec),) + pool.members[-1:],
+        pool.tags[:-1] + (TAG_ONE,) + pool.tags[-1:],
+    )
+
+
+# (l, b, e_inf) -> catalog sizes (PS-, PS+), e_inf as in pool_of. At b=1
+# every pair of distinct members is coprime, so every subset of the pool
+# counts.
 GRAPH_POOLS = {
     **{
         (l, 1, wide): (math.comb(q, q // 2), math.comb(q, q // 2 + 1))
@@ -161,7 +173,7 @@ GRAPH_POOLS = {
 
 @pytest.mark.parametrize("l,b,wide", sorted(GRAPH_POOLS))
 def test_kernel_graph_is_the_gcd_graph(l, b, wide):
-    pool = candidate_pool(field(l), b, include_e_infinity=wide)
+    pool = pool_of(l, b, wide)
     members = pool.members
     gcd_graph = tuple(
         sum(
@@ -350,7 +362,7 @@ def test_build_bent_rejects_overlapping_kernels(l, b, coeff_lists, pair):
         build_bent(fs)
 
 
-# Every catalog small enough to rebuild from scratch, as (l, b, include_e_infinity).
+# Every catalog small enough to rebuild from scratch, as (l, b, e_inf).
 SMALL_CATALOGS = [
     (1, 2, False), (2, 2, False), (1, 3, False), (2, 1, False), (3, 1, False),
     (1, 1, True), (2, 1, True), (3, 1, True),
@@ -360,7 +372,7 @@ SMALL_CATALOGS = [
 @pytest.mark.parametrize("plus", [False, True], ids=["ps-", "ps+"])
 @pytest.mark.parametrize("l,b,e_inf", SMALL_CATALOGS)
 def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
-    pool = candidate_pool(field(l), b, include_e_infinity=e_inf)
+    pool = pool_of(l, b, e_inf)
     catalog = enumerate_families(pool, (1 << (l * b - 1)) + plus)
     items = list(catalog.walk())
     tables = catalog.build(items)
@@ -386,7 +398,18 @@ def test_certified_nonlinearity_matches_the_measured_one(l, b, t, step):
         assert analyze(tt)[3] == nonlinearity(walsh_transform(tt))
 
 
-# Every catalog with l*b <= 4, as (l, b, include_e_infinity).
+@pytest.mark.parametrize("n, bits, weight", [(4, 1, 1), (6, 3, 2), (3, 1, 1), (0, 1, 1)],
+                         ids=["n4-weight1", "n6-weight2", "odd-arity", "arity-0"])
+def test_analyze_refuses_a_table_that_cannot_be_bent(n, bits, weight):
+    # the certified nonlinearity 2^(n-1) - 2^(m-1) holds for bent tables
+    # only: 6, 28 and 3 were reported for the first three, which measure
+    # 1, 2 and 1
+    message = f"^no bent function of arity {n} has weight {weight}$"
+    with pytest.raises(SpreadbentError, match=message):
+        analyze(TruthTable(n, bits))
+
+
+# Every catalog with l*b <= 4, as (l, b, e_inf).
 WALK_CATALOGS = SMALL_CATALOGS + [(1, 1, False), (4, 1, False), (4, 1, True)]
 
 
@@ -396,8 +419,7 @@ def test_walk_from_every_start(l, b, e_inf, plus):
     # the walk from any start is the full walk's suffix: whole suffixes
     # from every start up to a few hundred families; in the n=8 catalogs
     # the first 8 families from every start, and whole suffixes from three
-    catalog = enumerate_families(candidate_pool(field(l), b, include_e_infinity=e_inf),
-                                 (1 << (l * b - 1)) + plus)
+    catalog = enumerate_families(pool_of(l, b, e_inf), (1 << (l * b - 1)) + plus)
     full = list(catalog.walk())
     assert [fid for fid, _ in full] == list(range(catalog.size))
     span = catalog.size if catalog.size <= 500 else 8
@@ -425,12 +447,9 @@ def test_pools_and_catalogs_are_memoized():
     pool = candidate_pool(GF4, 2)
     assert candidate_pool(GF4, b=2) is pool
     assert candidate_pool(spec=field(2), b=2) is pool
-    wide = candidate_pool(GF16, 1, include_e_infinity=True)
-    assert candidate_pool(GF16, 1, True) is wide
-    narrow = candidate_pool(GF16, 1)
-    assert narrow is not wide
-    assert candidate_pool(GF16, 1, False) is narrow
-    assert candidate_pool(GF16, 1, include_e_infinity=False) is narrow
+    window1 = candidate_pool(GF16, 1)
+    assert candidate_pool(GF16, b=1) is window1
+    assert candidate_pool(spec=GF16, b=1) is window1
     catalog = enumerate_families(pool, 8)
     assert enumerate_families(pool, 8) is catalog
     assert enumerate_families(candidate_pool(GF4, 2), 9) is not catalog
@@ -448,13 +467,13 @@ def test_catalog_memo_lives_on_its_pool():
 
 def test_refused_shapes_cache_nothing():
     cached = families._candidate_pool.cache_info().currsize
-    for spec, b, wide in ((GF4, 3, False), (GF2, 4, False), (GF4, 2, True), (GF2, 3, True)):
+    for spec, b in ((GF4, 3), (GF2, 4), (GF4, 2.0), (GF16, True)):
         with pytest.raises(SpreadbentError):
-            candidate_pool(spec, b, include_e_infinity=wide)
+            candidate_pool(spec, b)
     assert families._candidate_pool.cache_info().currsize == cached
     memo = candidate_pool(GF16, 2)
     pool = families.CandidatePool(memo.spec, memo.b, memo.members, memo.tags)
-    for t in (128, 129, 7):
+    for t in (128, 129, 7, 128.0, True):
         with pytest.raises(SpreadbentError):
             enumerate_families(pool, t)
     assert pool._catalogs == {}

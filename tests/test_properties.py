@@ -198,7 +198,6 @@ def test_gf2_sylvester_and_kernels_agree_with_gcd(case):
 CATALOG_POOLS = [
     candidate_pool(field(2), 2),
     candidate_pool(field(3), 1),
-    candidate_pool(field(3), 1, include_e_infinity=True),
     candidate_pool(field(4), 1),
 ]
 
@@ -271,8 +270,8 @@ EA_CATALOGS = [(2, 2, 8), (2, 2, 9), (1, 3, 4), (1, 3, 5)]
 
 
 @functools.cache
-def catalog_of(l, b, t, include_e_infinity=False):
-    return enumerate_families(candidate_pool(field(l), b, include_e_infinity), t)
+def catalog_of(l, b, t):
+    return enumerate_families(candidate_pool(field(l), b), t)
 
 
 @st.composite
@@ -313,10 +312,8 @@ def test_development_rank_is_ea_invariant(f, data):
 
 # ------------------------------------------------------------ from_spread
 
-# Every catalog with l*b <= 4, as (l, b, include_e_infinity).
-MASK_CATALOGS = [(l, 1, e) for l in (1, 2, 3, 4) for e in (False, True)] + [
-    (1, 2, False), (2, 2, False), (1, 3, False),
-]
+# Every catalog with l*b <= 4, as (l, b).
+MASK_CATALOGS = [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (1, 3)]
 
 
 @settings(deadline=None, max_examples=80)
@@ -324,8 +321,8 @@ MASK_CATALOGS = [(l, 1, e) for l in (1, 2, 3, 4) for e in (False, True)] + [
 def test_from_spread_is_the_support_of_the_union(shape, plus, data):
     """The table is the union of the kernels, without 0 for PS- and with
     it for PS+."""
-    l, b, e_inf = shape
-    catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus, e_inf)
+    l, b = shape
+    catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus)
     assume(catalog.size)
     fid = data.draw(st.integers(0, catalog.size - 1))
     spread = [catalog.pool.kernels[i] for i in next(catalog.walk(fid))[1]]
@@ -340,8 +337,8 @@ def test_from_spread_is_the_support_of_the_union(shape, plus, data):
 def test_subspace_images_under_invertible_maps(shape, plus, data):
     """A catalog spread mapped by an invertible A, one basis vector at a
     time, is a spread of the same type whose function g has g(Ax) = f(x)."""
-    l, b, e_inf = shape
-    catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus, e_inf)
+    l, b = shape
+    catalog = catalog_of(l, b, (1 << (l * b - 1)) + plus)
     assume(catalog.size)
     n = 2 * l * b
     rows = data.draw(invertible_matrices(n))
