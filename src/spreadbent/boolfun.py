@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionRejected, SpreadbentError
+from .errors import ConstructionRejected, SpreadbentError, check_int
 from .lrs import Subspace
-
-
-def _check_arity(n) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise SpreadbentError(f"expected an arity n >= 0, got n={n!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +34,7 @@ class _Bits:
     bits: int
 
     def __post_init__(self):
-        _check_arity(self.n)
+        check_int("arity n", self.n, 0)
         if not isinstance(self.bits, int) or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise SpreadbentError(f"expected an int of {1 << self.n} bits for n={self.n}")
 
@@ -57,7 +52,7 @@ class TruthTable(_Bits):
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
-        _check_arity(n)
+        check_int("arity n", n, 0)
         digits = max(1 << n >> 2, 1)
         if len(text) != digits or not set(text) <= set(string.hexdigits):
             raise SpreadbentError(f"expected {digits} hex digits for n={n}")

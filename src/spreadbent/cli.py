@@ -35,8 +35,8 @@ import os
 import sys
 from collections import Counter
 
-from .boolfun import algebraic_degree, anf, format_anf, from_spread
-from .errors import ConstructionRejected, SpreadbentError
+from .boolfun import algebraic_degree, anf, format_anf
+from .errors import ConstructionRejected, SpreadbentError, check_int
 from .families import (
     TAG_PRODUCT,
     TAG_SQUARE,
@@ -52,7 +52,7 @@ from .families import (
     verify_desarguesian_equivalence,
 )
 from .gf2e import describe, fe_inv, fe_mul, field
-from .lrs import build_matrix, build_partial_spread, kernel, sylvester_resultant_nonzero
+from .lrs import build_matrix, kernel, sylvester_resultant_nonzero
 from .poly import (
     closed_form_family_count,
     enumerate_irreducibles,
@@ -133,8 +133,7 @@ def _resolve_jobs(requested):
     """Worker count for --jobs: 0 means every usable CPU, and a larger
     request is lowered to that count, since rows are the same for every
     jobs >= 1. Usable CPUs are those of this process's affinity mask."""
-    if requested < 0:
-        raise SpreadbentError(f"--jobs must be >= 0, got {requested}")
+    check_int("--jobs", requested, 0)
     try:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -237,10 +236,10 @@ def _check_field_axioms():
 
 def _check_goldens():
     spec = field(1)
-    minus = [poly(spec, (1, 0, 1)), poly(spec, (1, 1, 1))]
-    plus = minus + [poly(spec, (0, 0, 1))]
-    tt_g = from_spread(build_partial_spread(minus, b=2), plus_type=False)
-    tt_h = from_spread(build_partial_spread(plus, b=2), plus_type=True)
+    minus = (poly(spec, (1, 0, 1)), poly(spec, (1, 1, 1)))
+    plus = minus + (poly(spec, (0, 0, 1)),)
+    tt_g = build_bent(FamilySpec(1, 2, minus, "PS-", -1))
+    tt_h = build_bent(FamilySpec(1, 2, plus, "PS+", -1))
     if tt_g.hex() != "0635":
         return False, f"negative-type table is {tt_g.hex()}, want 0635"
     if tt_h.hex() != "f635":

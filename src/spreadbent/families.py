@@ -72,7 +72,7 @@ import sys
 from dataclasses import dataclass
 
 from .boolfun import TruthTable, algebraic_degree, anf, from_spread, is_flat, walsh_spectra
-from .errors import ConstructionRejected, SpreadbentError
+from .errors import ConstructionRejected, SpreadbentError, check_int
 from .gf2e import FieldSpec, fe_mul, field
 from .lrs import Subspace, build_matrix, build_partial_spread, kernel
 from .poly import (
@@ -152,12 +152,6 @@ class FamilySpec:
         return 2 * self.m
 
 
-def _check_int(name: str, value) -> None:
-    # the memos key on value, where 2.0 == 2 and True == 1
-    if type(value) is not int:
-        raise SpreadbentError(f"{name} must be an int, got {value!r}")
-
-
 def candidate_pool(spec: FieldSpec, b: int) -> CandidatePool:
     """All admitted feedback polynomials at window size b, tagged by origin.
 
@@ -166,7 +160,7 @@ def candidate_pool(spec: FieldSpec, b: int) -> CandidatePool:
     kernels, kernel graph and catalogs are solved once. A refused argument
     set raises and caches nothing.
     """
-    _check_int("window size b", b)
+    check_int("window size b", b, 1, 3)
     return _candidate_pool(spec, b)
 
 
@@ -191,17 +185,15 @@ def _candidate_pool(spec: FieldSpec, b: int) -> CandidatePool:
         add([poly_mul(f, g) for f, g in itertools.combinations(linears, 2)], TAG_PRODUCT)
         members += [one(spec), x_power(spec, 2)]
         tags += [TAG_ONE, TAG_XPOW]
-    elif b == 3:
-        if spec.l != 1:
-            raise SpreadbentError("window size 3 is only supported over GF(2)")
+    elif spec.l != 1:
+        raise SpreadbentError("window size 3 is only supported over GF(2)")
+    else:  # b == 3 over GF(2)
         linears = enumerate_irreducibles(spec, 1)
         quads = enumerate_irreducibles(spec, 2)
         add(enumerate_irreducibles(spec, 3), TAG_IRREDUCIBLE)
         add([poly_mul(f, g) for f in linears for g in quads], TAG_MIXED)
         members += [one(spec), x_power(spec, 3)]
         tags += [TAG_ONE, TAG_XPOW]
-    else:
-        raise SpreadbentError(f"no candidate pool for b={b}")
     return CandidatePool(spec=spec, b=b, members=tuple(members), tags=tuple(tags))
 
 
@@ -318,8 +310,7 @@ class Catalog:
 
     def walk(self, start=0):
         """(family_id, member indices) of each family from start >= 0 on."""
-        if start < 0:
-            raise SpreadbentError(f"a walk starts at a family id >= 0, got {start}")
+        check_int("start family id", start, 0)
         return enumerate(self._cliques.walk(start), start)
 
     def family(self, family_id: int, combo: tuple[int, ...]) -> FamilySpec:
@@ -365,7 +356,7 @@ def enumerate_families(pool: CandidatePool, t: int) -> Catalog:
     the pool is, so its count memo serves every later lookup. A refused
     size raises and caches nothing.
     """
-    _check_int("family size t", t)
+    check_int("family size t", t, 1)
     catalog = pool._catalogs.get(t)
     if catalog is None:
         catalog = pool._catalogs[t] = Catalog(pool, t)
@@ -501,8 +492,10 @@ def sweep(pool: CandidatePool, sizes, jobs: int):
     that writes each row out holds at most a few batches, whatever the
     catalog size. Progress goes to stderr. Close the generator to stop
     early: that ends the walk and stops any worker processes once their
-    current batches finish.
+    current batches finish. A jobs below 1 is refused at the first row
+    asked for, before anything is printed or any worker starts.
     """
+    check_int("jobs", jobs, 1)
     for t in sizes:
         catalog = enumerate_families(pool, t)
         print(f"catalog l={pool.spec.l} b={pool.b} t={t}: {catalog.size} families", file=sys.stderr)
@@ -525,8 +518,7 @@ def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
     flattened with the canonical bit convention (first coordinate low).
     E_a is spanned by (e_j, a*e_j) and E_inf by (0, e_j), e_j = alpha^j."""
-    if m < 2:
-        raise SpreadbentError(f"m must be >= 2, got {m}")
+    check_int("m", m, 2)
     spec, units = field(m), [1 << j for j in range(m)]
     graphs = [Subspace(2 * m, tuple(e | fe_mul(spec, a, e) << m for e in units))
               for a in range(spec.q)]

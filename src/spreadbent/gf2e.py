@@ -33,18 +33,11 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 
-from .errors import SpreadbentError
+from .errors import SpreadbentError, check_int
 
 # Each degree doubles a spec's 3*2^l-entry tables; supported shapes need
 # l <= 8 (n = 2*l*b <= 16), and GF(2^16) is the largest built.
 MAX_DEGREE = 16
-
-
-def _check_degree(l: int) -> None:
-    if l < 1:
-        raise SpreadbentError(f"extension degree must be positive, got {l}")
-    if l > MAX_DEGREE:
-        raise SpreadbentError(f"extension degree {l} exceeds the supported maximum {MAX_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ class FieldSpec:
     log: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_degree(self.l)
+        check_int("extension degree l", self.l, 1, MAX_DEGREE)
         if not isinstance(self.modulus, int) or self.modulus >> self.l != 1:
             raise SpreadbentError(
                 f"modulus {self.modulus!r} is not a polynomial of degree {self.l}"
@@ -114,14 +107,18 @@ def _bitpoly_irreducible(f: int, deg: int) -> bool:
     return True
 
 
-@functools.cache
 def field(l: int) -> FieldSpec:
     """Return GF(2^l) with its canonical defining polynomial: the
     irreducible of degree l with the smallest integer encoding, found by
     search. The spec, tables included, is built once per degree and shared
-    by every caller.
+    by every caller; the degree is checked before the memo is read.
     """
-    _check_degree(l)
+    check_int("extension degree l", l, 1, MAX_DEGREE)
+    return _field(l)
+
+
+@functools.cache
+def _field(l: int) -> FieldSpec:
     for f in range(1 << l, 1 << (l + 1)):
         if f & 1 and _bitpoly_irreducible(f, l):
             return FieldSpec(l, f)

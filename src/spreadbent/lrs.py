@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import ConstructionRejected, SpreadbentError
+from .errors import ConstructionRejected, SpreadbentError, check_int
 from .gf2e import FieldSpec, fe_mul
 from .poly import Poly
 
@@ -57,8 +57,9 @@ class Subspace:
 
     def __post_init__(self):
         n, basis = self.n, self.basis
-        if not isinstance(n, int) or n < 2 or n % 2:
-            raise SpreadbentError(f"a subspace needs an even arity n >= 2, got n={n!r}")
+        check_int("subspace arity n", n, 2)
+        if n % 2:
+            raise SpreadbentError(f"a subspace needs an even arity n, got n={n}")
         if not (isinstance(basis, tuple) and len(basis) == n // 2
                 and all(isinstance(v, int) and 0 <= v < 1 << n for v in basis)
                 and _absorb({}, basis)):
@@ -84,6 +85,7 @@ def window(f: Poly, b: int) -> tuple[int, ...]:
 def build_matrix(f: Poly, b: int) -> tuple[int, ...]:
     """The b x 2b band of f over F_q, whose row i applies the window of f
     at offset i, held only as its b*l GF(2) rows (see _gf2_rows)."""
+    check_int("window size b", b, 1)
     if f.is_zero:
         raise ConstructionRejected("the zero polynomial defines no recurrence")
     if f.degree > b:
@@ -192,6 +194,7 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     singular as soon as one row reduces to zero against the pivots of the
     rows before it.
     """
+    check_int("window size b", b, 1)
     fc, gc = f.coeffs, g.coeffs
     if not fc and not gc:
         raise ConstructionRejected("resultant of two zero polynomials")

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import ConstructionRejected, SpreadbentError
+from .errors import ConstructionRejected, SpreadbentError, check_int
 from .gf2e import FieldSpec
 
 NEG_INF = float("-inf")
@@ -56,6 +56,7 @@ def one(spec: FieldSpec) -> Poly:
 
 
 def x_power(spec: FieldSpec, k: int) -> Poly:
+    check_int("power k", k, 0)
     return Poly(spec, (0,) * k + (1,))
 
 
@@ -163,8 +164,7 @@ def enumerate_irreducibles(spec: FieldSpec, degree: int) -> list[Poly]:
     and the monic cofactor. Striking every such product p*g from the
     candidates leaves the irreducibles, and only they become a Poly.
     """
-    if degree < 1:
-        raise SpreadbentError(f"degree must be >= 1, got {degree}")
+    check_int("degree", degree, 1)
     return [Poly(spec, f) for f in _irreducible_coeffs(spec, degree)]
 
 
@@ -192,8 +192,7 @@ def gauss_count(spec: FieldSpec, k: int) -> int:
     count is the divisor sum (1/k) * sum_{d|k} mu(d) q^(k/d). For k = 1 the
     polynomial X is excluded, leaving q - 1.
     """
-    if k < 1:
-        raise SpreadbentError(f"k must be >= 1, got {k}")
+    check_int("degree k", k, 1)
     q = spec.q
     if k == 1:
         return q - 1

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .boolfun import TruthTable
-from .errors import SpreadbentError
+from .errors import check_int
 
 WITHIN_MM_RANGE = "within-MM-range"
 BEYOND_MM = "beyond-MM"
@@ -65,14 +65,12 @@ def development_rank(tt: TruthTable) -> int:
 
 
 def mm_rank_bounds(m: int) -> tuple[int, int]:
-    if m < 2:
-        raise SpreadbentError(f"m must be >= 2, got {m}")
+    check_int("m", m, 2)
     return 2 * m + 2, (1 << (m + 1)) - 2
 
 
 def ds_rank_bounds(m: int) -> tuple[int, int]:
-    if m < 2:
-        raise SpreadbentError(f"m must be >= 2, got {m}")
+    check_int("m", m, 2)
     upper = sum(comb(m, i) * (1 << min(i, m - i)) for i in range(m + 1))
     return (1 << (m + 1)) - 2, upper
 

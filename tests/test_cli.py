@@ -27,8 +27,8 @@ from spreadbent.families import (
     enumerate_families,
 )
 from spreadbent.gf2e import FieldSpec, field
-from spreadbent.lrs import Subspace
-from spreadbent.poly import gauss_count, parse_poly, poly
+from spreadbent.lrs import Subspace, build_matrix, sylvester_resultant_nonzero
+from spreadbent.poly import enumerate_irreducibles, gauss_count, parse_poly, poly, x_power
 from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
 
@@ -45,7 +45,7 @@ def forbidden(*args, **kwargs):
 def forbid_builds(monkeypatch):
     """Make both build paths fail: the catalog's and the ad-hoc one."""
     monkeypatch.setattr(Catalog, "build", forbidden)
-    for name in ("build_partial_spread", "build_bent", "analyze"):
+    for name in ("build_bent", "analyze"):
         monkeypatch.setattr(cli, name, forbidden)
 
 
@@ -152,10 +152,11 @@ def test_build_by_polys_exit_codes(capsys, l, b, polys, code, err):
 # (gf2e.field's "no irreducible of degree l found" cannot be reached.)
 INPUT_ERRORS = {
     "TruthTable": (lambda: TruthTable(2, 1 << 4), "expected an int of 4 bits for n=2"),
-    "TruthTable.negative-arity": (lambda: TruthTable(-1, 0), "expected an arity n >= 0, got n=-1"),
+    "TruthTable.negative-arity": (lambda: TruthTable(-1, 0), "arity n must be an int >= 0, got -1"),
+    "TruthTable.bool-arity": (lambda: TruthTable(True, 1), "arity n must be an int >= 0, got True"),
     "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
     "TruthTable.from_hex.negative-arity": (lambda: TruthTable.from_hex(-1, "0"),
-                                           "expected an arity n >= 0, got n=-1"),
+                                           "arity n must be an int >= 0, got -1"),
     "TruthTable.from_support": (lambda: TruthTable.from_support(4, [-1]),
                                 "expected a support of indices >= 0, got -1"),
     "walsh_spectra": (lambda: walsh_spectra([]),
@@ -174,9 +175,9 @@ INPUT_ERRORS = {
     "Subspace.wrong-length": (lambda: Subspace(4, (1, 2, 4)),
                               "expected 2 independent ints in [0, 2^4), got (1, 2, 4)"),
     "Subspace.odd-arity": (lambda: Subspace(3, (1,)),
-                           "a subspace needs an even arity n >= 2, got n=3"),
+                           "a subspace needs an even arity n, got n=3"),
     "Subspace.arity-below-2": (lambda: Subspace(0, ()),
-                               "a subspace needs an even arity n >= 2, got n=0"),
+                               "subspace arity n must be an int >= 2, got 0"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
     # a modulus of any other degree than l, or not an int, is refused
     # before the tables are built
@@ -190,34 +191,84 @@ INPUT_ERRORS = {
             ("degree-above-l", 2, 0b1011), ("degree-above-l3", 3, 0b10011), ("float", 2, 7.0),
         )
     },
-    "field": (lambda: field(0), "extension degree must be positive, got 0"),
-    "field.above-16": (lambda: field(17), "extension degree 17 exceeds the supported maximum 16"),
+    "field": (lambda: field(0), "extension degree l must be an int in [1, 16], got 0"),
+    "field.above-16": (lambda: field(17), "extension degree l must be an int in [1, 16], got 17"),
+    "field.float": (lambda: field(2.0), "extension degree l must be an int in [1, 16], got 2.0"),
+    "field.bool": (lambda: field(True), "extension degree l must be an int in [1, 16], got True"),
     "FieldSpec.above-16": (lambda: FieldSpec(17, 0x2000b),
-                           "extension degree 17 exceeds the supported maximum 16"),
+                           "extension degree l must be an int in [1, 16], got 17"),
+    "FieldSpec.float-degree": (lambda: FieldSpec(2.0, 7),
+                               "extension degree l must be an int in [1, 16], got 2.0"),
     "FamilySpec.spread-type": (lambda: FamilySpec(1, 2, (), "XX", -1),
                                "spread type must be 'PS-' or 'PS+', got 'XX'"),
     # the memos key on b and t, where 2.0 == 2 and True == 1
     "candidate_pool.float-b": (lambda: candidate_pool(field(2), 2.0),
-                               "window size b must be an int, got 2.0"),
+                               "window size b must be an int in [1, 3], got 2.0"),
     "candidate_pool.bool-b": (lambda: candidate_pool(field(4), True),
-                              "window size b must be an int, got True"),
+                              "window size b must be an int in [1, 3], got True"),
+    "candidate_pool.b-above-3": (lambda: candidate_pool(field(1), 4),
+                                 "window size b must be an int in [1, 3], got 4"),
     "enumerate_families.float-t": (
         lambda: enumerate_families(candidate_pool(field(1), 2), 2.0),
-        "family size t must be an int, got 2.0"),
+        "family size t must be an int >= 1, got 2.0"),
     "enumerate_families.bool-t": (
         lambda: enumerate_families(candidate_pool(field(1), 1), True),
-        "family size t must be an int, got True"),
+        "family size t must be an int >= 1, got True"),
     "Catalog.walk.negative-start": (
         lambda: enumerate_families(candidate_pool(field(1), 2), 2).walk(-1),
-        "a walk starts at a family id >= 0, got -1"),
+        "start family id must be an int >= 0, got -1"),
+    "Catalog.walk.float-start": (
+        lambda: enumerate_families(candidate_pool(field(2), 1), 2).walk(2.5),
+        "start family id must be an int >= 0, got 2.5"),
+    "sweep.zero-jobs": (lambda: next(families.sweep(candidate_pool(field(1), 2), (2,), 0)),
+                        "jobs must be an int >= 1, got 0"),
+    "build_matrix.float-b": (lambda: build_matrix(poly(field(2), (1, 1)), 2.0),
+                             "window size b must be an int >= 1, got 2.0"),
+    "sylvester_resultant_nonzero.float-b": (
+        lambda: sylvester_resultant_nonzero(poly(field(2), (1, 0, 1)), poly(field(2), (1, 1)), 3.0),
+        "window size b must be an int >= 1, got 3.0"),
+    "x_power.negative-k": (lambda: x_power(field(2), -1), "power k must be an int >= 0, got -1"),
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
     "parse_poly": (lambda: parse_poly(field(1), "[1,,1]"), "cannot parse polynomial '[1,,1]'"),
-    "gauss_count": (lambda: gauss_count(field(1), 0), "k must be >= 1, got 0"),
-    "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be >= 2, got 1"),
-    "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be >= 2, got 1"),
-    "ds_rank_bounds": (lambda: ds_rank_bounds(1), "m must be >= 2, got 1"),
-    "cli._resolve_jobs": (lambda: cli._resolve_jobs(-1), "--jobs must be >= 0, got -1"),
+    "gauss_count": (lambda: gauss_count(field(1), 0), "degree k must be an int >= 1, got 0"),
+    "gauss_count.float-k": (lambda: gauss_count(field(2), 2.0),
+                            "degree k must be an int >= 1, got 2.0"),
+    "enumerate_irreducibles": (lambda: enumerate_irreducibles(field(1), 0),
+                               "degree must be an int >= 1, got 0"),
+    "enumerate_irreducibles.float-degree": (lambda: enumerate_irreducibles(field(2), 2.0),
+                                            "degree must be an int >= 1, got 2.0"),
+    "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be an int >= 2, got 1"),
+    "desarguesian_spread.float-m": (lambda: desarguesian_spread(2.0),
+                                    "m must be an int >= 2, got 2.0"),
+    "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be an int >= 2, got 1"),
+    "mm_rank_bounds.float-m": (lambda: mm_rank_bounds(2.5), "m must be an int >= 2, got 2.5"),
+    "ds_rank_bounds": (lambda: ds_rank_bounds(1), "m must be an int >= 2, got 1"),
+    "cli._resolve_jobs": (lambda: cli._resolve_jobs(-1), "--jobs must be an int >= 0, got -1"),
+}
+
+# The int call that fills the memos a refused site could read, for every
+# site with a memo on its path or a value an int compares equal to.
+WARM_UPS = {
+    "TruthTable.bool-arity": lambda: TruthTable(1, 1),
+    "field.float": lambda: field(2),
+    "field.bool": lambda: field(1),
+    "FieldSpec.float-degree": lambda: FieldSpec(2, 7),
+    "candidate_pool.float-b": lambda: candidate_pool(field(2), 2),
+    "candidate_pool.bool-b": lambda: candidate_pool(field(4), 1),
+    "enumerate_families.float-t": lambda: enumerate_families(candidate_pool(field(1), 2), 2),
+    "enumerate_families.bool-t": lambda: enumerate_families(candidate_pool(field(1), 1), 1),
+    "Catalog.walk.float-start": lambda: next(
+        enumerate_families(candidate_pool(field(2), 1), 2).walk(2)),
+    "sweep.zero-jobs": lambda: next(families.sweep(candidate_pool(field(1), 2), (2,), 1)),
+    "build_matrix.float-b": lambda: build_matrix(poly(field(2), (1, 1)), 2),
+    "sylvester_resultant_nonzero.float-b": lambda: sylvester_resultant_nonzero(
+        poly(field(2), (1, 0, 1)), poly(field(2), (1, 1)), 3),
+    "x_power.negative-k": lambda: x_power(field(2), 1),
+    "gauss_count.float-k": lambda: gauss_count(field(2), 2),
+    "enumerate_irreducibles.float-degree": lambda: enumerate_irreducibles(field(2), 2),
+    "desarguesian_spread.float-m": lambda: desarguesian_spread(2),
+    "mm_rank_bounds.float-m": lambda: mm_rank_bounds(2),
 }
 
 
@@ -228,6 +279,19 @@ def test_library_input_errors_are_spreadbent_errors(site):
     with pytest.raises(SpreadbentError, match=f"^{re.escape(message)}$") as caught:
         call()
     assert type(caught.value) is SpreadbentError
+
+
+@pytest.mark.parametrize("site", WARM_UPS)
+def test_refusals_do_not_depend_on_the_memos(capsys, site):
+    # the same refusal after the int call has filled every memo on its path
+    WARM_UPS[site]()
+    capsys.readouterr()
+    call, message = INPUT_ERRORS[site]
+    with pytest.raises(SpreadbentError, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert type(caught.value) is SpreadbentError
+    # sweep refuses before its catalog line, and so before any worker
+    assert capsys.readouterr() == ("", "")
 
 
 def test_non_int_sizes_leave_the_memos_to_the_int_calls(capsys):
@@ -431,7 +495,7 @@ def test_negative_jobs_exit_2(capsys, guarded):
     code, out, err = run(capsys, "table2", "--jobs", "-1")
     assert code == 2
     assert out == ""
-    assert "--jobs must be >= 0" in err
+    assert err == "error: --jobs must be an int >= 0, got -1\n"
 
 
 def sweep_jobs(capsys, monkeypatch, *argv):

@@ -100,7 +100,7 @@ def test_window3_pool():
 def test_pool_rejections():
     with pytest.raises(SpreadbentError, match="only supported over GF"):
         candidate_pool(GF4, 3)
-    with pytest.raises(SpreadbentError, match="no candidate pool for b=4"):
+    with pytest.raises(SpreadbentError, match=r"^window size b must be an int in \[1, 3\], got 4$"):
         candidate_pool(GF2, 4)
 
 
