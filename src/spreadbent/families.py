@@ -517,8 +517,9 @@ def manifest_line(family: FamilySpec) -> str:
 def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
     flattened with the canonical bit convention (first coordinate low).
-    E_a is spanned by (e_j, a*e_j) and E_inf by (0, e_j), e_j = alpha^j."""
-    check_int("m", m, 2)
+    E_a is spanned by (e_j, a*e_j) and E_inf by (0, e_j), e_j = alpha^j.
+    m <= 8, so n = 2m <= 16 as in the CLI: memory grows about 4x per step."""
+    check_int("m", m, 2, 8)
     spec, units = field(m), [1 << j for j in range(m)]
     graphs = [Subspace(2 * m, tuple(e | fe_mul(spec, a, e) << m for e in units))
               for a in range(spec.q)]

@@ -20,8 +20,8 @@ linear algebra runs over GF(2) on the flattened vectors. Multiplying
 by a field element c is GF(2)-linear on the l bits of an element, so each
 band row becomes l int rows, one per output bit. An F_q-linear map has the
 same kernel as its flattened GF(2) image and is invertible exactly when
-that image is, so kernels and the Sylvester check eliminate int rows by
-XOR, with no field multiplication.
+that image is: kernels, the Sylvester check and a Subspace's basis test
+share one XOR reduction of int rows, _absorb, and multiply no field elements.
 
 build_partial_spread only solves a family's kernels; boolfun.from_spread
 alone checks that they meet pairwise only in zero. A shared factor always
@@ -60,10 +60,7 @@ class Subspace:
         check_int("subspace arity n", n, 2)
         if n % 2:
             raise SpreadbentError(f"a subspace needs an even arity n, got n={n}")
-        if not (isinstance(basis, tuple) and len(basis) == n // 2
-                and all(isinstance(v, int) and 0 <= v < 1 << n for v in basis)
-                and _absorb({}, basis)):
-            raise SpreadbentError(f"expected {n // 2} independent ints in [0, 2^{n}), got {basis!r}")
+        _pivots(n, basis)
         vectors = [0]
         for v in basis:
             vectors += [w ^ v for w in vectors]
@@ -140,42 +137,42 @@ def _absorb(pivots: dict[int, int], rows: tuple[int, ...]) -> bool:
     return True
 
 
+def _pivots(n: int, rows) -> dict[int, int]:
+    """The echelon form of rows (top bit -> reduced row); SpreadbentError
+    unless rows are a tuple of n/2 ints (not bools, as in check_int) in
+    [0, 2^n) that _absorb finds independent: Subspace, kernel and _echelon."""
+    pivots: dict[int, int] = {}
+    if not (isinstance(rows, tuple) and len(rows) == n // 2
+            and all(type(v) is int and 0 <= v < 1 << n for v in rows)
+            and _absorb(pivots, rows)):
+        raise SpreadbentError(f"expected {n // 2} independent ints in [0, 2^{n}), got {rows!r}")
+    return pivots
+
+
 @functools.lru_cache(maxsize=4096)
 def _echelon(modulus: int, coeffs: tuple[int, ...], b: int) -> dict[int, int] | None:
-    """The band rows of one polynomial in echelon form, or None when they
-    are dependent (only the zero polynomial's are). The memo hands out one
-    dict per key, so callers copy it before adding rows."""
-    pivots: dict[int, int] = {}
-    return pivots if _absorb(pivots, _gf2_rows(modulus, coeffs, b)) else None
+    """The band rows of a nonzero polynomial in echelon form, else None. The
+    memo hands out one dict per key, so callers copy it before adding rows."""
+    rows = _gf2_rows(modulus, coeffs, b)
+    return _pivots(2 * len(rows), rows) if coeffs else None
 
 
 def kernel(rows: tuple[int, ...]) -> Subspace:
     """The q^b solutions of the banded system, as a Subspace of l*b generators.
 
     rows are build_matrix's b*l GF(2) rows of the F_q band, which has the
-    same kernel as its flattened GF(2) image. They are brought to reduced
-    echelon form as ints. Each free column c gives one generator: bit c,
-    plus the pivot bit of every row that has bit c set.
+    same kernel as its flattened GF(2) image; like a Subspace basis they
+    must be independent ints of n = 2*len(rows) bits. Each free column c of
+    their echelon form gives a generator v = 1 << c. Then, pivot top t by
+    top t in increasing order, bit t of v becomes the parity of row t & v,
+    so v is orthogonal to that row, which holds no bit above t.
     """
-    dim, n = len(rows), 2 * len(rows)
-    pivots: dict[int, int] = {}  # pivot column -> its reduced row
-    for row in rows:
-        for c, p in pivots.items():
-            if row >> c & 1:
-                row ^= p
-        if row:
-            c = (row & -row).bit_length() - 1
-            for pc, p in list(pivots.items()):
-                if p >> c & 1:
-                    pivots[pc] = p ^ row
-            pivots[c] = row
-    if len(pivots) < dim:
-        raise ConstructionRejected(f"recurrence matrix has GF(2) rank {len(pivots)} < {dim}")
-    return Subspace(n, tuple(
-        1 << c | sum(1 << pc for pc, p in pivots.items() if p >> c & 1)
-        for c in range(n)
-        if c not in pivots
-    ))
+    n = 2 * len(rows)
+    pivots = _pivots(n, rows)
+    generators = [1 << c for c in range(n) if c not in pivots]
+    for t in sorted(pivots):
+        generators = [v | ((pivots[t] & v).bit_count() & 1) << t for v in generators]
+    return Subspace(n, tuple(generators))
 
 
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:

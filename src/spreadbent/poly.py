@@ -38,12 +38,12 @@ class Poly:
 
 
 def poly(spec: FieldSpec, coeffs) -> Poly:
-    """Build a Poly, dropping trailing zero coefficients."""
+    """Build a Poly from ints (no bools) in [0, q), dropping trailing zeros."""
     cs = list(coeffs)
+    if any(type(c) is not int or not 0 <= c < spec.q for c in cs):
+        raise SpreadbentError(f"coefficient out of range for {spec}: {cs}")
     while cs and cs[-1] == 0:
         cs.pop()
-    if any(not 0 <= c < spec.q for c in cs):
-        raise SpreadbentError(f"coefficient out of range for {spec}: {cs}")
     return Poly(spec, tuple(cs))
 
 
@@ -209,8 +209,9 @@ def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
     distinct linears, each linear used at most once). Larger b admits no
     half-sized family, so no closed form is provided.
     """
-    if b not in (1, 2):
+    if type(b) is not int or b not in (1, 2):
         raise SpreadbentError(f"closed form exists only for b in {{1, 2}}, got {b}")
+    check_int("m", m, 1)
     if spec.l * b != m:
         raise SpreadbentError(f"need l*b = m, got l={spec.l} b={b} m={m}")
     t = 1 << (m - 1)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,8 +28,15 @@ from spreadbent.families import (
     enumerate_families,
 )
 from spreadbent.gf2e import FieldSpec, field
-from spreadbent.lrs import Subspace, build_matrix, sylvester_resultant_nonzero
-from spreadbent.poly import enumerate_irreducibles, gauss_count, parse_poly, poly, x_power
+from spreadbent.lrs import Subspace, build_matrix, kernel, sylvester_resultant_nonzero
+from spreadbent.poly import (
+    closed_form_family_count,
+    enumerate_irreducibles,
+    gauss_count,
+    parse_poly,
+    poly,
+    x_power,
+)
 from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
 
 
@@ -148,6 +156,12 @@ def test_build_by_polys_exit_codes(capsys, l, b, polys, code, err):
     assert run(capsys, *argv) == (code, "", f"error: {err}\n")
 
 
+def _without_field(call, *args):
+    # the refusal comes before field() builds any table
+    with mock.patch.object(families, "field", forbidden):
+        return call(*args)
+
+
 # Every reachable library site that refuses its input, with its message.
 # (gf2e.field's "no irreducible of degree l found" cannot be reached.)
 INPUT_ERRORS = {
@@ -178,6 +192,14 @@ INPUT_ERRORS = {
                            "a subspace needs an even arity n, got n=3"),
     "Subspace.arity-below-2": (lambda: Subspace(0, ()),
                                "subspace arity n must be an int >= 2, got 0"),
+    "Subspace.bool-basis": (lambda: Subspace(2, (True,)),
+                            "expected 1 independent ints in [0, 2^2), got (True,)"),
+    # kernel's rows pass the Subspace basis test at n = 2*len(rows)
+    "kernel.wide-row": (lambda: kernel((5,)), "expected 1 independent ints in [0, 2^2), got (5,)"),
+    "kernel.bool-row": (lambda: kernel((True, 2)),
+                        "expected 2 independent ints in [0, 2^4), got (True, 2)"),
+    "kernel.dependent-rows": (lambda: kernel((1, 1)),
+                              "expected 2 independent ints in [0, 2^4), got (1, 1)"),
     "FieldSpec": (lambda: FieldSpec(2, 0b101), "modulus 0x5 does not define a field of degree 2"),
     # a modulus of any other degree than l, or not an int, is refused
     # before the tables are built
@@ -230,6 +252,15 @@ INPUT_ERRORS = {
     "x_power.negative-k": (lambda: x_power(field(2), -1), "power k must be an int >= 0, got -1"),
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),
+    # the _gf2_rows memo keys on the coefficients, where 1.0 == True == 1
+    "poly.float-coefficient": (lambda: build_matrix(poly(field(2), (1.0, 1)), 1),
+                               "coefficient out of range for FieldSpec(l=2, modulus=7): [1.0, 1]"),
+    "poly.bool-coefficient": (lambda: build_matrix(poly(field(2), (True, 1)), 1),
+                              "coefficient out of range for FieldSpec(l=2, modulus=7): [True, 1]"),
+    "closed_form_family_count.bool-b": (lambda: closed_form_family_count(field(1), True, 1),
+                                        "closed form exists only for b in {1, 2}, got True"),
+    "closed_form_family_count.float-m": (lambda: closed_form_family_count(field(1), 2, 2.0),
+                                         "m must be an int >= 1, got 2.0"),
     "parse_poly": (lambda: parse_poly(field(1), "[1,,1]"), "cannot parse polynomial '[1,,1]'"),
     "gauss_count": (lambda: gauss_count(field(1), 0), "degree k must be an int >= 1, got 0"),
     "gauss_count.float-k": (lambda: gauss_count(field(2), 2.0),
@@ -238,9 +269,11 @@ INPUT_ERRORS = {
                                "degree must be an int >= 1, got 0"),
     "enumerate_irreducibles.float-degree": (lambda: enumerate_irreducibles(field(2), 2.0),
                                             "degree must be an int >= 1, got 2.0"),
-    "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be an int >= 2, got 1"),
+    "desarguesian_spread": (lambda: desarguesian_spread(1), "m must be an int in [2, 8], got 1"),
     "desarguesian_spread.float-m": (lambda: desarguesian_spread(2.0),
-                                    "m must be an int >= 2, got 2.0"),
+                                    "m must be an int in [2, 8], got 2.0"),
+    "desarguesian_spread.above-8": (lambda: _without_field(desarguesian_spread, 9),
+                                    "m must be an int in [2, 8], got 9"),
     "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be an int >= 2, got 1"),
     "mm_rank_bounds.float-m": (lambda: mm_rank_bounds(2.5), "m must be an int >= 2, got 2.5"),
     "ds_rank_bounds": (lambda: ds_rank_bounds(1), "m must be an int >= 2, got 1"),
@@ -268,6 +301,8 @@ WARM_UPS = {
     "gauss_count.float-k": lambda: gauss_count(field(2), 2),
     "enumerate_irreducibles.float-degree": lambda: enumerate_irreducibles(field(2), 2),
     "desarguesian_spread.float-m": lambda: desarguesian_spread(2),
+    "poly.float-coefficient": lambda: build_matrix(poly(field(2), (1, 1)), 1),
+    "poly.bool-coefficient": lambda: build_matrix(poly(field(2), (1, 1)), 1),
     "mm_rank_bounds.float-m": lambda: mm_rank_bounds(2),
 }
 

@@ -62,12 +62,17 @@ def test_kernel_sizes_and_closure():
         assert ker.n // 2 == spec.l * b == len(gf2_basis(ker.vectors))
 
 
-@pytest.mark.parametrize("l,b", [(1, 2), (1, 3), (2, 2), (3, 1), (4, 1)])
+@pytest.mark.parametrize("l,b", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)])
 def test_kernel_matches_brute_force(l, b):
-    # scan every vector of F_q^(2b), in flattened order, against the F_q
-    # band rows, built here from the window: row i is the window at offset i
+    # every nonzero polynomial of degree <= b with l*b <= 4, deficient
+    # windows included: scan every vector of F_q^(2b), in flattened order,
+    # against the F_q band rows, built here from the window: row i is the
+    # window at offset i
     spec = field(l)
-    for f in candidate_pool(spec, b).members:
+    for coeffs in itertools.product(range(spec.q), repeat=b + 1):
+        if not any(coeffs):
+            continue
+        f = poly(spec, coeffs)
         w = window(f, b)
         rows = [(0,) * i + w + (0,) * (b - 1 - i) for i in range(b)]
         solutions = tuple(
