@@ -52,7 +52,7 @@ from .families import (
     verify_desarguesian_equivalence,
 )
 from .gf2e import describe, fe_inv, fe_mul, field
-from .lrs import build_matrix, kernel, sylvester_resultant_nonzero
+from .lrs import Subspace, build_matrix, kernel
 from .poly import (
     closed_form_family_count,
     enumerate_irreducibles,
@@ -253,13 +253,14 @@ def _check_goldens():
 
 def _check_triangle(spec, maxdeg):
     polys = _nonzero_polys(spec, maxdeg)
-    # the kernel mask of each polynomial at each window size from its
-    # degree up: every one a pair reads, each solved and read once
-    masks = {
-        (p.coeffs, b): kernel(build_matrix(p, b)).mask
-        for p in polys
-        for b in range(max(len(p.coeffs) - 1, 1), maxdeg + 1)
-    }
+    # the kernel and band row-space masks of each polynomial at each window
+    # size from its degree up, built once: two bands stack to an invertible
+    # Sylvester matrix when their row spaces meet only in zero, as in lrs
+    masks = {}
+    for p in polys:
+        for b in range(max(len(p.coeffs) - 1, 1), maxdeg + 1):
+            rows = build_matrix(p, b)
+            masks[p.coeffs, b] = kernel(rows).mask, Subspace(2 * len(rows), rows).mask
     pairs = 0
     for f, g in itertools.combinations_with_replacement(polys, 2):
         # polys run by degree, so g's degree is the pair's window size
@@ -267,9 +268,9 @@ def _check_triangle(spec, maxdeg):
         if b == 0:
             continue
         coprime = poly_gcd(f, g).coeffs == (1,)
-        invertible = sylvester_resultant_nonzero(f, g, b)
-        # the two kernels meet only in zero: bit 0 is their one common bit
-        disjoint = masks[f.coeffs, b] & masks[g.coeffs, b] == 1
+        (kf, rf), (kg, rg) = masks[f.coeffs, b], masks[g.coeffs, b]
+        # bit 0 is the one bit two spaces that meet only in zero share
+        invertible, disjoint = rf & rg == 1, kf & kg == 1
         if not (coprime == invertible == disjoint):
             return False, (
                 f"{format_poly(f)} vs {format_poly(g)}: gcd=1 is {coprime}, "

@@ -20,8 +20,9 @@ linear algebra runs over GF(2) on the flattened vectors. Multiplying
 by a field element c is GF(2)-linear on the l bits of an element, so each
 band row becomes l int rows, one per output bit. An F_q-linear map has the
 same kernel as its flattened GF(2) image and is invertible exactly when
-that image is: kernels, the Sylvester check and a Subspace's basis test
-share one XOR reduction of int rows, _absorb, and multiply no field elements.
+that image is: kernels and a Subspace's basis test share one XOR reduction
+of int rows, _absorb, and the Sylvester check reads two band row spaces'
+masks; none multiplies field elements.
 
 build_partial_spread only solves a family's kernels; boolfun.from_spread
 alone checks that they meet pairwise only in zero. A shared factor always
@@ -140,21 +141,13 @@ def _absorb(pivots: dict[int, int], rows: tuple[int, ...]) -> bool:
 def _pivots(n: int, rows) -> dict[int, int]:
     """The echelon form of rows (top bit -> reduced row); SpreadbentError
     unless rows are a tuple of n/2 ints (not bools, as in check_int) in
-    [0, 2^n) that _absorb finds independent: Subspace, kernel and _echelon."""
+    [0, 2^n) that _absorb finds independent: Subspace and kernel."""
     pivots: dict[int, int] = {}
     if not (isinstance(rows, tuple) and len(rows) == n // 2
             and all(type(v) is int and 0 <= v < 1 << n for v in rows)
             and _absorb(pivots, rows)):
         raise SpreadbentError(f"expected {n // 2} independent ints in [0, 2^{n}), got {rows!r}")
     return pivots
-
-
-@functools.lru_cache(maxsize=4096)
-def _echelon(modulus: int, coeffs: tuple[int, ...], b: int) -> dict[int, int] | None:
-    """The band rows of a nonzero polynomial in echelon form, else None. The
-    memo hands out one dict per key, so callers copy it before adding rows."""
-    rows = _gf2_rows(modulus, coeffs, b)
-    return _pivots(2 * len(rows), rows) if coeffs else None
 
 
 def kernel(rows: tuple[int, ...]) -> Subspace:
@@ -178,18 +171,15 @@ def kernel(rows: tuple[int, ...]) -> Subspace:
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     """Invertibility of the 2b x 2b superposition of the two banded matrices.
 
-    Stacks the b*l GF(2) rows of f's band matrix on those of g's and tests
-    for rank 2*b*l by int-row elimination: an F_q-linear map is invertible
-    exactly when its flattened GF(2) image is. A zero polynomial has a zero
+    An F_q-linear map is invertible exactly when its flattened GF(2) image
+    is, and the stack of f's b*l GF(2) band rows on g's has full rank
+    2*b*l exactly when the two row spaces meet only in zero: the same mask
+    test from_spread applies to kernels. A nonzero polynomial's band rows
+    are independent, so each spans a Subspace; a zero polynomial has a zero
     band, so the stack is singular. Full rank is equivalent to
     gcd(f, g) = 1 whenever at most one of the two windows is
-    degree-deficient.
-
-    f's rows are brought to echelon form once per (field, polynomial, b)
-    in a memo; each call copies those pivots and reduces only g's rows
-    against them. The stack has 2*b*l rows of 2*b*l bits, so it is
-    singular as soon as one row reduces to zero against the pivots of the
-    rows before it.
+    degree-deficient. Each call spans two spaces of 2^(b*l) vectors, the
+    same cost as kernel of the band.
     """
     check_int("window size b", b, 1)
     fc, gc = f.coeffs, g.coeffs
@@ -197,8 +187,10 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
         raise ConstructionRejected("resultant of two zero polynomials")
     if max(len(fc), len(gc)) > b + 1:
         raise SpreadbentError(f"degrees exceed window size b={b}")
-    pivots = _echelon(f.spec.modulus, fc, b)
-    return pivots is not None and _absorb(pivots.copy(), _gf2_rows(g.spec.modulus, gc, b))
+    if not fc or not gc:
+        return False
+    rf, rg = _gf2_rows(f.spec.modulus, fc, b), _gf2_rows(g.spec.modulus, gc, b)
+    return Subspace(2 * len(rf), rf).mask & Subspace(2 * len(rg), rg).mask == 1
 
 
 def build_partial_spread(family: list[Poly], b: int) -> list[Subspace]:

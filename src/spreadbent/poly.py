@@ -12,6 +12,7 @@ polynomial X^2 + aX + a^2 over GF(4) is `[3,2,1]`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ def zero(spec: FieldSpec) -> Poly:
     return Poly(spec, ())
 
 
+@functools.lru_cache(maxsize=16)
 def one(spec: FieldSpec) -> Poly:
     return Poly(spec, (1,))
 
@@ -120,6 +122,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     The Euclidean loop runs _reduce on coefficient lists, and the result
     is made monic by one shift of its logs: dividing by the leading
     coefficient c subtracts log c from every nonzero coefficient's log.
+    A unit gcd is the field's shared one(spec), so coprime pairs build no Poly.
     """
     spec = f.spec if f.spec is g.spec else _same_spec(f, g)
     a, b = list(f.coeffs), list(g.coeffs)
@@ -130,6 +133,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     while b:
         _reduce(spec, a, b)
         a, b = b, a
+    if len(a) == 1:
+        return one(spec)
     if a[-1] != 1:
         exp, log = spec.exp, spec.log
         shift = len(log) - 1 - log[a[-1]]

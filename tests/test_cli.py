@@ -754,6 +754,27 @@ def test_verify_fails_on_a_wrong_product(capsys, monkeypatch, wrong, law):
     assert all(line.endswith(": PASS") for line in lines[1:])
 
 
+def test_triangle_fails_when_one_gcd_flips(capsys, monkeypatch):
+    # X + 1 against itself over GF(2): gcd X + 1, a singular stack and
+    # overlapping kernels, until cli.poly_gcd answers 1 for that one pair
+    real = cli.poly_gcd
+
+    def flipped(f, g):
+        if f.spec.l == 1 and f.coeffs == g.coeffs == (1, 1):
+            return poly(f.spec, (1,))
+        return real(f, g)
+
+    monkeypatch.setattr(cli, "poly_gcd", flipped)
+    line = "[1,1] vs [1,1]: gcd=1 is True, invertible False, disjoint kernels False"
+    assert cli._check_triangle(field(1), 3) == (False, line)
+    assert cli._check_triangle(field(2), 2) == (True, "2010 pairs agree")
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == f"coprimality triangle GF(2) deg<=3 ({line}): FAIL"
+    assert all(other.endswith(": PASS") for other in lines[:2] + lines[3:])
+
+
 def assert_module_verifies(module):
     src = str(Path(spreadbent.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -160,6 +160,27 @@ def test_band_rows_and_sylvester_tell_two_moduli_of_one_degree_apart():
     assert verdicts[specs[0]] != verdicts[specs[1]]
 
 
+@pytest.mark.parametrize("l,top", [(1, 3), (2, 2)])
+def test_sylvester_matches_elimination(l, top):
+    # every ordered pair of polynomials of degree <= top, zero included, at
+    # every window from the larger degree (at least 1) up to top, against
+    # the rank of the stacked reference rows by plain elimination: a zero
+    # polynomial has no nonzero row, so its stack is never full rank
+    spec = field(l)
+    polys = [poly(spec, c) for c in itertools.product(range(spec.q), repeat=top + 1)]
+    calls = 0
+    for f, g in itertools.product(polys, repeat=2):
+        if f.is_zero and g.is_zero:
+            with pytest.raises(ConstructionRejected, match="resultant of two zero polynomials"):
+                sylvester_resultant_nonzero(f, g, top)
+            continue
+        for b in range(max(len(f.coeffs), len(g.coeffs), 2) - 1, top + 1):
+            full = len(gf2_basis(_reference_rows(f, b) + _reference_rows(g, b))) == 2 * b * l
+            assert sylvester_resultant_nonzero(f, g, b) == full
+            calls += 1
+    assert calls == {1: 333, 2: 4350}[l]
+
+
 # Every pool with l*b <= 4, as (l, b, e_inf): at b=1, e_inf adds the
 # kernel of the constant 1, E_inf, the one member of the Desarguesian
 # spread that the window-1 pool leaves out.

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gf2_reference import derivative_rank
 from spreadbent.boolfun import TruthTable, anf, from_spread, mobius
+from spreadbent.families import candidate_pool, enumerate_families
 from spreadbent.gf2e import field
 from spreadbent.lrs import build_partial_spread
 from spreadbent.poly import poly
@@ -107,3 +110,18 @@ def test_development_rank_matches_derivative_space(tt):
     """A second rank algorithm: the dimension of the ANF's partial-derivative
     space, with no development matrix and no column elimination."""
     assert development_rank(tt) == derivative_rank(anf(tt).bits, tt.n)
+
+
+@pytest.mark.parametrize("t", [16, 17], ids=["PS-", "PS+"])
+def test_window1_ranks_at_n10_lie_in_the_desarguesian_window(t):
+    """Window-1 families are Desarguesian (the paper's theorem), so at
+    l=5, b=1 (n=10) family 0 and three seeded families of each type rank
+    inside ds_rank_bounds(5), by both rank algorithms."""
+    assert ds_rank_bounds(5) == (62, 102)
+    catalog = enumerate_families(candidate_pool(field(5), 1), t)
+    rng = random.Random(t)
+    ids = [0] + [rng.randrange(catalog.size) for _ in range(3)]
+    for tt in catalog.build([next(catalog.walk(k)) for k in ids]):
+        rank = development_rank(tt)
+        assert rank == derivative_rank(anf(tt).bits, tt.n)
+        assert 62 <= rank <= 102
