@@ -9,10 +9,10 @@ as the top bit, in ceil(2^n / 4) digits: the 16-bit table
 
 The union of spread members, the weight, the ANF (the subset-sum transform
 over GF(2), its own inverse) and the degree are int operations. Only the
-Walsh transform and rank2's development matrix unpack the table to numpy.
-The transform takes a stack of tables at once (walsh_spectra, two float64
-matrix products for the whole stack), and walsh_transform is its
-one-table case.
+Walsh transform (two float64 matrix products) and rank2's development
+matrix unpack the table to numpy. No build runs the transform: Dillon's
+theorem makes every table from_spread returns bent, and is_bent checks
+that with a transform in the tests and in verify.
 """
 
 from __future__ import annotations
@@ -171,52 +171,32 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def walsh_spectra(tables: list[TruthTable]) -> np.ndarray:
-    """The spectra W(u) = sum_x (-1)^(f(x) + u.x) of one or more tables of
-    one arity n, as a read-only k x 2^n int32 array, row i that of table i.
+def walsh_transform(tt: TruthTable) -> np.ndarray:
+    """The spectrum W(u) = sum_x (-1)^(f(x) + u.x), read-only int32, 2^n
+    entries.
 
     Splitting the index into its high a = n//2 and low n - a bits makes
-    H_(2^n) = H_(2^a) (x) H_(2^(n-a)) (Fino and Algazi, 1976), so each
+    H_(2^n) = H_(2^a) (x) H_(2^(n-a)) (Fino and Algazi, 1976), so the
     spectrum is H_a @ S @ H_b with S the polarity table as a 2^a x 2^(n-a)
-    matrix, and the k tables go through as one stacked float64 product.
-    It is exact: every partial sum is an integer of magnitude at most 2^n,
-    far inside float64's 2^53.
+    matrix. It is exact: every partial sum is an integer of magnitude at
+    most 2^n, far inside float64's 2^53.
     """
-    arities = sorted({tt.n for tt in tables})
-    if len(arities) != 1:
-        raise SpreadbentError(f"expected one or more tables of one arity, got n={arities}")
-    n = arities[0]
-    a, k = n // 2, len(tables)
-    raw = np.frombuffer(b"".join(tt._bytes() for tt in tables), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(k, -1), axis=1, bitorder="little")[:, : 1 << n]
-    s = (1.0 - 2.0 * bits).reshape(k, 1 << a, 1 << (n - a))
-    spectra = (_hadamard(a) @ s @ _hadamard(n - a)).astype(np.int32).reshape(k, 1 << n)
-    spectra.setflags(write=False)
-    return spectra
-
-
-def walsh_transform(tt: TruthTable) -> np.ndarray:
-    """The spectrum of one table: walsh_spectra's single row, read-only
-    int32, 2^n entries."""
-    return walsh_spectra([tt])[0]
+    n, a = tt.n, tt.n // 2
+    s = (1.0 - 2.0 * tt.array()).reshape(1 << a, 1 << (n - a))
+    spectrum = (_hadamard(a) @ s @ _hadamard(n - a)).astype(np.int32).reshape(1 << n)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def nonlinearity(spectrum: np.ndarray) -> int:
     return len(spectrum) // 2 - int(np.abs(spectrum).max()) // 2
 
 
-def is_flat(spectra: np.ndarray) -> np.ndarray:
-    """Flat spectrum test along the last axis: every |W(a)| equals
-    2^(n/2), n = log2 of its length. One bool per spectrum, a numpy bool
-    for a single one."""
-    n = spectra.shape[-1].bit_length() - 1
-    if n % 2:
-        raise SpreadbentError(f"bentness needs even arity, got n={n}")
-    return (np.abs(spectra) == 1 << (n // 2)).all(axis=-1)
-
-
 def is_bent(tt: TruthTable) -> bool:
-    return bool(is_flat(walsh_transform(tt)))
+    """Flat spectrum test: every |W(u)| equals 2^(n/2); n must be even."""
+    if tt.n % 2:
+        raise SpreadbentError(f"bentness needs even arity, got n={tt.n}")
+    return bool((np.abs(walsh_transform(tt)) == 1 << (tt.n // 2)).all())
 
 
 def anf(tt: TruthTable) -> Anf:

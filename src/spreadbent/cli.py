@@ -35,7 +35,7 @@ import os
 import sys
 from collections import Counter
 
-from .boolfun import algebraic_degree, anf, format_anf
+from .boolfun import algebraic_degree, anf, format_anf, is_bent
 from .errors import ConstructionRejected, SpreadbentError, check_int
 from .families import (
     TAG_PRODUCT,
@@ -244,6 +244,8 @@ def _check_goldens():
         return False, f"negative-type table is {tt_g.hex()}, want 0635"
     if tt_h.hex() != "f635":
         return False, f"positive-type table is {tt_h.hex()}, want f635"
+    if not (is_bent(tt_g) and is_bent(tt_h)):
+        return False, "a golden table is not bent"
     if anf(tt_g).monomials() != [5, 6, 10]:
         return False, f"negative-type anf monomials {anf(tt_g).monomials()}"
     if anf(tt_h).monomials() != [0, 4, 5, 6, 8, 10, 12]:
@@ -365,6 +367,8 @@ def _check_window3_catalog():
         for (fid, _), tt in zip(items, catalog.build(items)):
             if tt.weight() != want_weight:
                 return False, f"family {fid} weight {tt.weight()}"
+            if not is_bent(tt):
+                return False, f"family {fid} is not bent"
             if algebraic_degree(anf(tt)) != 3:
                 return False, f"family {fid} degree != 3"
     return True, "5 negative + 1 positive, all bent of degree 3"

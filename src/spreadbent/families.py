@@ -45,19 +45,20 @@ every catalog over it shares both. Both layers are memoized for the life
 of the process: candidate_pool returns one pool per argument set and
 enumerate_families one catalog per (pool, t), held on the pool, so a run
 of lookups solves each pool and counts each catalog once. A catalog
-builds its functions from those kernels, many families per call
-(bent_from_kernels): from_spread's union-size check confirms once more
-that each family's kernels meet pairwise only in zero, and one stacked
-Walsh product checks every spectrum of the batch flat. Only the checked
-tables leave that call; the spectra stay inside it. A sweep batch, a
-whole verify catalog and a single lookup all go through that one call.
+builds its functions from those kernels through boolfun.from_spread,
+whose union-size check confirms once more that each family's kernels
+meet pairwise only in zero. That is the hypothesis of Dillon's theorem
+(1974): the union of 2^(m-1) m-dimensional subspaces of F_2^(2m) that
+meet pairwise only in 0 is, without 0, the support of a bent function,
+and with one more member and 0 kept, of a PS+ bent function. So every
+table from_spread returns is bent, and no build runs a transform.
 The l=4, b=2 catalogs (n=16) are refused: their count alone needs about
 2 million memoized states.
 build_bent is the from-scratch path for ad-hoc families: it solves their
-kernels and sends them through that same call, with no check of its own.
-analyze reads a checked function's fields from its table alone: the flat
-check fixed max|W| = 2^m, so the nonlinearity is 2^(n-1) - 2^(m-1) with no
-second transform. sweep analyzes catalogs into CSV rows, in catalog order,
+kernels and sends them through that same from_spread, with no check of
+its own. analyze reads a built function's fields from its table alone: by
+the theorem max|W| = 2^m, so the nonlinearity is 2^(n-1) - 2^(m-1) with
+no transform. sweep analyzes catalogs into CSV rows, in catalog order,
 yielding each as its batch arrives: the one path that build, table1/table2
 and the acceptance goldens run.
 """
@@ -71,8 +72,8 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .boolfun import TruthTable, algebraic_degree, anf, from_spread, is_flat, walsh_spectra
-from .errors import ConstructionRejected, SpreadbentError, check_int
+from .boolfun import TruthTable, algebraic_degree, anf, from_spread
+from .errors import SpreadbentError, check_int
 from .gf2e import FieldSpec, fe_mul, field
 from .lrs import Subspace, build_matrix, build_partial_spread, kernel
 from .poly import (
@@ -281,8 +282,8 @@ class Catalog:
     without building a FamilySpec; catalog[k] is the first of them, and
     iteration walks from 0, so none lists the catalog. size is the exact
     count and may exceed sys.maxsize, where len() cannot report it. build()
-    turns a list of pairs into their checked bent functions from the pool's
-    kernels, in one batch.
+    turns a list of pairs into their bent functions from the pool's
+    kernels.
     """
 
     def __init__(self, pool: CandidatePool, t: int):
@@ -323,14 +324,10 @@ class Catalog:
         )
 
     def build(self, items) -> list[TruthTable]:
-        """The checked bent tables of (family_id, member indices) pairs, in
-        the order of items, built by bent_from_kernels as one batch."""
-        kernels = self.pool.kernels
-        ids, spreads = [], []
-        for family_id, combo in items:
-            ids.append(family_id)
-            spreads.append([kernels[i] for i in combo])
-        return bent_from_kernels(spreads, self.spread_type == "PS+", ids)
+        """The bent tables of (family_id, member indices) pairs, in the
+        order of items, each built by from_spread from the pool's kernels."""
+        kernels, plus_type = self.pool.kernels, self.spread_type == "PS+"
+        return [from_spread([kernels[i] for i in combo], plus_type) for _, combo in items]
 
     def __len__(self):
         return self.size
@@ -373,36 +370,11 @@ def nonzero_constant_members(pool: CandidatePool) -> list[Poly]:
     ]
 
 
-def bent_from_kernels(
-    spreads: list[list[Subspace]], plus_type: bool, family_ids: list[int]
-) -> list[TruthTable]:
-    """The checked constructor: one or more families' member kernels ->
-    their bent tables, in order.
-
-    from_spread checks each family's member count for the spread type
-    (positive when plus_type, as from_spread reads it), every member's
-    arity (a Subspace checks its own basis), and the size of the union,
-    t*(2^m - 1) + 1 just when the members meet pairwise only in 0. One
-    stacked Walsh transform then checks every spectrum flat; a rejection
-    names the first non-flat family by its entry of family_ids. The
-    spectra go no further: the tables are the certificate's output.
-    """
-    tables = [from_spread(spread, plus_type) for spread in spreads]
-    flat = is_flat(walsh_spectra(tables))
-    if not flat.all():
-        raise ConstructionRejected(
-            f"family {family_ids[int(flat.argmin())]} produced a non-flat spectrum"
-        )
-    return tables
-
-
 def build_bent(family: FamilySpec) -> TruthTable:
-    """The checked bent table of an ad-hoc family, from scratch: kernels
-    solved by build_partial_spread, then checked and built by
-    bent_from_kernels as a batch of one."""
+    """The bent table of an ad-hoc family, from scratch: kernels solved by
+    build_partial_spread, then checked and built by from_spread."""
     spread = build_partial_spread(list(family.polys), family.b)
-    (tt,) = bent_from_kernels([spread], family.spread_type == "PS+", [family.family_id])
-    return tt
+    return from_spread(spread, family.spread_type == "PS+")
 
 
 def analyze(tt: TruthTable) -> tuple:
@@ -411,14 +383,14 @@ def analyze(tt: TruthTable) -> tuple:
 
     A table that cannot be bent, of odd arity or below 2 or of a weight
     other than 2^(n-1) -+ 2^(m-1), is refused. Any other must come from
-    bent_from_kernels: the nonlinearity is read off its flat check.
+    from_spread, so that it is bent by Dillon's theorem.
     """
     n, m, weight = tt.n, tt.n // 2, tt.weight()
     if n < 2 or n % 2 or abs(weight - (1 << (n - 1))) != 1 << (m - 1):
         raise SpreadbentError(f"no bent function of arity {n} has weight {weight}")
     degree, rank = algebraic_degree(anf(tt)), development_rank(tt)
-    # bent_from_kernels' flat check certified max|W| = 2^m, which fixes
-    # the nonlinearity 2^(n-1) - max|W|/2
+    # a bent function has max|W| = 2^m, which fixes the nonlinearity
+    # 2^(n-1) - max|W|/2
     return tt.hex(), weight, degree, (1 << (n - 1)) - (1 << (m - 1)), rank, classify(rank, m)
 
 
@@ -430,8 +402,7 @@ BATCH = 64
 
 
 def _rows(catalog: Catalog, start: int) -> list[list]:
-    """The CSV rows of the BATCH families from family_id start on, built
-    as one batch."""
+    """The CSV rows of the BATCH families from family_id start on."""
     pool = catalog.pool
     names = [format_poly(p) for p in pool.members]
     items = list(itertools.islice(catalog.walk(start), BATCH))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConstructionRejected, SpreadbentError, check_int
 from .gf2e import FieldSpec, fe_mul
-from .poly import Poly
+from .poly import Poly, same_spec
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,10 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     band, so the stack is singular. Full rank is equivalent to
     gcd(f, g) = 1 whenever at most one of the two windows is
     degree-deficient. Each call spans two spaces of 2^(b*l) vectors, the
-    same cost as kernel of the band.
+    same cost as kernel of the band. f and g must share one field, as in
+    poly_gcd.
     """
+    same_spec(f, g)
     check_int("window size b", b, 1)
     fc, gc = f.coeffs, g.coeffs
     if not fc and not gc:

@@ -62,8 +62,9 @@ def x_power(spec: FieldSpec, k: int) -> Poly:
     return Poly(spec, (0,) * k + (1,))
 
 
-def _same_spec(f: Poly, g: Poly) -> FieldSpec:
-    if f.spec != g.spec:
+def same_spec(f: Poly, g: Poly) -> FieldSpec:
+    """The one field of f and g, or SpreadbentError for two fields."""
+    if f.spec is not g.spec and f.spec != g.spec:
         raise SpreadbentError(f"{f.spec} vs {g.spec}")
     return f.spec
 
@@ -84,7 +85,7 @@ def _product(spec: FieldSpec, f: Sequence[int], g: Sequence[int]) -> tuple[int, 
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
-    spec = _same_spec(f, g)
+    spec = same_spec(f, g)
     if f.is_zero or g.is_zero:
         return zero(spec)
     return Poly(spec, _product(spec, f.coeffs, g.coeffs))
@@ -124,7 +125,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     coefficient c subtracts log c from every nonzero coefficient's log.
     A unit gcd is the field's shared one(spec), so coprime pairs build no Poly.
     """
-    spec = f.spec if f.spec is g.spec else _same_spec(f, g)
+    spec = same_spec(f, g)
     a, b = list(f.coeffs), list(g.coeffs)
     if not a and not b:
         raise ConstructionRejected("gcd(0, 0) is undefined")

@@ -15,7 +15,6 @@ from spreadbent.boolfun import (
     is_bent,
     mobius,
     nonlinearity,
-    walsh_spectra,
     walsh_transform,
 )
 from spreadbent.errors import ConstructionRejected, SpreadbentError
@@ -164,33 +163,12 @@ def test_walsh_matches_butterfly_large():
             assert int((spectrum.astype(np.int64) ** 2).sum()) == 1 << (2 * n)
 
 
-@st.composite
-def table_stacks(draw):
-    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
-    return [TruthTable(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
-            for _ in range(draw(st.integers(1, 8)))]
-
-
-@settings(deadline=None, max_examples=30)
-@given(table_stacks(), st.data())
-def test_walsh_spectra_rows_are_each_tables_spectrum(stack, data):
-    spectra = walsh_spectra(stack)
-    assert spectra.shape == (len(stack), 1 << stack[0].n)
-    assert spectra.dtype == np.int32 and not spectra.flags.writeable
-    for tt, row in zip(stack, spectra):
-        assert np.array_equal(row, walsh_transform(tt))
-    # the naive transform takes 4^n steps: every row up to n = 8, one drawn row at n = 10
-    if stack[0].n <= 8:
-        checked = range(len(stack))
-    else:
-        checked = [data.draw(st.integers(0, len(stack) - 1))]
-    for i in checked:
-        assert list(spectra[i]) == naive_walsh(stack[i])
-
-
-def test_walsh_spectra_needs_one_arity():
-    with pytest.raises(SpreadbentError, match="one arity"):
-        walsh_spectra([TruthTable(4, 0), TruthTable(2, 0)])
+@settings(deadline=None, max_examples=6)
+@given(st.integers(0, (1 << 1024) - 1))
+def test_walsh_matches_naive_at_n10(bits):
+    # past tables(8): the naive transform takes 4^n steps, about 0.4 s here
+    tt = TruthTable(10, bits)
+    assert list(walsh_transform(tt)) == naive_walsh(tt)
 
 
 def test_parseval():

@@ -16,13 +16,12 @@ import pytest
 
 import spreadbent
 from spreadbent import cli, families
-from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent, walsh_spectra
+from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
 from spreadbent.cli import main
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
     Catalog,
     FamilySpec,
-    bent_from_kernels,
     candidate_pool,
     desarguesian_spread,
     enumerate_families,
@@ -173,10 +172,6 @@ INPUT_ERRORS = {
                                            "arity n must be an int >= 0, got -1"),
     "TruthTable.from_support": (lambda: TruthTable.from_support(4, [-1]),
                                 "expected a support of indices >= 0, got -1"),
-    "walsh_spectra": (lambda: walsh_spectra([]),
-                      "expected one or more tables of one arity, got n=[]"),
-    "bent_from_kernels": (lambda: bent_from_kernels([], False, []),
-                          "expected one or more tables of one arity, got n=[]"),
     # a Subspace checks its basis, so no spread member can hold -1 or 16
     "Subspace.vector-list": (lambda: Subspace(4, (0, 1, 2, -1)),
                              "expected 2 independent ints in [0, 2^4), got (0, 1, 2, -1)"),
@@ -249,6 +244,10 @@ INPUT_ERRORS = {
     "sylvester_resultant_nonzero.float-b": (
         lambda: sylvester_resultant_nonzero(poly(field(2), (1, 0, 1)), poly(field(2), (1, 1)), 3.0),
         "window size b must be an int >= 1, got 3.0"),
+    # as in poly_gcd: two fields' bands have rows of different widths
+    "sylvester_resultant_nonzero.mixed-fields": (
+        lambda: sylvester_resultant_nonzero(poly(field(1), (1, 1)), poly(field(2), (1, 1)), 1),
+        "FieldSpec(l=1, modulus=3) vs FieldSpec(l=2, modulus=7)"),
     "x_power.negative-k": (lambda: x_power(field(2), -1), "power k must be an int >= 0, got -1"),
     "poly": (lambda: poly(field(1), (1, 2)),
              "coefficient out of range for FieldSpec(l=1, modulus=3): [1, 2]"),

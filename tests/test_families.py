@@ -34,7 +34,6 @@ from spreadbent.families import (
     TAG_SQUARE,
     TAG_XPOW,
     analyze,
-    bent_from_kernels,
     build_bent,
     candidate_pool,
     coprime_subsets,
@@ -390,8 +389,8 @@ def test_catalog_build_matches_from_scratch(l, b, e_inf, plus):
     (2, 2, 8, 1), (2, 2, 9, 1), (1, 3, 4, 1), (1, 3, 5, 1), (4, 1, 8, 97), (4, 1, 9, 97),
 ], ids=["table2-ps-", "table2-ps+", "window3-ps-", "window3-ps+", "window1-ps-", "window1-ps+"])
 def test_certified_nonlinearity_matches_the_measured_one(l, b, t, step):
-    # analyze derives the nonlinearity from the flat check's certificate;
-    # a transform of its own measures it: every step-th catalog function
+    # analyze derives the nonlinearity from Dillon's theorem; a transform
+    # measures it: every step-th catalog function
     catalog = enumerate_families(candidate_pool(field(l), b), t)
     items = list(itertools.islice(catalog.walk(), 0, None, step))
     for tt in catalog.build(items):
@@ -593,41 +592,16 @@ def test_interleaved_sweeps_keep_their_own_catalogs():
     assert {row[1] for row in minus} == {"PS-"} and {row[1] for row in plus} == {"PS+"}
 
 
-def test_bent_from_kernels_checks():
+def test_catalog_build_checks():
     catalog = enumerate_families(candidate_pool(GF2, 2), 2)
-    spread = [catalog.pool.kernels[i] for i in next(catalog.walk())[1]]
-    (tt,) = bent_from_kernels([spread], False, [0])
+    item = next(catalog.walk())
+    (tt,) = catalog.build([item])
     assert tt.hex() == build_bent(catalog[0]).hex()
     assert is_bent(tt)
+    combo = item[1]
     with pytest.raises(ConstructionRejected, match="share nonzero vectors"):
-        bent_from_kernels([spread, [spread[0], spread[0]]], False, [0, 1])
+        catalog.build([item, (1, (combo[0], combo[0]))])
     with pytest.raises(ConstructionRejected, match="need 2 members"):
-        bent_from_kernels([spread[:1]], False, [0])
+        catalog.build([(0, combo[:1])])
     with pytest.raises(ConstructionRejected, match="need 3 members"):
-        bent_from_kernels([spread], True, [0])
-
-
-def test_batch_rejection_names_the_non_flat_family(monkeypatch):
-    # the stacked flatness test reports the batch member that fails it
-    catalog = enumerate_families(candidate_pool(GF4, 2), 8)
-    items = list(itertools.islice(catalog.walk(10), 5))
-    real = families.walsh_spectra
-
-    def third_not_flat(tables):
-        spectra = real(tables).copy()
-        spectra[2, 0] += 2
-        return spectra
-
-    monkeypatch.setattr(families, "walsh_spectra", third_not_flat)
-    with pytest.raises(ConstructionRejected, match="^family 12 produced a non-flat spectrum$"):
-        catalog.build(items)
-
-
-def test_bent_from_kernels_rejects_non_flat_spectrum(monkeypatch):
-    # Every family of checked subspaces that passes from_spread is bent, so
-    # the flat check, the independent bent certificate, is reached through
-    # a from_spread that hands back a table that is not bent.
-    spread = [kernel(build_matrix(poly(GF2, c), 2)) for c in [(1, 0, 1), (1, 1, 1)]]
-    monkeypatch.setattr(families, "from_spread", lambda members, plus_type: TruthTable(4, 0b111))
-    with pytest.raises(ConstructionRejected, match="family 7 produced a non-flat spectrum"):
-        bent_from_kernels([spread], False, [7])
+        enumerate_families(catalog.pool, 3).build([item])

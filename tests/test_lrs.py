@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -117,6 +118,20 @@ def test_sylvester_matches_gcd():
             continue
         b = int(max(f.degree, g.degree))
         assert sylvester_resultant_nonzero(f, g, b) == (poly_gcd(f, g) == unit)
+
+
+@pytest.mark.parametrize("f, g", [
+    (poly(GF2, (1, 1)), poly(GF4, (1, 1))),
+    (poly(GF2, (0, 1)), poly(field(3), (1, 1))),
+], ids=["gf2-gf4", "gf2-gf8"])
+def test_sylvester_refuses_two_fields_as_gcd_does(f, g):
+    # each band would be built in its own field, rows of different widths
+    for a, c in ((f, g), (g, f)):
+        message = f"^{re.escape(f'{a.spec} vs {c.spec}')}$"
+        with pytest.raises(SpreadbentError, match=message):
+            poly_gcd(a, c)
+        with pytest.raises(SpreadbentError, match=message):
+            sylvester_resultant_nonzero(a, c, 1)
 
 
 def _reference_rows(f, b):

@@ -11,7 +11,8 @@ EA-invariance on catalog functions, the property the classification rests
 on. The from_spread tests check its mask union against the set union of
 the kernels, and map catalog spreads through invertible matrices, basis
 vector by basis vector, to check Subspace's span, mask and equality
-against brute force.
+against brute force, and that the images, like Desarguesian spreads that
+hold E_inf, build bent functions.
 """
 
 import functools
@@ -26,9 +27,9 @@ from spreadbent.families import (
     TAG_IRREDUCIBLE,
     TAG_PRODUCT,
     CandidatePool,
-    bent_from_kernels,
     candidate_pool,
     coprime_subsets,
+    desarguesian_spread,
     enumerate_families,
 )
 from spreadbent.gf2e import FieldSpec, fe_inv, fe_mul, field
@@ -362,5 +363,18 @@ def test_subspace_images_under_invertible_maps(shape, plus, data):
         other = Subspace(n, basis)
         assert other == s and hash(other) == hash(s)
     (f,) = catalog.build([item])
-    (g,) = bent_from_kernels([images], catalog.spread_type == "PS+", [item[0]])
+    g = from_spread(images, plus)
+    assert is_bent(g)
     assert all(g.bits >> image(x) & 1 == f.bits >> x & 1 for x in range(1 << n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.booleans(), st.data())
+def test_desarguesian_spreads_with_e_infinity_are_bent(m, plus, data):
+    """Dillon's theorem on spreads no catalog holds: E_inf with t - 1 of
+    the graphs E_a, t = 2^(m-1) for PS- and one more for PS+."""
+    *graphs, e_infinity = desarguesian_spread(m)
+    t = (1 << (m - 1)) + plus
+    chosen = data.draw(st.lists(st.sampled_from(graphs), min_size=t - 1, max_size=t - 1,
+                                unique_by=lambda s: s.vectors))
+    assert is_bent(from_spread(chosen + [e_infinity], plus))
