@@ -40,7 +40,7 @@ for f in (f1, f2):
 spread = [kernel(build_matrix(f, 2)) for f in (f1, f2)]
 g = from_spread(spread, plus_type=False)
 print("\nnegative type: union minus zero vector")
-print("  truth table:", g.array().tolist())
+print("  truth table:", [g.bits >> k & 1 for k in range(1 << g.n)])
 print("  hex:", g.hex(), " weight:", g.weight())
 print("  anf:", format_anf(anf(g)), " degree:", algebraic_degree(anf(g)))
 print("  nonlinearity:", nonlinearity(walsh_transform(g)))
@@ -51,7 +51,7 @@ f3 = poly(spec, (0, 0, 1))
 spread.append(kernel(build_matrix(f3, 2)))
 h = from_spread(spread, plus_type=True)
 print("\npositive type: add the kernel of", format_poly(f3))
-print("  truth table:", h.array().tolist())
+print("  truth table:", [h.bits >> k & 1 for k in range(1 << h.n)])
 print("  hex:", h.hex(), " weight:", h.weight())
 print("  anf:", format_anf(anf(h)))
 

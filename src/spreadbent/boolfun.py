@@ -8,11 +8,10 @@ as the top bit, in ceil(2^n / 4) digits: the 16-bit table
 (0,0,0,0,0,1,1,0,0,0,1,1,0,1,0,1) prints as "0635".
 
 The union of spread members, the weight, the ANF (the subset-sum transform
-over GF(2), its own inverse) and the degree are int operations. Only the
-Walsh transform (two float64 matrix products) and rank2's development
-matrix unpack the table to numpy. No build runs the transform: Dillon's
-theorem makes every table from_spread returns bent, and is_bent checks
-that with a transform in the tests and in verify.
+over GF(2), its own inverse), the degree and the Walsh spectrum are all int
+operations; only rank2 unpacks a table to numpy. No build runs the
+transform: Dillon's theorem makes every table from_spread returns bent, and
+is_bent checks that with a transform in the tests and in verify.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import functools
 import itertools
 import string
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConstructionRejected, SpreadbentError, check_int
 from .lrs import Subspace
@@ -35,7 +32,7 @@ class _Bits:
 
     def __post_init__(self):
         check_int("arity n", self.n, 0)
-        if not isinstance(self.bits, int) or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
+        if type(self.bits) is not int or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise SpreadbentError(f"expected an int of {1 << self.n} bits for n={self.n}")
 
 
@@ -45,10 +42,14 @@ class TruthTable(_Bits):
 
     @classmethod
     def from_support(cls, n: int, support) -> "TruthTable":
-        support = set(support)
-        if support and min(support) < 0:
-            raise SpreadbentError(f"expected a support of indices >= 0, got {min(support)}")
-        return cls(n, sum(1 << k for k in support))
+        check_int("arity n", n, 0)
+        support = list(support)
+        for k in support:
+            # True == 1 and hashes like it, so a set would hide a bool; an
+            # index past the table is refused before 1 << k is built
+            if type(k) is not int or not 0 <= k < 1 << n:
+                raise SpreadbentError(f"expected a support of int indices in [0, 2^{n}), got {k!r}")
+        return cls(n, sum(1 << k for k in set(support)))
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
@@ -63,18 +64,10 @@ class TruthTable(_Bits):
         return self.bits.bit_count()
 
     def hex(self) -> str:
-        # bit-reversed bytes put f(8j) at the top of byte j; sub-byte tables
-        # drop the padding nibble
-        return self._bytes().translate(_bit_reversed()).hex()[: max(1 << self.n >> 2, 1)]
-
-    def array(self) -> np.ndarray:
-        """The table unpacked into a uint8 array, entry k = f(k)."""
-        raw = np.frombuffer(self._bytes(), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: 1 << self.n]
-
-    def _bytes(self) -> bytes:
-        # f(8j + i) is bit i of byte j
-        return self.bits.to_bytes(max(1 << self.n >> 3, 1), "little")
+        # f(8j + i) is bit i of byte j; reversing each byte's bits puts f(8j)
+        # at its top, and sub-byte tables drop the padding nibble
+        raw = self.bits.to_bytes(max(1 << self.n >> 3, 1), "little")
+        return raw.translate(_bit_reversed()).hex()[: max(1 << self.n >> 2, 1)]
 
 
 @dataclass(frozen=True)
@@ -160,43 +153,35 @@ def mobius(bits: int, n: int) -> int:
     return bits
 
 
-@functools.cache
-def _hadamard(k: int) -> np.ndarray:
-    # the read-only 2^k x 2^k Sylvester-Hadamard matrix, entry (u, x) =
-    # (-1)^(u.x), as float64 for BLAS
-    h = np.ones((1, 1))
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
+def walsh_transform(tt: TruthTable) -> tuple[int, ...]:
+    """The spectrum W(a) = sum_x (-1)^(f(x) + a.x) = 2^n - 2 wt(f + a.x),
+    2^n exact ints.
 
-
-def walsh_transform(tt: TruthTable) -> np.ndarray:
-    """The spectrum W(u) = sum_x (-1)^(f(x) + u.x), read-only int32, 2^n
-    entries.
-
-    Splitting the index into its high a = n//2 and low n - a bits makes
-    H_(2^n) = H_(2^a) (x) H_(2^(n-a)) (Fino and Algazi, 1976), so the
-    spectrum is H_a @ S @ H_b with S the polarity table as a 2^a x 2^(n-a)
-    matrix. It is exact: every partial sum is an integer of magnitude at
-    most 2^n, far inside float64's 2^53.
+    a runs through the Gray code a = k ^ (k >> 1). Step k flips bit i of a,
+    i the lowest set bit of k, so it XORs the table of x -> bit i of x into
+    the table of the linear function a.x.
     """
-    n, a = tt.n, tt.n // 2
-    s = (1.0 - 2.0 * tt.array()).reshape(1 << a, 1 << (n - a))
-    spectrum = (_hadamard(a) @ s @ _hadamard(n - a)).astype(np.int32).reshape(1 << n)
-    spectrum.setflags(write=False)
-    return spectrum
+    size = 1 << tt.n
+    full = (1 << size) - 1
+    high = [full ^ low for low in _low_masks(tt.n)]
+    spectrum = [0] * size
+    linear = 0
+    for k in range(size):
+        if k:
+            linear ^= high[(k & -k).bit_length() - 1]
+        spectrum[k ^ k >> 1] = size - 2 * (tt.bits ^ linear).bit_count()
+    return tuple(spectrum)
 
 
-def nonlinearity(spectrum: np.ndarray) -> int:
-    return len(spectrum) // 2 - int(np.abs(spectrum).max()) // 2
+def nonlinearity(spectrum: tuple[int, ...]) -> int:
+    return len(spectrum) // 2 - max(map(abs, spectrum)) // 2
 
 
 def is_bent(tt: TruthTable) -> bool:
-    """Flat spectrum test: every |W(u)| equals 2^(n/2); n must be even."""
+    """Flat spectrum test: every |W(a)| equals 2^(n/2); n must be even."""
     if tt.n % 2:
         raise SpreadbentError(f"bentness needs even arity, got n={tt.n}")
-    return bool((np.abs(walsh_transform(tt)) == 1 << (tt.n // 2)).all())
+    return all(abs(w) == 1 << (tt.n // 2) for w in walsh_transform(tt))
 
 
 def anf(tt: TruthTable) -> Anf:

@@ -2,9 +2,10 @@
 
 Coefficients are stored low-to-high: coeffs[i] is the coefficient of X^i,
 each one a field element int. The zero polynomial is the empty tuple and has
-degree -inf (a real sentinel, so the Euclidean loop's degree comparisons
-need no special casing). Nonzero polynomials never carry trailing zero
-coefficients.
+degree -inf, the usual convention. Degree is read only by comparisons with a
+window size b (lrs.build_matrix, families.nonzero_constant_members), and
+-inf is below every b, so no zero case is needed there. Nonzero polynomials
+never carry trailing zero coefficients.
 
 Text form used in every report and CSV row: `[c0,c1,...,cb]`, e.g. the
 polynomial X^2 + aX + a^2 over GF(4) is `[3,2,1]`.

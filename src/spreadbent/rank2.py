@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from math import comb
 
+# the package's one numpy import, at module level: perfbench/run.py reads
+# numpy's version from sys.modules on runs that never rank
 import numpy as np
 
 from .boolfun import TruthTable
@@ -34,8 +36,11 @@ BEYOND_DS = "beyond-DS"
 def development_matrix(tt: TruthTable) -> np.ndarray:
     """Bit-packed rows of f(x XOR y); row x, bit y."""
     size = 1 << tt.n
+    # f(8j + i) is bit i of byte j
+    raw = np.frombuffer(tt.bits.to_bytes(max(size >> 3, 1), "little"), dtype=np.uint8)
+    table = np.unpackbits(raw, bitorder="little")[:size]
     idx = np.arange(size, dtype=np.int64)
-    return np.packbits(tt.array()[idx[:, None] ^ idx[None, :]], axis=1)
+    return np.packbits(table[idx[:, None] ^ idx[None, :]], axis=1)
 
 
 def rank_gf2(packed: np.ndarray, ncols: int) -> int:

@@ -171,7 +171,19 @@ INPUT_ERRORS = {
     "TruthTable.from_hex.negative-arity": (lambda: TruthTable.from_hex(-1, "0"),
                                            "arity n must be an int >= 0, got -1"),
     "TruthTable.from_support": (lambda: TruthTable.from_support(4, [-1]),
-                                "expected a support of indices >= 0, got -1"),
+                                "expected a support of int indices in [0, 2^4), got -1"),
+    # refused before a 10^12-bit int is built
+    "TruthTable.from_support.huge-index": (
+        lambda: TruthTable.from_support(2, [10**12]),
+        "expected a support of int indices in [0, 2^2), got 1000000000000"),
+    # True == 1 and 1.0 == 1, so each would pass for the int it equals
+    "TruthTable.bool-bits": (lambda: TruthTable(2, True), "expected an int of 4 bits for n=2"),
+    "TruthTable.from_support.bool-index": (
+        lambda: TruthTable.from_support(2, [True]),
+        "expected a support of int indices in [0, 2^2), got True"),
+    "TruthTable.from_support.float-index": (
+        lambda: TruthTable.from_support(2, [1.0]),
+        "expected a support of int indices in [0, 2^2), got 1.0"),
     # a Subspace checks its basis, so no spread member can hold -1 or 16
     "Subspace.vector-list": (lambda: Subspace(4, (0, 1, 2, -1)),
                              "expected 2 independent ints in [0, 2^4), got (0, 1, 2, -1)"),

@@ -49,7 +49,7 @@ def test_development_matrix_symmetry():
     packed = development_matrix(tt)
     unpacked = np.unpackbits(packed, axis=1)[:, :16]
     assert np.array_equal(unpacked, unpacked.T)
-    assert list(unpacked[0]) == list(tt.array())
+    assert list(unpacked[0]) == [tt.bits >> k & 1 for k in range(16)]
 
 
 def test_rank_gf2_matches_naive_random():
