@@ -145,8 +145,27 @@ def _resolve_jobs(requested):
 
 # ---------------------------------------------------------------- commands
 
+def _checked_field(args):
+    """GF(2^l) for a polys or build command whose --l and --b the command
+    supports; SpreadbentError before any work otherwise."""
+    l, b = args.l, args.b
+    if l < 1 or b < 1:
+        raise SpreadbentError("--l and --b must be >= 1")
+    if l * b > 8:
+        raise SpreadbentError(
+            f"l*b = {l * b} exceeds the supported capacity "
+            "l*b <= 8 (function arity n = 2*l*b <= 16)"
+        )
+    if args.command == "build" and l * b == 8:
+        raise SpreadbentError(
+            "build at l*b = 8 (n = 16) is refused: its 2^16 x 2^16 "
+            "development matrix needs a 32 GiB index temporary"
+        )
+    return field(l)
+
+
 def cmd_polys(args):
-    spec = field(args.l)
+    spec = _checked_field(args)
     pool = candidate_pool(spec, args.b)
     breakdown = ", ".join(f"{tag}: {n}" for tag, n in Counter(pool.tags).items())
     print(f"# pool {describe(spec)} b={args.b}: {len(pool.members)} members ({breakdown})")
@@ -156,19 +175,16 @@ def cmd_polys(args):
 
 
 def cmd_build(args):
-    spec = field(args.l)
+    spec = _checked_field(args)
     plus = args.type == "ps+"
     if args.family_id is not None:
         pool = candidate_pool(spec, args.b)
         catalog = enumerate_families(pool, (1 << (args.l * args.b - 1)) + plus)
         if not 0 <= args.family_id < catalog.size:
-            print(
-                f"error: family id {args.family_id} out of range: the "
-                f"l={args.l} b={args.b} {catalog.spread_type} "
-                f"catalog has {catalog.size} families",
-                file=sys.stderr,
+            raise SpreadbentError(
+                f"family id {args.family_id} out of range: the l={args.l} b={args.b} "
+                f"{catalog.spread_type} catalog has {catalog.size} families"
             )
-            return 2
         item = next(catalog.walk(args.family_id))
         fs = catalog.family(*item)
         (tt,) = catalog.build([item])
@@ -262,7 +278,7 @@ def _check_triangle(spec, maxdeg):
     for p in polys:
         for b in range(max(len(p.coeffs) - 1, 1), maxdeg + 1):
             rows = build_matrix(p, b)
-            masks[p.coeffs, b] = kernel(rows).mask, Subspace(2 * len(rows), rows).mask
+            masks[p.coeffs, b] = kernel(rows).mask, Subspace(rows).mask
     pairs = 0
     for f, g in itertools.combinations_with_replacement(polys, 2):
         # polys run by degree, so g's degree is the pair's window size
@@ -295,10 +311,9 @@ def _check_irreducible_counts():
 
 def _check_closed_form(l, b):
     spec = field(l)
-    m = spec.l * b
-    closed = closed_form_family_count(spec, b, m)
+    closed = closed_form_family_count(spec, b)
     members = nonzero_constant_members(candidate_pool(spec, b))
-    brute = sum(1 for _ in coprime_subsets(members, 1 << (m - 1)))
+    brute = sum(1 for _ in coprime_subsets(members, 1 << (l * b - 1)))
     if closed != brute:
         return False, f"closed form {closed} != exhaustive {brute}"
     return True, f"closed form {closed} == exhaustive {brute}"
@@ -459,26 +474,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    l = getattr(args, "l", None)
-    b = getattr(args, "b", None)
-    if l is not None and b is not None:
-        if l < 1 or b < 1:
-            print("error: --l and --b must be >= 1", file=sys.stderr)
-            return 2
-        if l * b > 8:
-            print(
-                f"error: l*b = {l * b} exceeds the supported capacity "
-                "l*b <= 8 (function arity n = 2*l*b <= 16)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.command == "build" and l * b == 8:
-            print(
-                "error: build at l*b = 8 (n = 16) is refused: its 2^16 x 2^16 "
-                "development matrix needs a 32 GiB index temporary",
-                file=sys.stderr,
-            )
-            return 2
     try:
         return args.func(args)
     except ConstructionRejected as exc:

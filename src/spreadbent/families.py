@@ -492,9 +492,8 @@ def desarguesian_spread(m: int) -> list[Subspace]:
     m <= 8, so n = 2m <= 16 as in the CLI: memory grows about 4x per step."""
     check_int("m", m, 2, 8)
     spec, units = field(m), [1 << j for j in range(m)]
-    graphs = [Subspace(2 * m, tuple(e | fe_mul(spec, a, e) << m for e in units))
-              for a in range(spec.q)]
-    return graphs + [Subspace(2 * m, tuple(e << m for e in units))]
+    graphs = [Subspace(tuple(e | fe_mul(spec, a, e) << m for e in units)) for a in range(spec.q)]
+    return graphs + [Subspace(tuple(e << m for e in units))]
 
 
 def verify_desarguesian_equivalence(m: int) -> bool:

@@ -43,29 +43,29 @@ from .poly import Poly, same_spec
 @dataclass(frozen=True)
 class Subspace:
     """An (n/2)-dimensional GF(2) subspace of F_2^n, built from a basis of
-    n/2 independent ints in [0, 2^n), n even and >= 2, or SpreadbentError:
-    the one definition of a spread member. vectors, the sorted span, comes
-    from the basis by XOR doubling, and equality and hash read it, not bases.
+    n/2 independent ints in [0, 2^n), or SpreadbentError: the one
+    definition of a spread member. n is read off the basis, 2*len(basis),
+    as kernel reads it off its rows. vectors, the sorted span, comes from
+    the basis by XOR doubling, and equality and hash read it, not bases.
     mask is the same set as one int, bit v set for each member v, built on
     first use, so unions and intersections are single OR and AND operations.
     Its bits are set in a bytearray and converted once, in time linear in
     2^n / 8 + 2^(n/2), where OR-ing in 1 << v would copy the int each time.
     """
 
-    n: int
     basis: tuple[int, ...] = field(compare=False)
     vectors: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, basis = self.n, self.basis
-        check_int("subspace arity n", n, 2)
-        if n % 2:
-            raise SpreadbentError(f"a subspace needs an even arity n, got n={n}")
-        _pivots(n, basis)
+        _pivots(self.basis)
         vectors = [0]
-        for v in basis:
+        for v in self.basis:
             vectors += [w ^ v for w in vectors]
         object.__setattr__(self, "vectors", tuple(sorted(vectors)))
+
+    @property
+    def n(self) -> int:
+        return 2 * len(self.basis)
 
     @functools.cached_property
     def mask(self) -> int:
@@ -138,15 +138,17 @@ def _absorb(pivots: dict[int, int], rows: tuple[int, ...]) -> bool:
     return True
 
 
-def _pivots(n: int, rows) -> dict[int, int]:
+def _pivots(rows) -> dict[int, int]:
     """The echelon form of rows (top bit -> reduced row); SpreadbentError
-    unless rows are a tuple of n/2 ints (not bools, as in check_int) in
-    [0, 2^n) that _absorb finds independent: Subspace and kernel."""
-    pivots: dict[int, int] = {}
-    if not (isinstance(rows, tuple) and len(rows) == n // 2
-            and all(type(v) is int and 0 <= v < 1 << n for v in rows)
+    unless rows are a non-empty tuple of k ints (not bools, as in
+    check_int) in [0, 2^(2k)) that _absorb finds independent: the basis
+    test of Subspace and kernel, at n = 2k."""
+    if not (isinstance(rows, tuple) and rows):
+        raise SpreadbentError(f"expected a non-empty tuple of ints, got {rows!r}")
+    k, pivots = len(rows), {}
+    if not (all(type(v) is int and 0 <= v < 1 << 2 * k for v in rows)
             and _absorb(pivots, rows)):
-        raise SpreadbentError(f"expected {n // 2} independent ints in [0, 2^{n}), got {rows!r}")
+        raise SpreadbentError(f"expected {k} independent ints in [0, 2^{2 * k}), got {rows!r}")
     return pivots
 
 
@@ -160,12 +162,12 @@ def kernel(rows: tuple[int, ...]) -> Subspace:
     top t in increasing order, bit t of v becomes the parity of row t & v,
     so v is orthogonal to that row, which holds no bit above t.
     """
+    pivots = _pivots(rows)
     n = 2 * len(rows)
-    pivots = _pivots(n, rows)
     generators = [1 << c for c in range(n) if c not in pivots]
     for t in sorted(pivots):
         generators = [v | ((pivots[t] & v).bit_count() & 1) << t for v in generators]
-    return Subspace(n, tuple(generators))
+    return Subspace(tuple(generators))
 
 
 def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
@@ -192,7 +194,7 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
     if not fc or not gc:
         return False
     rf, rg = _gf2_rows(f.spec.modulus, fc, b), _gf2_rows(g.spec.modulus, gc, b)
-    return Subspace(2 * len(rf), rf).mask & Subspace(2 * len(rg), rg).mask == 1
+    return Subspace(rf).mask & Subspace(rg).mask == 1
 
 
 def build_partial_spread(family: list[Poly], b: int) -> list[Subspace]:

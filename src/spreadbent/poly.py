@@ -175,41 +175,24 @@ def enumerate_irreducibles(spec: FieldSpec, degree: int) -> list[Poly]:
     return [Poly(spec, f) for f in _irreducible_coeffs(spec, degree)]
 
 
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    k, sign = n, 1
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    if k > 1:
-        sign = -sign
-    return sign
+def _monic_irreducible_count(q: int, k: int) -> int:
+    # Gauss's identity q^k = sum over d | k of d * N_d, solved for N_k: the
+    # count of every monic irreducible of degree k over F_q, X included
+    proper = sum(d * _monic_irreducible_count(q, d) for d in range(1, k) if k % d == 0)
+    return (q**k - proper) // k
 
 
 def gauss_count(spec: FieldSpec, k: int) -> int:
-    """Number of monic irreducibles of degree k with nonzero constant term.
-
-    For k >= 2 every irreducible already has a nonzero constant term and the
-    count is the divisor sum (1/k) * sum_{d|k} mu(d) q^(k/d). For k = 1 the
-    polynomial X is excluded, leaving q - 1.
-    """
+    """Number of monic irreducibles of degree k with nonzero constant term:
+    all of them (_monic_irreducible_count) but X, which has degree 1."""
     check_int("degree k", k, 1)
-    q = spec.q
-    if k == 1:
-        return q - 1
-    total = sum(_moebius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0)
-    return total // k
+    return _monic_irreducible_count(spec.q, k) - (k == 1)
 
 
-def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
+def closed_form_family_count(spec: FieldSpec, b: int) -> int:
     """Closed-form count of the degree-b nonzero-constant coprime families
-    of size 2^(m-1), i.e. of the negative-type functions they generate.
+    of size 2^(m-1), m = l*b, i.e. of the negative-type functions they
+    generate.
 
     b=1: choose 2^(m-1) of the 2^m - 1 admissible linears. b=2: sum over
     family shapes (A irreducibles, B squares of linears, C products of two
@@ -218,9 +201,7 @@ def closed_form_family_count(spec: FieldSpec, b: int, m: int) -> int:
     """
     if type(b) is not int or b not in (1, 2):
         raise SpreadbentError(f"closed form exists only for b in {{1, 2}}, got {b}")
-    check_int("m", m, 1)
-    if spec.l * b != m:
-        raise SpreadbentError(f"need l*b = m, got l={spec.l} b={b} m={m}")
+    m = spec.l * b
     t = 1 << (m - 1)
     if b == 1:
         return comb((1 << m) - 1, t)

@@ -2,7 +2,9 @@
 (module, function) of WRAPPED at every import site, and a traced run dies
 on a name the package no longer has; perfbench/workloads.py builds its
 inputs and checks its replies through module attributes, keyword
-arguments and FamilySpec fields, and a renamed one fails only its run."""
+arguments and FamilySpec fields, and a renamed one fails only its run.
+The span observers read some arguments by position, so a traced build and
+verify run here too."""
 
 import ast
 import dataclasses
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from spreadbent.cli import main
 from spreadbent.families import FamilySpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -83,3 +86,18 @@ def test_family_spec_has_the_fields_the_workloads_read():
     fields = {f.name for f in dataclasses.fields(FamilySpec)}
     for name in ("polys", "spread_type", "family_id", "l", "b", "m"):
         assert name in fields or isinstance(getattr(FamilySpec, name, None), property), name
+
+
+def test_a_traced_build_and_verify_feed_every_computed_metric(capsys):
+    # the observers read rank_gf2's args[1], enumerate_families' args[0]
+    # and args[1], and development_matrix's args[0].n by position, which
+    # the name checks above do not reach
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for argv in (["build", "--l", "2", "--b", "2", "--family-id", "5"], ["verify"]):
+            with tracer.span(spans.ROOT):
+                assert main(argv) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics(1.0)
+    for name in spans.COMPUTED:
+        assert metrics[name] > 0, name

@@ -301,17 +301,19 @@ def test_from_spread_member_errors():
     # each member must be a subspace of the first member's F_2^n
     spread = build_partial_spread(MINUS_FAMILY, b=2)
     n2_kernel = build_partial_spread([poly(GF2, (1, 1))], b=1)[0]
-    n6_subspace = Subspace(6, (1, 2, 4))
+    n6_subspace = Subspace((1, 2, 4))
     for bad in (n2_kernel, n6_subspace):
         with pytest.raises(ConstructionRejected) as caught:
             from_spread([spread[0], bad], plus_type=False)
         assert str(caught.value) == f"member 1 is a subspace of F_2^{bad.n}, not of F_2^4"
-    # a member of the wrong size, without zero or with a repeated vector
-    # cannot be built: n/2 independent vectors span exactly 2^(n/2), 0 among them
+    # a basis with zero, a repeated or dependent vector, or a vector wider
+    # than n = 2*len(basis) bits cannot be built: k independent vectors
+    # span exactly 2^k, 0 among them
     for basis in [(0, 5, 10), (1, 2, 3, 4), (0, 4, 4, 8), (5,), (0, 5), (4, 4)]:
         with pytest.raises(SpreadbentError) as caught:
-            Subspace(4, basis)
-        assert str(caught.value) == f"expected 2 independent ints in [0, 2^4), got {basis}"
+            Subspace(basis)
+        k = len(basis)
+        assert str(caught.value) == f"expected {k} independent ints in [0, 2^{2 * k}), got {basis}"
 
 
 def test_format_anf_degenerate():

@@ -36,7 +36,7 @@ from spreadbent.poly import (
     poly,
     x_power,
 )
-from spreadbent.rank2 import development_rank, ds_rank_bounds, mm_rank_bounds
+from spreadbent.rank2 import development_matrix, development_rank, ds_rank_bounds, mm_rank_bounds
 
 
 def run(capsys, *argv):
@@ -184,22 +184,20 @@ INPUT_ERRORS = {
     "TruthTable.from_support.float-index": (
         lambda: TruthTable.from_support(2, [1.0]),
         "expected a support of int indices in [0, 2^2), got 1.0"),
-    # a Subspace checks its basis, so no spread member can hold -1 or 16
-    "Subspace.vector-list": (lambda: Subspace(4, (0, 1, 2, -1)),
-                             "expected 2 independent ints in [0, 2^4), got (0, 1, 2, -1)"),
-    "Subspace.negative-basis-vector": (lambda: Subspace(4, (1, -2)),
+    # a Subspace checks its basis, so no spread member can hold -1 or 16;
+    # its arity is read off the basis, 2*len(basis)
+    "Subspace.vector-list": (lambda: Subspace((0, 1, 2, -1)),
+                             "expected 4 independent ints in [0, 2^8), got (0, 1, 2, -1)"),
+    "Subspace.negative-basis-vector": (lambda: Subspace((1, -2)),
                                        "expected 2 independent ints in [0, 2^4), got (1, -2)"),
-    "Subspace.vector-too-large": (lambda: Subspace(4, (1, 16)),
+    "Subspace.vector-too-large": (lambda: Subspace((1, 16)),
                                   "expected 2 independent ints in [0, 2^4), got (1, 16)"),
-    "Subspace.dependent": (lambda: Subspace(6, (3, 5, 6)),
+    "Subspace.dependent": (lambda: Subspace((3, 5, 6)),
                            "expected 3 independent ints in [0, 2^6), got (3, 5, 6)"),
-    "Subspace.wrong-length": (lambda: Subspace(4, (1, 2, 4)),
-                              "expected 2 independent ints in [0, 2^4), got (1, 2, 4)"),
-    "Subspace.odd-arity": (lambda: Subspace(3, (1,)),
-                           "a subspace needs an even arity n, got n=3"),
-    "Subspace.arity-below-2": (lambda: Subspace(0, ()),
-                               "subspace arity n must be an int >= 2, got 0"),
-    "Subspace.bool-basis": (lambda: Subspace(2, (True,)),
+    "Subspace.empty-basis": (lambda: Subspace(()), "expected a non-empty tuple of ints, got ()"),
+    "Subspace.list-basis": (lambda: Subspace([1, 2]),
+                            "expected a non-empty tuple of ints, got [1, 2]"),
+    "Subspace.bool-basis": (lambda: Subspace((True,)),
                             "expected 1 independent ints in [0, 2^2), got (True,)"),
     # kernel's rows pass the Subspace basis test at n = 2*len(rows)
     "kernel.wide-row": (lambda: kernel((5,)), "expected 1 independent ints in [0, 2^2), got (5,)"),
@@ -268,10 +266,8 @@ INPUT_ERRORS = {
                                "coefficient out of range for FieldSpec(l=2, modulus=7): [1.0, 1]"),
     "poly.bool-coefficient": (lambda: build_matrix(poly(field(2), (True, 1)), 1),
                               "coefficient out of range for FieldSpec(l=2, modulus=7): [True, 1]"),
-    "closed_form_family_count.bool-b": (lambda: closed_form_family_count(field(1), True, 1),
+    "closed_form_family_count.bool-b": (lambda: closed_form_family_count(field(1), True),
                                         "closed form exists only for b in {1, 2}, got True"),
-    "closed_form_family_count.float-m": (lambda: closed_form_family_count(field(1), 2, 2.0),
-                                         "m must be an int >= 1, got 2.0"),
     "parse_poly": (lambda: parse_poly(field(1), "[1,,1]"), "cannot parse polynomial '[1,,1]'"),
     "gauss_count": (lambda: gauss_count(field(1), 0), "degree k must be an int >= 1, got 0"),
     "gauss_count.float-k": (lambda: gauss_count(field(2), 2.0),
@@ -285,6 +281,9 @@ INPUT_ERRORS = {
                                     "m must be an int in [2, 8], got 2.0"),
     "desarguesian_spread.above-8": (lambda: _without_field(desarguesian_spread, 9),
                                     "m must be an int in [2, 8], got 9"),
+    # refused before numpy is asked for a 2^16 x 2^16 int64 index (32 GiB)
+    "development_matrix.n16": (lambda: development_matrix(TruthTable(16, 0)),
+                               "development matrix arity n must be an int in [0, 14], got 16"),
     "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be an int >= 2, got 1"),
     "mm_rank_bounds.float-m": (lambda: mm_rank_bounds(2.5), "m must be an int >= 2, got 2.5"),
     "ds_rank_bounds": (lambda: ds_rank_bounds(1), "m must be an int >= 2, got 1"),
@@ -360,9 +359,8 @@ def test_non_int_sizes_leave_the_memos_to_the_int_calls(capsys):
 
 
 def test_build_family_id_out_of_range(capsys):
-    code, _, err = run(capsys, "build", "--l", "1", "--b", "2", "--family-id", "99")
-    assert code == 2
-    assert "out of range" in err
+    assert run(capsys, "build", "--l", "1", "--b", "2", "--family-id", "99") == (
+        2, "", "error: family id 99 out of range: the l=1 b=2 PS- catalog has 6 families\n")
 
 
 def test_build_family_id_l3_b2(capsys):
@@ -444,6 +442,16 @@ def test_capacity_limit(capsys):
     code, _, err = run(capsys, "polys", "--l", "4", "--b", "3")
     assert code == 2
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("polys", "--l", "0", "--b", "1"),
+    ("build", "--l", "1", "--b", "0", "--polys", "[1,1]"),
+    # l*b = 9 here, yet the sign is refused, not the capacity
+    ("build", "--l", "-3", "--b", "-3", "--family-id", "0"),
+])
+def test_nonpositive_shape_refused(capsys, guarded, argv):
+    assert run(capsys, *argv) == (2, "", "error: --l and --b must be >= 1\n")
 
 
 def test_unknown_arguments_exit_2(capsys):

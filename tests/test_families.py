@@ -285,7 +285,7 @@ def test_nonzero_constant_members():
     assert len(nonzero_constant_members(candidate_pool(GF2, 2))) == 2
     sub = nonzero_constant_members(candidate_pool(GF16, 1))
     assert len(sub) == 15
-    assert sum(1 for _ in coprime_subsets(sub, 8)) == closed_form_family_count(GF16, 1, 4)
+    assert sum(1 for _ in coprime_subsets(sub, 8)) == closed_form_family_count(GF16, 1)
 
 
 def test_build_bent_properties():

@@ -349,8 +349,9 @@ def test_subspace_images_under_invertible_maps(shape, plus, data):
 
     item = next(catalog.walk(data.draw(st.integers(0, catalog.size - 1))))
     spread = [catalog.pool.kernels[i] for i in item[1]]
-    images = [Subspace(n, tuple(image(v) for v in s.basis)) for s in spread]
+    images = [Subspace(tuple(image(v) for v in s.basis)) for s in spread]
     for s in images:
+        assert s.n == n
         span = {
             functools.reduce(int.__xor__, combo, 0)
             for r in range(len(s.basis) + 1)
@@ -360,7 +361,7 @@ def test_subspace_images_under_invertible_maps(shape, plus, data):
         assert s.mask == sum(1 << v for v in span)
         # the same span from another basis (at m = 1 there is no other)
         basis = s.basis[:-1] + (s.basis[-1] ^ s.basis[0],) if len(s.basis) > 1 else s.basis
-        other = Subspace(n, basis)
+        other = Subspace(basis)
         assert other == s and hash(other) == hash(s)
     (f,) = catalog.build([item])
     g = from_spread(images, plus)
