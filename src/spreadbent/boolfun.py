@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from .errors import ConstructionRejected, SpreadbentError, check_int
 from .lrs import Subspace
 
+# The largest table arity, the CLI's capacity; checked before any 1 << n
+MAX_ARITY = 16
+
 
 @dataclass(frozen=True)
 class _Bits:
@@ -31,7 +34,7 @@ class _Bits:
     bits: int
 
     def __post_init__(self):
-        check_int("arity n", self.n, 0)
+        check_int("arity n", self.n, 0, MAX_ARITY)
         if type(self.bits) is not int or self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise SpreadbentError(f"expected an int of {1 << self.n} bits for n={self.n}")
 
@@ -42,7 +45,7 @@ class TruthTable(_Bits):
 
     @classmethod
     def from_support(cls, n: int, support) -> "TruthTable":
-        check_int("arity n", n, 0)
+        check_int("arity n", n, 0, MAX_ARITY)
         support = list(support)
         for k in support:
             # True == 1 and hashes like it, so a set would hide a bool; an
@@ -53,7 +56,7 @@ class TruthTable(_Bits):
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "TruthTable":
-        check_int("arity n", n, 0)
+        check_int("arity n", n, 0, MAX_ARITY)
         digits = max(1 << n >> 2, 1)
         if len(text) != digits or not set(text) <= set(string.hexdigits):
             raise SpreadbentError(f"expected {digits} hex digits for n={n}")
@@ -148,6 +151,7 @@ def mobius(bits: int, n: int) -> int:
     """Subset-sum transform over GF(2) of a 2^n-bit int; involutive, maps
     table <-> ANF. Step i adds each entry whose index has bit i clear into
     the entry 2^i above it."""
+    check_int("arity n", n, 0, MAX_ARITY)
     for i, low in enumerate(_low_masks(n)):
         bits ^= (bits & low) << (1 << i)
     return bits

@@ -35,6 +35,7 @@ import os
 import sys
 from collections import Counter
 
+from . import boolfun, rank2
 from .boolfun import algebraic_degree, anf, format_anf, is_bent
 from .errors import ConstructionRejected, SpreadbentError, check_int
 from .families import (
@@ -145,27 +146,20 @@ def _resolve_jobs(requested):
 
 # ---------------------------------------------------------------- commands
 
-def _checked_field(args):
-    """GF(2^l) for a polys or build command whose --l and --b the command
-    supports; SpreadbentError before any work otherwise."""
-    l, b = args.l, args.b
+def _checked_field(l, b):
+    """GF(2^l) for a shape within boolfun.MAX_ARITY, else SpreadbentError."""
     if l < 1 or b < 1:
         raise SpreadbentError("--l and --b must be >= 1")
-    if l * b > 8:
+    if 2 * l * b > boolfun.MAX_ARITY:
         raise SpreadbentError(
-            f"l*b = {l * b} exceeds the supported capacity "
-            "l*b <= 8 (function arity n = 2*l*b <= 16)"
-        )
-    if args.command == "build" and l * b == 8:
-        raise SpreadbentError(
-            "build at l*b = 8 (n = 16) is refused: its 2^16 x 2^16 "
-            "development matrix needs a 32 GiB index temporary"
+            f"l*b = {l * b} exceeds the supported capacity l*b <= {boolfun.MAX_ARITY // 2} "
+            f"(function arity n = 2*l*b <= {boolfun.MAX_ARITY})"
         )
     return field(l)
 
 
 def cmd_polys(args):
-    spec = _checked_field(args)
+    spec = _checked_field(args.l, args.b)
     pool = candidate_pool(spec, args.b)
     breakdown = ", ".join(f"{tag}: {n}" for tag, n in Counter(pool.tags).items())
     print(f"# pool {describe(spec)} b={args.b}: {len(pool.members)} members ({breakdown})")
@@ -175,7 +169,14 @@ def cmd_polys(args):
 
 
 def cmd_build(args):
-    spec = _checked_field(args)
+    spec = _checked_field(args.l, args.b)
+    n = 2 * args.l * args.b
+    if n > rank2.MAX_RANK_ARITY:
+        # the rank's 2^n x 2^n int64 index takes 2^(2n+3) bytes
+        raise SpreadbentError(
+            f"build at l*b = {n // 2} (n = {n}) is refused: its 2^{n} x 2^{n} "
+            f"development matrix needs a {2 ** (2 * n - 27)} GiB index temporary"
+        )
     plus = args.type == "ps+"
     if args.family_id is not None:
         pool = candidate_pool(spec, args.b)

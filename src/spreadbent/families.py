@@ -32,7 +32,7 @@ branches that still hold a family. The walk takes before it skips, so
 families come in lexicographic index order, and family_id k is the k-th of
 them. Skipping the branches counted below k whole, a walk from k reaches
 family k in |pool| steps: lookups walk from their id, and sweep workers
-from the start offsets they are sent.
+from the start offset sent with each batch.
 
 The catalog's graph comes from the kernels themselves: two members are
 compatible when their kernels meet only in zero, which is the
@@ -72,10 +72,10 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .boolfun import TruthTable, algebraic_degree, anf, from_spread
+from .boolfun import MAX_ARITY, TruthTable, algebraic_degree, anf, from_spread
 from .errors import SpreadbentError, check_int
 from .gf2e import FieldSpec, fe_mul, field
-from .lrs import Subspace, build_matrix, build_partial_spread, kernel
+from .lrs import Subspace, build_partial_spread
 from .poly import (
     Poly,
     enumerate_irreducibles,
@@ -108,7 +108,7 @@ class CandidatePool:
     @functools.cached_property
     def kernels(self) -> tuple[Subspace, ...]:
         """The kernel of every member at window size b, solved once per pool."""
-        return tuple(kernel(build_matrix(p, self.b)) for p in self.members)
+        return tuple(build_partial_spread(self.members, self.b))
 
     @functools.cached_property
     def _catalogs(self) -> dict[int, Catalog]:
@@ -394,7 +394,6 @@ def analyze(tt: TruthTable) -> tuple:
     return tt.hex(), weight, degree, (1 << (n - 1)) - (1 << (m - 1)), rank, classify(rank, m)
 
 
-_WORKER_CATALOG: Catalog | None = None  # the catalog a sweep worker builds from
 # Families per worker batch: about 0.1 s of work at n=8, so an early close
 # waits little for the batches workers hold, while the IPC per batch stays
 # small next to its work.
@@ -413,19 +412,10 @@ def _rows(catalog: Catalog, start: int) -> list[list]:
     ]
 
 
-def _init_worker(catalog):
-    global _WORKER_CATALOG
-    _WORKER_CATALOG = catalog
-
-
-def _worker_rows(start):
-    return _rows(_WORKER_CATALOG, start)
-
-
 def _batches(catalog: Catalog, jobs: int):
     """_rows from every BATCH-th family_id of catalog, in catalog order: in
-    this process for jobs=1, else over jobs worker processes that each hold
-    the catalog and are sent only start offsets.
+    this process for jobs=1, else over jobs worker processes, each batch
+    sent as the catalog (about 3 KB pickled at n=8) and its start offset.
 
     At most 2*jobs batches are out at once: a new one goes out only as the
     caller takes the rows of the oldest, so a caller that stops reading (a
@@ -441,11 +431,11 @@ def _batches(catalog: Catalog, jobs: int):
         return
     from concurrent.futures import ProcessPoolExecutor  # deferred: 8 ms to import
 
-    workers = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(catalog,))
+    workers = ProcessPoolExecutor(jobs)
     try:
         out = collections.deque()
         for start in starts:
-            out.append(workers.submit(_worker_rows, start))
+            out.append(workers.submit(_rows, catalog, start))
             if len(out) == 2 * jobs:
                 yield out.popleft().result()
         while out:
@@ -489,8 +479,9 @@ def desarguesian_spread(m: int) -> list[Subspace]:
     """The 2^m + 1 graph subspaces E_a = {(x, ax)} plus E_inf = {(0, y)},
     flattened with the canonical bit convention (first coordinate low).
     E_a is spanned by (e_j, a*e_j) and E_inf by (0, e_j), e_j = alpha^j.
-    m <= 8, so n = 2m <= 16 as in the CLI: memory grows about 4x per step."""
-    check_int("m", m, 2, 8)
+    n = 2m is at most boolfun's MAX_ARITY, as in the CLI: memory grows
+    about 4x per step."""
+    check_int("m", m, 2, MAX_ARITY // 2)
     spec, units = field(m), [1 << j for j in range(m)]
     graphs = [Subspace(tuple(e | fe_mul(spec, a, e) << m for e in units)) for a in range(spec.q)]
     return graphs + [Subspace(tuple(e << m for e in units))]

@@ -88,14 +88,13 @@ def build_matrix(f: Poly, b: int) -> tuple[int, ...]:
         raise ConstructionRejected("the zero polynomial defines no recurrence")
     if f.degree > b:
         raise SpreadbentError(f"degree {f.degree} exceeds window size b={b}")
-    return _gf2_rows(f.spec.modulus, f.coeffs, b)
+    return _gf2_rows(f.spec, f.coeffs, b)
 
 
 @functools.lru_cache(maxsize=16)
-def _mul_bits(modulus: int) -> tuple[tuple[int, ...], ...]:
+def _mul_bits(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     # entry [c][j'] is the mask of input bits j for which bit j' of
     # c*alpha^j is set: row j' of the GF(2) matrix of x -> c*x
-    spec = FieldSpec(modulus.bit_length() - 1, modulus)
     images = [[fe_mul(spec, c, 1 << j) for j in range(spec.l)] for c in range(spec.q)]
     return tuple(
         tuple(sum(1 << j for j, y in enumerate(ys) if y >> jp & 1) for jp in range(spec.l))
@@ -104,18 +103,16 @@ def _mul_bits(modulus: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _gf2_rows(modulus: int, coeffs: tuple[int, ...], b: int) -> tuple[int, ...]:
+def _gf2_rows(spec: FieldSpec, coeffs: tuple[int, ...], b: int) -> tuple[int, ...]:
     """The b x 2b band matrix of the polynomial with these coefficients over
-    GF(2)[X]/(modulus), as b*l GF(2) rows over flattened vectors.
+    spec, as b*l GF(2) rows over flattened vectors.
 
     Band row i splits into l rows, one per output bit j': bit i'*l + j of
     the GF(2) row is bit j' of c*alpha^j, where c is the entry in column i'.
     Band row 0 is the window of f, and band row i is row 0 moved i
     coordinates up, so its GF(2) rows are those of row 0 shifted by i*l bits.
-    The memo is keyed by ints, not by the Poly: hashing a Poly rehashes its
-    FieldSpec, and the modulus alone tells two fields of one degree apart.
     """
-    l, table = modulus.bit_length() - 1, _mul_bits(modulus)
+    l, table = spec.l, _mul_bits(spec)
     low = [
         sum(table[c][jp] << (k * l) for k, c in enumerate(coeffs) if c)
         for jp in range(l)
@@ -193,7 +190,7 @@ def sylvester_resultant_nonzero(f: Poly, g: Poly, b: int) -> bool:
         raise SpreadbentError(f"degrees exceed window size b={b}")
     if not fc or not gc:
         return False
-    rf, rg = _gf2_rows(f.spec.modulus, fc, b), _gf2_rows(g.spec.modulus, gc, b)
+    rf, rg = _gf2_rows(f.spec, fc, b), _gf2_rows(g.spec, gc, b)
     return Subspace(rf).mask & Subspace(rg).mask == 1
 
 

@@ -31,13 +31,15 @@ from .errors import check_int
 WITHIN_MM_RANGE = "within-MM-range"
 BEYOND_MM = "beyond-MM"
 BEYOND_DS = "beyond-DS"
+# The largest arity ranked: development_matrix's index is 2 GiB at n = 14
+MAX_RANK_ARITY = 14
 
 
 def development_matrix(tt: TruthTable) -> np.ndarray:
-    """Bit-packed rows of f(x XOR y); row x, bit y. Arity n <= 14, as the
-    CLI's builds: the 2^n x 2^n int64 index is 2 GiB at n = 14 and 32 GiB
-    at n = 16, so a larger table is refused before anything is allocated."""
-    check_int("development matrix arity n", tt.n, 0, 14)
+    """Bit-packed rows of f(x XOR y); row x, bit y. A table above
+    MAX_RANK_ARITY, the bound the CLI's builds read too, is refused before
+    anything is allocated."""
+    check_int("development matrix arity n", tt.n, 0, MAX_RANK_ARITY)
     size = 1 << tt.n
     # f(8j + i) is bit i of byte j
     raw = np.frombuffer(tt.bits.to_bytes(max(size >> 3, 1), "little"), dtype=np.uint8)

@@ -15,8 +15,8 @@ from unittest import mock
 import pytest
 
 import spreadbent
-from spreadbent import cli, families
-from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent
+from spreadbent import boolfun, cli, families, lrs, rank2
+from spreadbent.boolfun import TruthTable, algebraic_degree, anf, is_bent, mobius
 from spreadbent.cli import main
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
@@ -165,11 +165,20 @@ def _without_field(call, *args):
 # (gf2e.field's "no irreducible of degree l found" cannot be reached.)
 INPUT_ERRORS = {
     "TruthTable": (lambda: TruthTable(2, 1 << 4), "expected an int of 4 bits for n=2"),
-    "TruthTable.negative-arity": (lambda: TruthTable(-1, 0), "arity n must be an int >= 0, got -1"),
-    "TruthTable.bool-arity": (lambda: TruthTable(True, 1), "arity n must be an int >= 0, got True"),
+    "TruthTable.negative-arity": (lambda: TruthTable(-1, 0),
+                                  "arity n must be an int in [0, 16], got -1"),
+    "TruthTable.bool-arity": (lambda: TruthTable(True, 1),
+                              "arity n must be an int in [0, 16], got True"),
     "TruthTable.from_hex": (lambda: TruthTable.from_hex(4, "06"), "expected 4 hex digits for n=4"),
     "TruthTable.from_hex.negative-arity": (lambda: TruthTable.from_hex(-1, "0"),
-                                           "arity n must be an int >= 0, got -1"),
+                                           "arity n must be an int in [0, 16], got -1"),
+    # refused before a 2^n-bit int is built: 2^40 bits for mobius(0, 40)
+    "TruthTable.n17": (lambda: TruthTable(17, 0), "arity n must be an int in [0, 16], got 17"),
+    "TruthTable.from_support.n17": (lambda: TruthTable.from_support(17, []),
+                                    "arity n must be an int in [0, 16], got 17"),
+    "TruthTable.from_hex.n17": (lambda: TruthTable.from_hex(17, "0"),
+                                "arity n must be an int in [0, 16], got 17"),
+    "mobius.n17": (lambda: mobius(0, 17), "arity n must be an int in [0, 16], got 17"),
     "TruthTable.from_support": (lambda: TruthTable.from_support(4, [-1]),
                                 "expected a support of int indices in [0, 2^4), got -1"),
     # refused before a 10^12-bit int is built
@@ -454,6 +463,20 @@ def test_nonpositive_shape_refused(capsys, guarded, argv):
     assert run(capsys, *argv) == (2, "", "error: --l and --b must be >= 1\n")
 
 
+@pytest.mark.parametrize("module, bound, argv, message", [
+    (rank2, "MAX_RANK_ARITY", ("build", "--l", "7", "--b", "1", "--family-id", "0"),
+     "build at l*b = 7 (n = 14) is refused: its 2^14 x 2^14 development matrix needs a "
+     "2 GiB index temporary"),
+    (boolfun, "MAX_ARITY", ("polys", "--l", "7", "--b", "1"),
+     "l*b = 7 exceeds the supported capacity l*b <= 6 (function arity n = 2*l*b <= 12)"),
+], ids=["rank2", "boolfun"])
+def test_cli_reads_the_arity_bounds_of_their_owners(capsys, guarded, monkeypatch,
+                                                     module, bound, argv, message):
+    # cli restates neither bound: lowering the owner's moves the refusal
+    monkeypatch.setattr(module, bound, 12)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["table2", "--nope"]) == 2
     assert main([]) == 2
@@ -590,8 +613,8 @@ def build_argv(l, b, spread_type, family_id):
 
 def test_two_lookups_solve_each_kernel_once(capsys, monkeypatch):
     solved = []
-    real = families.kernel
-    monkeypatch.setattr(families, "kernel", lambda matrix: solved.append(matrix) or real(matrix))
+    real = lrs.kernel
+    monkeypatch.setattr(lrs, "kernel", lambda matrix: solved.append(matrix) or real(matrix))
     families._candidate_pool.cache_clear()
     first = run(capsys, *build_argv(2, 2, "ps-", 3))
     second = run(capsys, *build_argv(2, 2, "ps-", 150))

@@ -522,7 +522,8 @@ def test_sweep_workers_wait_for_the_reader(monkeypatch):
     pool = candidate_pool(GF16, 1)
     with contextlib.closing(families.sweep(pool, (8,), 2)) as rows:
         row = next(rows)
-        assert sent == [(families._worker_rows, start) for start in (0, 4, 8, 12)]
+        catalog = enumerate_families(pool, 8)
+        assert sent == [(families._rows, catalog, start) for start in (0, 4, 8, 12)]
     assert multiprocessing.active_children() == []
     with contextlib.closing(families.sweep(pool, (8,), 1)) as rows:
         assert row == next(rows)
@@ -538,7 +539,7 @@ def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
     monkeypatch.setattr(families, "analyze", lambda tt: (0,) * 6)
     rows = [row[0] for row in families.sweep(candidate_pool(GF16, 1), (8,), 2)]
     assert rows == list(range(12870))
-    assert [start for _, start in sent] == list(range(0, 12870, 64))
+    assert [args[-1] for args in sent] == list(range(0, 12870, 64))
 
 
 def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
