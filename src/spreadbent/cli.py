@@ -212,8 +212,7 @@ def cmd_table(args):
     l, b, sizes = TABLES[args.command]
     try:
         with _destination(args.out) as out:
-            pool = candidate_pool(field(l), b)
-            with contextlib.closing(sweep(pool, sizes, jobs)) as rows:
+            with contextlib.closing(sweep(l, b, sizes, jobs)) as rows:
                 if args.format == "csv":
                     write_csv(rows, out)
                 else:

@@ -59,8 +59,8 @@ kernels and sends them through that same from_spread, with no check of
 its own. analyze reads a built function's fields from its table alone: by
 the theorem max|W| = 2^m, so the nonlinearity is 2^(n-1) - 2^(m-1) with
 no transform. sweep analyzes catalogs into CSV rows, in catalog order,
-yielding each as its batch arrives: the one path that build, table1/table2
-and the acceptance goldens run.
+yielding each as its batch arrives: the one path that table1/table2 and
+the acceptance goldens run. A batch is four ints, (l, b, t, start).
 """
 
 from __future__ import annotations
@@ -400,22 +400,23 @@ def analyze(tt: TruthTable) -> tuple:
 BATCH = 64
 
 
-def _rows(catalog: Catalog, start: int) -> list[list]:
-    """The CSV rows of the BATCH families from family_id start on."""
-    pool = catalog.pool
-    names = [format_poly(p) for p in pool.members]
+def _rows(l: int, b: int, t: int, start: int) -> list[list]:
+    """The CSV rows of the BATCH families from family_id start on of the
+    (l, b) pool's size-t catalog, looked up in the memos: a forked worker
+    inherits them, and any other builds each pool once."""
+    catalog = enumerate_families(candidate_pool(field(l), b), t)
+    names = [format_poly(p) for p in catalog.pool.members]
     items = list(itertools.islice(catalog.walk(start), BATCH))
     return [
-        [fid, catalog.spread_type, pool.spec.l, pool.b, ";".join(names[i] for i in combo),
-         *analyze(tt)]
+        [fid, catalog.spread_type, l, b, ";".join(names[i] for i in combo), *analyze(tt)]
         for (fid, combo), tt in zip(items, catalog.build(items))
     ]
 
 
-def _batches(catalog: Catalog, jobs: int):
-    """_rows from every BATCH-th family_id of catalog, in catalog order: in
-    this process for jobs=1, else over jobs worker processes, each batch
-    sent as the catalog (about 3 KB pickled at n=8) and its start offset.
+def _batches(l: int, b: int, t: int, size: int, jobs: int):
+    """_rows from every BATCH-th family_id of the size-family catalog (l, b,
+    t), in catalog order: in this process for jobs=1, else over jobs worker
+    processes, each batch sent as the four ints (l, b, t, start).
 
     At most 2*jobs batches are out at once: a new one goes out only as the
     caller takes the rows of the oldest, so a caller that stops reading (a
@@ -425,9 +426,9 @@ def _batches(catalog: Catalog, jobs: int):
     breaks the pool: the next result raises BrokenProcessPool, instead of
     waiting forever for the dead worker's batch.
     """
-    starts = range(0, catalog.size, BATCH)
+    starts = range(0, size, BATCH)
     if jobs == 1:
-        yield from (_rows(catalog, start) for start in starts)
+        yield from (_rows(l, b, t, start) for start in starts)
         return
     from concurrent.futures import ProcessPoolExecutor  # deferred: 8 ms to import
 
@@ -435,7 +436,7 @@ def _batches(catalog: Catalog, jobs: int):
     try:
         out = collections.deque()
         for start in starts:
-            out.append(workers.submit(_rows, catalog, start))
+            out.append(workers.submit(_rows, l, b, t, start))
             if len(out) == 2 * jobs:
                 yield out.popleft().result()
         while out:
@@ -444,10 +445,10 @@ def _batches(catalog: Catalog, jobs: int):
         workers.shutdown(cancel_futures=True)
 
 
-def sweep(pool: CandidatePool, sizes, jobs: int):
+def sweep(l: int, b: int, sizes, jobs: int):
     """Yield the CSV row (family_id, type, l, b, polys, then analyze's
-    fields) of every function of the pool's size-t catalog for each t in
-    sizes, in catalog order; the rows are the same for every jobs >= 1.
+    fields) of every function of the (l, b) pool's size-t catalog for each
+    t in sizes, in catalog order; the rows are the same for every jobs >= 1.
 
     Each row is yielded as its batch arrives and none is kept, so a caller
     that writes each row out holds at most a few batches, whatever the
@@ -458,13 +459,13 @@ def sweep(pool: CandidatePool, sizes, jobs: int):
     """
     check_int("jobs", jobs, 1)
     for t in sizes:
-        catalog = enumerate_families(pool, t)
-        print(f"catalog l={pool.spec.l} b={pool.b} t={t}: {catalog.size} families", file=sys.stderr)
-        with contextlib.closing(_batches(catalog, jobs)) as batches:
+        size = enumerate_families(candidate_pool(field(l), b), t).size
+        print(f"catalog l={l} b={b} t={t}: {size} families", file=sys.stderr)
+        with contextlib.closing(_batches(l, b, t, size, jobs)) as batches:
             for done, row in enumerate(itertools.chain.from_iterable(batches), 1):
                 yield row
                 if done % 2000 == 0:
-                    print(f"  analyzed {done}/{catalog.size}", file=sys.stderr)
+                    print(f"  analyzed {done}/{size}", file=sys.stderr)
 
 
 def manifest_line(family: FamilySpec) -> str:

@@ -63,13 +63,13 @@ def with_ranks(records, rows):
 @pytest.fixture(scope="module")
 def window1_rows():
     """The table1 CSV rows."""
-    return list(sweep(candidate_pool(field(4), 1), (8,), JOBS))
+    return list(sweep(4, 1, (8,), JOBS))
 
 
 @pytest.fixture(scope="module")
 def window2_rows():
     """The table2 CSV rows."""
-    return list(sweep(candidate_pool(field(2), 2), (8, 9), JOBS))
+    return list(sweep(2, 2, (8, 9), JOBS))
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from spreadbent.cli import main
-from spreadbent.families import FamilySpec
+from spreadbent.families import FamilySpec, candidate_pool, enumerate_families
+from spreadbent.gf2e import field
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the modules workloads.py imports whole, as `from spreadbent import ...`
@@ -86,6 +87,31 @@ def test_family_spec_has_the_fields_the_workloads_read():
     fields = {f.name for f in dataclasses.fields(FamilySpec)}
     for name in ("polys", "spread_type", "family_id", "l", "b", "m"):
         assert name in fields or isinstance(getattr(FamilySpec, name, None), property), name
+
+
+def where(filename, text):
+    """perfbench/filename:line of the first line that holds text."""
+    lines = (PERFBENCH / filename).read_text().splitlines()
+    return f"perfbench/{filename}:{next(i for i, line in enumerate(lines, 1) if text in line)}"
+
+
+def test_catalog_keeps_the_len_and_index_the_benchmark_calls():
+    # no name check reaches a dunder: build-catalog sizes each catalog and
+    # counts enumerate_families' result with len(), and looks a family up
+    # by index, so dropping either fails every build-catalog run
+    catalog = enumerate_families(candidate_pool(field(2), 2), 8)
+    missing = [
+        f"{where(filename, text)} needs Catalog.{dunder}"
+        for filename, text, dunder in (
+            ("workloads.py", "len(self._catalog(key)[1])", "__len__"),
+            ("spans.py", "self.yielded += len(result)", "__len__"),
+            ("workloads.py", "fs = catalog[family_id]", "__getitem__"),
+        )
+        if not hasattr(catalog, dunder)
+    ]
+    assert not missing, "; ".join(missing)
+    assert len(catalog) == catalog.size
+    assert catalog[5].family_id == 5
 
 
 def test_a_traced_build_and_verify_feed_every_computed_metric(capsys):

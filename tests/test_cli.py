@@ -256,7 +256,7 @@ INPUT_ERRORS = {
     "Catalog.walk.float-start": (
         lambda: enumerate_families(candidate_pool(field(2), 1), 2).walk(2.5),
         "start family id must be an int >= 0, got 2.5"),
-    "sweep.zero-jobs": (lambda: next(families.sweep(candidate_pool(field(1), 2), (2,), 0)),
+    "sweep.zero-jobs": (lambda: next(families.sweep(1, 2, (2,), 0)),
                         "jobs must be an int >= 1, got 0"),
     "build_matrix.float-b": (lambda: build_matrix(poly(field(2), (1, 1)), 2.0),
                              "window size b must be an int >= 1, got 2.0"),
@@ -312,7 +312,7 @@ WARM_UPS = {
     "enumerate_families.bool-t": lambda: enumerate_families(candidate_pool(field(1), 1), 1),
     "Catalog.walk.float-start": lambda: next(
         enumerate_families(candidate_pool(field(2), 1), 2).walk(2)),
-    "sweep.zero-jobs": lambda: next(families.sweep(candidate_pool(field(1), 2), (2,), 1)),
+    "sweep.zero-jobs": lambda: next(families.sweep(1, 2, (2,), 1)),
     "build_matrix.float-b": lambda: build_matrix(poly(field(2), (1, 1)), 2),
     "sylvester_resultant_nonzero.float-b": lambda: sylvester_resultant_nonzero(
         poly(field(2), (1, 0, 1)), poly(field(2), (1, 1)), 3),
@@ -501,19 +501,17 @@ def no_rows():
 
 
 def test_table1_pool(capsys, monkeypatch):
-    # the arguments table1 hands the sweep, without running it
+    # the catalog table1 hands the sweep, by name, without running it
     calls = []
 
-    def capture(pool, sizes, jobs):
-        calls.append((pool, sizes))
+    def capture(l, b, sizes, jobs):
+        calls.append((l, b, sizes))
         return no_rows()
 
     monkeypatch.setattr(cli, "sweep", capture)
     assert run(capsys, "table1", "--jobs", "1")[0] == 0
-    [(pool, sizes)] = calls
-    assert (pool.spec.l, pool.b, sizes) == (4, 1, (8,))
-    assert pool is candidate_pool(field(4), 1)
-    assert len(pool.members) == 16
+    assert calls == [(4, 1, (8,))]
+    assert len(candidate_pool(field(4), 1).members) == 16
 
 
 def test_table2_refuses_include_e_infinity(capsys, guarded):
@@ -578,7 +576,7 @@ def test_negative_jobs_exit_2(capsys, guarded):
 def sweep_jobs(capsys, monkeypatch, *argv):
     """The jobs table2 hands the sweep, and its stderr, without running it."""
     calls = []
-    monkeypatch.setattr(cli, "sweep", lambda pool, sizes, jobs: calls.append(jobs) or no_rows())
+    monkeypatch.setattr(cli, "sweep", lambda l, b, sizes, jobs: calls.append(jobs) or no_rows())
     code, _, err = run(capsys, "table2", *argv)
     assert code == 0
     [jobs] = calls

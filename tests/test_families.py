@@ -24,7 +24,6 @@ from spreadbent.boolfun import (
     nonlinearity,
     walsh_transform,
 )
-from spreadbent.cli import TABLES
 from spreadbent.errors import ConstructionRejected, SpreadbentError
 from spreadbent.families import (
     TAG_IRREDUCIBLE,
@@ -479,31 +478,14 @@ def test_refused_shapes_cache_nothing():
     assert "kernels" not in pool.__dict__
 
 
-@pytest.mark.parametrize("command", sorted(TABLES))
-def test_catalog_pickles(command):
-    # sweep workers receive the catalog: pickled under spawn and forkserver
-    l, b, sizes = TABLES[command]
-    pool = candidate_pool(field(l), b)
-    for t in sizes:
-        catalog = enumerate_families(pool, t)
-        copy = pickle.loads(pickle.dumps(catalog))
-        assert copy.size == catalog.size
-        assert list(copy.walk()) == list(catalog.walk())
-        for fid in (0, catalog.size // 3, catalog.size - 1):
-            item = next(catalog.walk(fid))
-            assert next(copy.walk(fid)) == item
-            assert copy.build([item]) == catalog.build([item])
-
-
 def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
     # with the analysis stubbed out, what the sweep itself holds: a bound
     # fixed well below one byte per family of the 12870-family catalog
-    pool = candidate_pool(GF16, 1)
-    enumerate_families(pool, 8)  # the count memo is the catalog's, not the sweep's
+    enumerate_families(candidate_pool(GF16, 1), 8)  # the count memo is the catalog's
     monkeypatch.setattr(families, "analyze", lambda tt: (0,) * 6)
     tracemalloc.start()
     try:
-        rows = sum(1 for _ in families.sweep(pool, (8,), 1))
+        rows = sum(1 for _ in families.sweep(4, 1, (8,), 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -513,20 +495,24 @@ def test_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
 
 def test_sweep_workers_wait_for_the_reader(monkeypatch):
     # a reader that stops taking rows stops the walk: 2*jobs start offsets
-    # go out before the first row, and no more until the reader takes it
+    # go out before the first row, and no more until the reader takes it.
+    # A batch names its catalog by four small ints, so no pool, catalog or
+    # count memo is pickled
     sent = []
     real = ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
     monkeypatch.setattr(families, "BATCH", 4)
-    pool = candidate_pool(GF16, 1)
-    with contextlib.closing(families.sweep(pool, (8,), 2)) as rows:
-        row = next(rows)
-        catalog = enumerate_families(pool, 8)
-        assert sent == [(families._rows, catalog, start) for start in (0, 4, 8, 12)]
-    assert multiprocessing.active_children() == []
-    with contextlib.closing(families.sweep(pool, (8,), 1)) as rows:
-        assert row == next(rows)
+    for l, b, sizes in ((4, 1, (8,)), (2, 2, (8, 9))):
+        sent.clear()
+        with contextlib.closing(families.sweep(l, b, sizes, 2)) as rows:
+            row = next(rows)
+            assert sent == [(families._rows, l, b, 8, start) for start in (0, 4, 8, 12)]
+        assert all(type(arg) is int for args in sent for arg in args[1:])
+        assert all(len(pickle.dumps(args)) < 100 for args in sent)
+        assert multiprocessing.active_children() == []
+        with contextlib.closing(families.sweep(l, b, sizes, 1)) as rows:
+            assert row == next(rows)
 
 
 def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
@@ -537,7 +523,7 @@ def test_sweep_batches_hold_at_most_batch_families(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit",
                         lambda self, *args: sent.append(args) or real(self, *args))
     monkeypatch.setattr(families, "analyze", lambda tt: (0,) * 6)
-    rows = [row[0] for row in families.sweep(candidate_pool(GF16, 1), (8,), 2)]
+    rows = [row[0] for row in families.sweep(4, 1, (8,), 2)]
     assert rows == list(range(12870))
     assert [args[-1] for args in sent] == list(range(0, 12870, 64))
 
@@ -557,7 +543,7 @@ def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with contextlib.closing(families.sweep(candidate_pool(GF16, 1), (8,), 2)) as rows:
+        with contextlib.closing(families.sweep(4, 1, (8,), 2)) as rows:
             next(rows)
             os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
             with pytest.raises(BrokenProcessPool):
@@ -571,13 +557,13 @@ def test_dead_sweep_worker_fails_the_sweep(monkeypatch):
 
 def test_spawned_workers_sweep_the_same_rows():
     # spawned workers start from a fresh import and share no memory with
-    # this process: all they get is the pickled catalog and start offsets
-    pool = candidate_pool(GF4, 2)
-    want = list(families.sweep(pool, (8, 9), 1))
+    # this process: all they get is (l, b, t, start), and each builds the
+    # pool and counts the catalog itself
+    want = list(families.sweep(2, 2, (8, 9), 1))
     previous = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
     try:
-        got = list(families.sweep(pool, (8, 9), 2))
+        got = list(families.sweep(2, 2, (8, 9), 2))
     finally:
         multiprocessing.set_start_method(previous, force=True)
     assert got == want
@@ -586,9 +572,8 @@ def test_spawned_workers_sweep_the_same_rows():
 
 def test_interleaved_sweeps_keep_their_own_catalogs():
     # in-process sweeps share no module state, so two can be consumed in turns
-    pool = candidate_pool(GF4, 2)
-    minus, plus = (list(families.sweep(pool, (t,), 1)) for t in (8, 9))
-    pairs = list(zip(families.sweep(pool, (8,), 1), families.sweep(pool, (9,), 1)))
+    minus, plus = (list(families.sweep(2, 2, (t,), 1)) for t in (8, 9))
+    pairs = list(zip(families.sweep(2, 2, (8,), 1), families.sweep(2, 2, (9,), 1)))
     assert pairs == list(zip(minus, plus))
     assert {row[1] for row in minus} == {"PS-"} and {row[1] for row in plus} == {"PS+"}
 
