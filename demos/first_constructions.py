@@ -13,12 +13,7 @@ from spreadbent.boolfun import (
     nonlinearity,
     walsh_transform,
 )
-from spreadbent.families import (
-    build_bent,
-    candidate_pool,
-    enumerate_families,
-    manifest_line,
-)
+from spreadbent.families import candidate_pool, enumerate_families, manifest_line
 from spreadbent.gf2e import field
 from spreadbent.lrs import build_matrix, kernel, window
 from spreadbent.poly import format_poly, poly
@@ -63,8 +58,9 @@ for p, tag in zip(pool.members, pool.tags):
     print(f"  {format_poly(p):12s} {tag}")
 
 for t in (4, 5):
-    for fs in enumerate_families(pool, t):
-        tt = build_bent(fs)
-        print(f"  {manifest_line(fs)}")
+    catalog = enumerate_families(pool, t)
+    items = list(catalog.walk())
+    for item, tt in zip(items, catalog.build(items)):
+        print(f"  {manifest_line(catalog.family(*item))}")
         print(f"    hex={tt.hex()} weight={tt.weight()} "
               f"degree={algebraic_degree(anf(tt))}")

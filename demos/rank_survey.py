@@ -9,12 +9,7 @@ recurrence-kernel catalog reaches beyond both.
 
 from collections import Counter
 
-from spreadbent.families import (
-    build_bent,
-    candidate_pool,
-    enumerate_families,
-    manifest_line,
-)
+from spreadbent.families import candidate_pool, enumerate_families, manifest_line
 from spreadbent.gf2e import field
 from spreadbent.rank2 import classify, development_rank, ds_rank_bounds, mm_rank_bounds
 
@@ -29,22 +24,23 @@ print(f"Maiorana-McFarland rank window: [{lo_mm}, {hi_mm}]")
 print(f"Desarguesian spread rank window: [{lo_ds}, {hi_ds}]")
 
 for t, label in ((8, "negative type"), (9, "positive type")):
-    families = enumerate_families(pool, t)
+    catalog = enumerate_families(pool, t)
+    items = list(catalog.walk())
     ranks = []
     extremal = {}
-    for fs in families:
-        rank = development_rank(build_bent(fs))
+    for item, tt in zip(items, catalog.build(items)):
+        rank = development_rank(tt)
         ranks.append(rank)
-        extremal.setdefault(rank, fs)
+        extremal.setdefault(rank, catalog.family(*item))
 
-    print(f"\n{label}: {len(families)} families")
+    print(f"\n{label}: {catalog.size} families")
     hist = Counter(ranks)
     for rank in sorted(hist):
         marker = classify(rank, m)
         print(f"  rank {rank}: {hist[rank]:4d}  ({marker})")
 
     beyond = sum(c for r, c in hist.items() if r > hi_ds)
-    print(f"  {beyond} of {len(families)} exceed the Desarguesian ceiling {hi_ds}")
+    print(f"  {beyond} of {catalog.size} exceed the Desarguesian ceiling {hi_ds}")
     top = max(hist)
     print(f"  an extremal family at rank {top}:")
     print(f"    {manifest_line(extremal[top])}")

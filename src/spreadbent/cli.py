@@ -359,12 +359,12 @@ def _check_window2_catalog():
                 with_square += 1
             else:
                 without_square += 1
-        if len(supports) != len(catalog):
-            return False, f"{spread_type}: duplicate supports among {len(catalog)} families"
+        if len(supports) != catalog.size:
+            return False, f"{spread_type}: duplicate supports among {catalog.size} families"
         got = (no_product, with_square, without_square)
         if got != want:
             return False, f"{spread_type}: buckets {got}, want {want}"
-        observed[spread_type] = len(catalog)
+        observed[spread_type] = catalog.size
     if (observed["PS-"], observed["PS+"]) != (174, 64):
         return False, f"catalog sizes {observed}"
     return True, "174 = 165+3+6 and 64 = 55+6+3, all supports distinct"
@@ -374,8 +374,8 @@ def _check_window3_catalog():
     pool = candidate_pool(field(1), 3)
     minus = enumerate_families(pool, 4)
     plus = enumerate_families(pool, 5)
-    if (len(minus), len(plus)) != (5, 1):
-        return False, f"counts ({len(minus)}, {len(plus)}), want (5, 1)"
+    if (minus.size, plus.size) != (5, 1):
+        return False, f"counts ({minus.size}, {plus.size}), want (5, 1)"
     for catalog in (minus, plus):
         want_weight = 32 + (4 if catalog.spread_type == "PS+" else -4)
         items = list(catalog.walk())

@@ -102,9 +102,6 @@ class CandidatePool:
     members: tuple[Poly, ...]
     tags: tuple[str, ...]
 
-    def indices_of(self, tag: str) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.tags) if t == tag)
-
     @functools.cached_property
     def kernels(self) -> tuple[Subspace, ...]:
         """The kernel of every member at window size b, solved once per pool."""
@@ -283,7 +280,10 @@ class Catalog:
     iteration walks from 0, so none lists the catalog. size is the exact
     count and may exceed sys.maxsize, where len() cannot report it. build()
     turns a list of pairs into their bent functions from the pool's
-    kernels.
+    kernels. The package and its demos read only size, walk, family and
+    build: __len__ and __getitem__ stay for the benchmark's len() and
+    catalog[family_id] (perfbench/workloads.py:115,140, perfbench/spans.py:174),
+    and no perfbench line reads __iter__.
     """
 
     def __init__(self, pool: CandidatePool, t: int):
@@ -304,8 +304,8 @@ class Catalog:
                 "counting its families needs about 2 million memoized states"
             )
         self.pool = pool
-        irreducibles = sum(1 << i for i in pool.indices_of(TAG_IRREDUCIBLE))
-        products = sum(1 << i for i in pool.indices_of(TAG_PRODUCT))
+        irreducibles = sum(1 << i for i, tag in enumerate(pool.tags) if tag == TAG_IRREDUCIBLE)
+        products = sum(1 << i for i, tag in enumerate(pool.tags) if tag == TAG_PRODUCT)
         self._cliques = _Cliques(pool.disjoint_after, t, irreducibles, products)
         self.size = self._cliques.count(self._cliques.full, t)
 

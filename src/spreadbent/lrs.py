@@ -21,8 +21,8 @@ by a field element c is GF(2)-linear on the l bits of an element, so each
 band row becomes l int rows, one per output bit. An F_q-linear map has the
 same kernel as its flattened GF(2) image and is invertible exactly when
 that image is: kernels and a Subspace's basis test share one XOR reduction
-of int rows, _absorb, and the Sylvester check reads two band row spaces'
-masks; none multiplies field elements.
+of int rows, _pivots, and the Sylvester check reads two band row spaces'
+masks. Only _gf2_rows multiplies field elements, once per memoized band.
 
 build_partial_spread only solves a family's kernels; boolfun.from_spread
 alone checks that they meet pairwise only in zero. A shared factor always
@@ -91,60 +91,39 @@ def build_matrix(f: Poly, b: int) -> tuple[int, ...]:
     return _gf2_rows(f.spec, f.coeffs, b)
 
 
-@functools.lru_cache(maxsize=16)
-def _mul_bits(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    # entry [c][j'] is the mask of input bits j for which bit j' of
-    # c*alpha^j is set: row j' of the GF(2) matrix of x -> c*x
-    images = [[fe_mul(spec, c, 1 << j) for j in range(spec.l)] for c in range(spec.q)]
-    return tuple(
-        tuple(sum(1 << j for j, y in enumerate(ys) if y >> jp & 1) for jp in range(spec.l))
-        for ys in images
-    )
-
-
 @functools.lru_cache(maxsize=4096)
 def _gf2_rows(spec: FieldSpec, coeffs: tuple[int, ...], b: int) -> tuple[int, ...]:
     """The b x 2b band matrix of the polynomial with these coefficients over
     spec, as b*l GF(2) rows over flattened vectors.
 
-    Band row i splits into l rows, one per output bit j': bit i'*l + j of
-    the GF(2) row is bit j' of c*alpha^j, where c is the entry in column i'.
-    Band row 0 is the window of f, and band row i is row 0 moved i
-    coordinates up, so its GF(2) rows are those of row 0 shifted by i*l bits.
+    Band row i splits into l rows, one per output bit j': bit k*l + j of
+    the GF(2) row is bit j' of fe_mul(c, alpha^j), where c is the entry in
+    column k. Band row 0 is the window of f, and band row i is row 0 moved
+    i coordinates up, so its GF(2) rows are those of row 0 shifted by i*l
+    bits.
     """
-    l, table = spec.l, _mul_bits(spec)
-    low = [
-        sum(table[c][jp] << (k * l) for k, c in enumerate(coeffs) if c)
-        for jp in range(l)
-    ]
+    l = spec.l
+    images = [(k * l + j, fe_mul(spec, c, 1 << j)) for k, c in enumerate(coeffs) for j in range(l)]
+    low = [sum(1 << bit for bit, y in images if y >> jp & 1) for jp in range(l)]
     return tuple(row << (i * l) for i in range(b) for row in low)
 
 
-def _absorb(pivots: dict[int, int], rows: tuple[int, ...]) -> bool:
-    """Reduce each row against the pivots (top bit -> reduced row) and add
-    it as a new pivot; False as soon as one row reduces to zero."""
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-        else:
-            return False
-    return True
-
-
 def _pivots(rows) -> dict[int, int]:
-    """The echelon form of rows (top bit -> reduced row); SpreadbentError
-    unless rows are a non-empty tuple of k ints (not bools, as in
-    check_int) in [0, 2^(2k)) that _absorb finds independent: the basis
-    test of Subspace and kernel, at n = 2k."""
+    """The echelon form of rows (top bit -> reduced row), each row reduced
+    by the pivot with its top bit until it brings a new top bit;
+    SpreadbentError unless rows are a non-empty tuple of k ints (not bools,
+    as in check_int) in [0, 2^(2k)) that all bring one: the basis test of
+    Subspace and kernel, at n = 2k."""
     if not (isinstance(rows, tuple) and rows):
         raise SpreadbentError(f"expected a non-empty tuple of ints, got {rows!r}")
     k, pivots = len(rows), {}
-    if not (all(type(v) is int and 0 <= v < 1 << 2 * k for v in rows)
-            and _absorb(pivots, rows)):
+    if all(type(v) is int and 0 <= v < 1 << 2 * k for v in rows):
+        for row in rows:
+            while row and (top := row.bit_length() - 1) in pivots:
+                row ^= pivots[top]
+            if row:
+                pivots[top] = row
+    if len(pivots) != k:
         raise SpreadbentError(f"expected {k} independent ints in [0, 2^{2 * k}), got {rows!r}")
     return pivots
 

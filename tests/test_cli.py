@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -552,6 +553,37 @@ def test_table2_csv_deterministic_across_jobs(capsys):
     rows = list(csv.DictReader(io.StringIO(out1)))
     assert len(rows) == 174 + 64
     assert [r["type"] for r in rows[:174]] == ["PS-"] * 174
+
+
+def test_commands_read_no_catalog_dunder(capsys, monkeypatch):
+    # Catalog's len() and indexing stay for the benchmark only, and its
+    # iteration for tests: verify, build --family-id for every (l, b, type)
+    # the build-catalog deck draws, and the table2 sweep read size, walk,
+    # family and build
+    shapes = [(l, b, spread_type) for l, b in ((4, 1), (2, 2), (3, 1), (2, 1), (1, 2), (1, 3))
+              for spread_type in ("ps-", "ps+")]
+    sizes = {
+        (l, b, spread_type): enumerate_families(
+            candidate_pool(field(l), b), (1 << (l * b - 1)) + (spread_type == "ps+")
+        ).size
+        for l, b, spread_type in shapes
+    }
+    for dunder in ("__len__", "__getitem__", "__iter__"):
+        monkeypatch.setattr(Catalog, dunder, forbidden)
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert [line.endswith(": PASS") for line in out.splitlines()] == [True] * 12
+    for (l, b, spread_type), size in sizes.items():
+        code, out, err = run(capsys, "build", "--l", str(l), "--b", str(b),
+                             "--type", spread_type, "--family-id", str(size - 1))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"id={size - 1}; l={l}; b={b}; type={spread_type.upper()}; ")
+        assert "bent=true" in out.splitlines()
+    code, out, _ = run(capsys, "table2", "--format", "csv", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e5be3c8d1a1869a5ebc1e7739564755149c060ad772b9e6899bb9722eaab7cb7"
+    )
 
 
 def test_csv_records_reanalyze_consistently(capsys):

@@ -262,8 +262,8 @@ def test_family_ids_are_serial_and_stable():
 
 def test_product_members_require_full_irreducible_block():
     pool = candidate_pool(GF4, 2)
-    irreducibles = {pool.members[i] for i in pool.indices_of(TAG_IRREDUCIBLE)}
-    products = {pool.members[i] for i in pool.indices_of(TAG_PRODUCT)}
+    irreducibles = {p for p, tag in zip(pool.members, pool.tags) if tag == TAG_IRREDUCIBLE}
+    products = {p for p, tag in zip(pool.members, pool.tags) if tag == TAG_PRODUCT}
     for fs in enumerate_families(pool, 8):
         chosen = set(fs.polys)
         if chosen & products:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -149,6 +150,20 @@ def _reference_rows(f, b):
         for i in range(b)
         for jp in range(l)
     ]
+
+
+@pytest.mark.parametrize("l,b", [(l, b) for l in range(1, 9) for b in range(1, 8 // l + 1)])
+def test_band_rows_match_the_reference_at_every_field(l, b):
+    # 24 seeded nonzero polynomials of each degree e <= b, so windows with
+    # e < b are drawn as often as full ones. field(8) (modulus 0x11B) is
+    # the one field whose log tables use the generator 3 instead of alpha,
+    # and the reference multiplies by shift and reduce, with no table
+    spec, rng = field(l), random.Random(100 * l + b)
+    for e in range(b + 1):
+        for _ in range(24):
+            coeffs = [rng.randrange(spec.q) for _ in range(e)] + [rng.randrange(1, spec.q)]
+            f = poly(spec, coeffs)
+            assert build_matrix(f, b) == tuple(_reference_rows(f, b))
 
 
 def test_band_rows_and_sylvester_tell_two_moduli_of_one_degree_apart():

@@ -233,7 +233,7 @@ def oracle_subsets(members, t):
 
 def oracle_catalog(pool, t):
     """oracle_subsets, then: a product member needs every irreducible."""
-    irreducibles = set(pool.indices_of(TAG_IRREDUCIBLE))
+    irreducibles = {i for i, tag in enumerate(pool.tags) if tag == TAG_IRREDUCIBLE}
     return [
         tuple(pool.members[i] for i in combo)
         for combo in oracle_subsets(pool.members, t)

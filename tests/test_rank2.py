@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2_reference import derivative_rank
+from gf2_reference import derivative_rank, gf2_basis, translate_rank
 from spreadbent.boolfun import TruthTable, anf, from_spread, mobius
 from spreadbent.families import candidate_pool, enumerate_families
 from spreadbent.gf2e import field
@@ -22,22 +22,6 @@ from spreadbent.rank2 import (
     mm_rank_bounds,
     rank_gf2,
 )
-
-
-def naive_rank_gf2(rows):
-    rows = [int(r) for r in rows]
-    rank = 0
-    for col in range(max(r.bit_length() for r in rows) if any(rows) else 0):
-        mask = 1 << col
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] & mask), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & mask:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
 
 
 def pack_rows(matrix):
@@ -57,7 +41,7 @@ def test_rank_gf2_matches_naive_random():
     for _ in range(50):
         matrix = rng.integers(0, 2, size=(32, 32), dtype=np.uint8)
         as_ints = [int("".join(map(str, row[::-1])), 2) if row.any() else 0 for row in matrix]
-        assert rank_gf2(pack_rows(matrix), 32) == naive_rank_gf2(as_ints)
+        assert rank_gf2(pack_rows(matrix), 32) == len(gf2_basis(as_ints))
 
 
 def test_rank_gf2_identity_and_zero():
@@ -107,9 +91,11 @@ def tables(draw, max_n=10):
 @settings(deadline=None, max_examples=100)
 @given(tables())
 def test_development_rank_matches_derivative_space(tt):
-    """A second rank algorithm: the dimension of the ANF's partial-derivative
-    space, with no development matrix and no column elimination."""
-    assert development_rank(tt) == derivative_rank(anf(tt).bits, tt.n)
+    """Two more rank algorithms: the dimension of the ANF's partial-derivative
+    space, with no development matrix and no column elimination, and the
+    rank of the translates f(x ⊕ a) as int rows."""
+    rank = development_rank(tt)
+    assert rank == derivative_rank(anf(tt).bits, tt.n) == translate_rank(tt.bits, tt.n)
 
 
 @pytest.mark.parametrize("t", [16, 17], ids=["PS-", "PS+"])
