@@ -59,6 +59,7 @@ from .poly import (
     enumerate_irreducibles,
     format_poly,
     gauss_count,
+    monic,
     parse_poly,
     poly,
     poly_gcd,
@@ -270,31 +271,37 @@ def _check_goldens():
 
 
 def _check_triangle(spec, maxdeg):
-    polys = _nonzero_polys(spec, maxdeg)
     # the kernel and band row-space masks of each polynomial at each window
     # size from its degree up, built once: two bands stack to an invertible
-    # Sylvester matrix when their row spaces meet only in zero, as in lrs
-    masks = {}
-    for p in polys:
+    # Sylvester matrix when their row spaces meet only in zero, as in lrs.
+    # gcd(c*F, d*G) = gcd(F, G) for nonzero scalars c and d, so polynomials
+    # are grouped by monic form: Euclid runs once per pair of forms, and the
+    # masks are compared for every pair of their scalar multiples
+    masks, groups = {}, {}
+    for p in _nonzero_polys(spec, maxdeg):
+        groups.setdefault(monic(p), []).append(p)
         for b in range(max(len(p.coeffs) - 1, 1), maxdeg + 1):
             rows = build_matrix(p, b)
             masks[p.coeffs, b] = kernel(rows).mask, Subspace(rows).mask
     pairs = 0
-    for f, g in itertools.combinations_with_replacement(polys, 2):
-        # polys run by degree, so g's degree is the pair's window size
-        b = len(g.coeffs) - 1
+    for (F, fs), (G, gs) in itertools.combinations_with_replacement(groups.items(), 2):
+        # groups run by degree, so G's degree is the pair's window size
+        b = len(G.coeffs) - 1
         if b == 0:
             continue
-        coprime = poly_gcd(f, g).coeffs == (1,)
-        (kf, rf), (kg, rg) = masks[f.coeffs, b], masks[g.coeffs, b]
-        # bit 0 is the one bit two spaces that meet only in zero share
-        invertible, disjoint = rf & rg == 1, kf & kg == 1
-        if not (coprime == invertible == disjoint):
-            return False, (
-                f"{format_poly(f)} vs {format_poly(g)}: gcd=1 is {coprime}, "
-                f"invertible {invertible}, disjoint kernels {disjoint}"
-            )
-        pairs += 1
+        coprime = poly_gcd(F, G).coeffs == (1,)
+        for i, f in enumerate(fs):
+            kf, rf = masks[f.coeffs, b]
+            for g in gs[i:] if fs is gs else gs:
+                kg, rg = masks[g.coeffs, b]
+                # bit 0 is the one bit two spaces that meet only in zero share
+                invertible, disjoint = rf & rg == 1, kf & kg == 1
+                if not (coprime == invertible == disjoint):
+                    return False, (
+                        f"{format_poly(f)} vs {format_poly(g)}: gcd=1 is {coprime}, "
+                        f"invertible {invertible}, disjoint kernels {disjoint}"
+                    )
+                pairs += 1
     return True, f"{pairs} pairs agree"
 
 

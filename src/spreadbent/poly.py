@@ -118,13 +118,29 @@ def _reduce(spec: FieldSpec, r: list[int], g: Sequence[int]) -> None:
         r.pop()
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(f, 0) = f made monic.
+def monic(f: Poly) -> Poly:
+    """The one monic F with f = c*F, c the leading coefficient of f.
 
-    The Euclidean loop runs _reduce on coefficient lists, and the result
-    is made monic by one shift of its logs: dividing by the leading
-    coefficient c subtracts log c from every nonzero coefficient's log.
-    A unit gcd is the field's shared one(spec), so coprime pairs build no Poly.
+    One shift of the logs: dividing by c subtracts log c from every
+    nonzero coefficient's log. A monic f is returned as it is.
+    """
+    cs = f.coeffs
+    if not cs:
+        raise ConstructionRejected("the zero polynomial has no monic form")
+    if cs[-1] == 1:
+        return f
+    exp, log = f.spec.exp, f.spec.log
+    shift = len(log) - 1 - log[cs[-1]]
+    return Poly(f.spec, tuple(exp[log[c] + shift] if c else 0 for c in cs))
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic greatest common divisor; gcd(f, 0) = monic(f).
+
+    The Euclidean loop runs _reduce on coefficient lists, and monic
+    normalises the result, so gcd(c*f, d*g) = gcd(f, g) for nonzero
+    scalars c and d. A unit gcd is the field's shared one(spec), so
+    coprime pairs build no Poly.
     """
     spec = same_spec(f, g)
     a, b = list(f.coeffs), list(g.coeffs)
@@ -137,11 +153,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         a, b = b, a
     if len(a) == 1:
         return one(spec)
-    if a[-1] != 1:
-        exp, log = spec.exp, spec.log
-        shift = len(log) - 1 - log[a[-1]]
-        a = [exp[log[c] + shift] if c else 0 for c in a]
-    return Poly(spec, tuple(a))
+    return monic(Poly(spec, tuple(a)))
 
 
 def _monic_nonzero_constant(q: int, d: int):

@@ -128,7 +128,7 @@ def test_golden_truth_tables():
     print("golden n=4 tables 0635/f635 and their normal forms: PASS")
 
 
-@pytest.mark.parametrize("l,maxdeg,expected_pairs", [(1, 3, 119), (2, 2, 2010)])
+@pytest.mark.parametrize("l,maxdeg,expected_pairs", [(1, 3, 119), (2, 2, 2010), (3, 2, 130788)])
 def test_coprimality_triangle(l, maxdeg, expected_pairs):
     # gcd = 1, an invertible Sylvester stack and disjoint kernels agree on every pair
     assert _check_triangle(field(l), maxdeg) == (True, f"{expected_pairs} pairs agree")

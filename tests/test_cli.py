@@ -847,6 +847,45 @@ def test_triangle_fails_when_one_gcd_flips(capsys, monkeypatch):
     assert all(other.endswith(": PASS") for other in lines[:2] + lines[3:])
 
 
+def test_triangle_checks_every_scalar_multiple(capsys, monkeypatch):
+    # Euclid runs once per pair of monic forms, but the masks are still read
+    # for every polynomial: give the non-monic 2X over GF(4) the rows of
+    # X + 1, and only pairs that hold [0,2] can disagree
+    real = cli.build_matrix
+
+    def planted(p, b):
+        if p.spec.l == 2 and p.coeffs == (0, 2):
+            return real(poly(p.spec, (1, 1)), b)
+        return real(p, b)
+
+    monkeypatch.setattr(cli, "build_matrix", planted)
+    ok, line = cli._check_triangle(field(2), 2)
+    assert not ok
+    assert "[0,2] vs " in line or " vs [0,2]:" in line
+    assert cli._check_triangle(field(1), 3) == (True, "119 pairs agree")
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3] == f"coprimality triangle GF(4) deg<=2 ({line}): FAIL"
+    assert all(other.endswith(": PASS") for other in lines[:3] + lines[4:])
+
+
+@pytest.mark.parametrize("l,maxdeg,forms", [(1, 3, 119), (2, 2, 230)])
+def test_triangle_runs_one_gcd_per_pair_of_monic_forms(monkeypatch, l, maxdeg, forms):
+    # 1 + 4 + 16 monic forms of degree <= 2 over GF(4): 231 pairs, less the
+    # pair of constants; over GF(2) every nonzero polynomial is monic
+    calls = []
+    real = cli.poly_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(cli, "poly_gcd", counted)
+    assert cli._check_triangle(field(l), maxdeg)[0]
+    assert len(calls) == forms
+
+
 def assert_module_verifies(module):
     src = str(Path(spreadbent.__file__).resolve().parents[1])
     env = dict(os.environ)

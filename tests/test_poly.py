@@ -12,6 +12,7 @@ from spreadbent.poly import (
     enumerate_irreducibles,
     format_poly,
     gauss_count,
+    monic,
     one,
     parse_poly,
     poly,
@@ -108,6 +109,15 @@ def test_gcd_edge_cases():
     assert poly_gcd(zero(GF4), poly(GF4, (3, 2, 3))) == poly(GF4, (1, 3, 1))
     with pytest.raises(ConstructionRejected, match=r"gcd\(0, 0\) is undefined"):
         poly_gcd(zero(GF4), zero(GF4))
+
+
+def test_monic_edge_cases():
+    # 2X + 2 = 2(X + 1) over GF(4); a monic polynomial is its own form
+    assert monic(poly(GF4, (2, 2))) == poly(GF4, (1, 1))
+    f = poly(GF4, (3, 2, 1))
+    assert monic(f) is f
+    with pytest.raises(ConstructionRejected, match="the zero polynomial has no monic form"):
+        monic(zero(GF4))
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -5,8 +5,9 @@ family catalog built on it.
 The references here work at the Poly level through poly_mul and a local
 coefficient XOR, so they share no code with the list-based reduction
 _reduce inside poly_gcd; poly_mul itself is checked against a schoolbook
-product through fe_mul. The catalog reference scans every index tuple, so it shares no
-code with the clique walk. The EA test checks the development rank's
+product through fe_mul, and monic and poly_gcd against scalar multiples
+made through fe_mul. The catalog reference scans every index tuple, so it
+shares no code with the clique walk. The EA test checks the development rank's
 EA-invariance on catalog functions, the property the classification rests
 on. The from_spread tests check its mask union against the set union of
 the kernels, and map catalog spreads through invertible matrices, basis
@@ -42,6 +43,7 @@ from spreadbent.lrs import (
 from spreadbent.poly import (
     Poly,
     _reduce,
+    monic,
     one,
     poly,
     poly_gcd,
@@ -149,6 +151,36 @@ def test_gcd_is_monic_common_divisor(pair):
     assert reference_remainder(f, d).is_zero
     assert reference_remainder(g, d).is_zero
     assert d == reference_gcd(f, g)
+
+
+def scaled(c: int, f: Poly) -> Poly:
+    """c * f, one fe_mul per coefficient."""
+    return poly(f.spec, [fe_mul(f.spec, c, a) for a in f.coeffs])
+
+
+@st.composite
+def scaled_pairs(draw):
+    """A nonzero f and a g, zero at times, sharing a factor of degree <= 2,
+    so that gcds other than 1 turn up, with two nonzero scalars c and d."""
+    spec = draw(SPECS)
+    shared = draw(polys(spec, 2, nonzero=True))
+    f = poly_mul(draw(polys(spec, 4, nonzero=True)), shared)
+    g = poly_mul(draw(polys(spec, 4)), shared)
+    c, d = (draw(st.integers(1, spec.q - 1)) for _ in "cd")
+    return f, g, c, d
+
+
+@settings(deadline=None)
+@given(scaled_pairs())
+def test_gcd_and_monic_ignore_nonzero_scalars(case):
+    # the identity behind verify's coprimality triangle, which runs Euclid
+    # once per pair of monic forms: gcd(c*f, d*g) = gcd(f, g)
+    f, g, c, d = case
+    assert poly_gcd(scaled(c, f), scaled(d, g)) == poly_gcd(f, g)
+    F = monic(f)
+    assert monic(scaled(c, f)) == F
+    assert F.coeffs[-1] == 1
+    assert scaled(f.coeffs[-1], F) == f
 
 
 @settings(deadline=None)
