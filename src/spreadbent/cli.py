@@ -271,37 +271,45 @@ def _check_goldens():
 
 
 def _check_triangle(spec, maxdeg):
-    # the kernel and band row-space masks of each polynomial at each window
-    # size from its degree up, built once: two bands stack to an invertible
-    # Sylvester matrix when their row spaces meet only in zero, as in lrs.
-    # gcd(c*F, d*G) = gcd(F, G) for nonzero scalars c and d, so polynomials
-    # are grouped by monic form: Euclid runs once per pair of forms, and the
-    # masks are compared for every pair of their scalar multiples
-    masks, groups = {}, {}
+    # Nonzero scalars change no gcd, gcd(c*F, d*G) = gcd(F, G), and no band
+    # row space, so no kernel either: kernel returns the orthogonal
+    # complement of the row space. Polynomials are grouped by monic form F,
+    # whose kernel and band row-space masks are built once per window from
+    # its degree up, and each multiple c*F is certified there by one span
+    # equality. Euclid and the two mask ANDs then run once per pair of
+    # forms, for every pair of their multiples: two bands stack to an
+    # invertible Sylvester matrix when their row spaces meet only in zero,
+    # as in lrs. Masks are keyed by coefficient tuples, which hash faster
+    # than a Poly
+    groups, masks = {}, {}
     for p in _nonzero_polys(spec, maxdeg):
         groups.setdefault(monic(p), []).append(p)
-        for b in range(max(len(p.coeffs) - 1, 1), maxdeg + 1):
-            rows = build_matrix(p, b)
-            masks[p.coeffs, b] = kernel(rows).mask, Subspace(rows).mask
+    for F, fs in groups.items():
+        for b in range(max(len(F.coeffs) - 1, 1), maxdeg + 1):
+            rows = build_matrix(F, b)
+            span = Subspace(rows)
+            for f in fs:
+                if f.coeffs != F.coeffs and Subspace(build_matrix(f, b)) != span:
+                    return False, (
+                        f"{format_poly(f)} vs {format_poly(F)}: band row spaces differ at b={b}"
+                    )
+            masks[F.coeffs, b] = kernel(rows).mask, span.mask
     pairs = 0
     for (F, fs), (G, gs) in itertools.combinations_with_replacement(groups.items(), 2):
         # groups run by degree, so G's degree is the pair's window size
         b = len(G.coeffs) - 1
         if b == 0:
             continue
+        (kf, rf), (kg, rg) = masks[F.coeffs, b], masks[G.coeffs, b]
         coprime = poly_gcd(F, G).coeffs == (1,)
-        for i, f in enumerate(fs):
-            kf, rf = masks[f.coeffs, b]
-            for g in gs[i:] if fs is gs else gs:
-                kg, rg = masks[g.coeffs, b]
-                # bit 0 is the one bit two spaces that meet only in zero share
-                invertible, disjoint = rf & rg == 1, kf & kg == 1
-                if not (coprime == invertible == disjoint):
-                    return False, (
-                        f"{format_poly(f)} vs {format_poly(g)}: gcd=1 is {coprime}, "
-                        f"invertible {invertible}, disjoint kernels {disjoint}"
-                    )
-                pairs += 1
+        # bit 0 is the one bit two spaces that meet only in zero share
+        invertible, disjoint = rf & rg == 1, kf & kg == 1
+        if not (coprime == invertible == disjoint):
+            return False, (
+                f"{format_poly(F)} vs {format_poly(G)}: gcd=1 is {coprime}, "
+                f"invertible {invertible}, disjoint kernels {disjoint}"
+            )
+        pairs += len(fs) * (len(fs) + 1) // 2 if fs is gs else len(fs) * len(gs)
     return True, f"{pairs} pairs agree"
 
 

@@ -297,8 +297,9 @@ class Catalog:
                 f"family size {t} matches neither spread type at m={m}"
             )
         if m == 8 and pool.b > 1:
-            # at l=4, b=2 the count memoizes about 2.1 million states: the
-            # PS- catalog took 5.5 s and 390 MB peak RSS on a 2-vCPU Xeon
+            # at l=4, b=2 the count memoizes about 2.1 million states: with
+            # this refusal bypassed, the PS- count took 3.8 s and 390 MB peak
+            # RSS on a shared 2-vCPU Xeon (ROADMAP item 19 records the run)
             raise SpreadbentError(
                 f"the l={pool.spec.l} b={pool.b} catalog (n=16) is refused: "
                 "counting its families needs about 2 million memoized states"

@@ -4,9 +4,10 @@ The development of a Boolean function f is the 2^n x 2^n binary matrix with
 entry (x, y) = f(x XOR y). Its GF(2) rank is invariant under affine input
 changes plus addition of affine functions, so differing ranks prove two
 functions inequivalent. Rows are bit-packed eight columns per byte and the
-elimination XORs whole packed rows at once. One 256 x 256 rank costs
-1.3-1.8 ms on a shared 2-vCPU Xeon (numpy 2.4.6, passes over 1000 table1
-functions), most of the work per function of the table1 sweep.
+elimination XORs whole packed rows at once. One 256 x 256 rank is most
+of the work per function of the table1 sweep: 1.1 ms, 85% of the pass, in
+the traced perfbench run that README § Performance cites (--trace 1,
+seed 1, one worker, unscaled; a shared 2-vCPU Xeon, numpy 2.4.6).
 
 Known rank windows for two reference families, for half-arity m >= 2: bent
 functions of Maiorana-McFarland type have ranks in [2m+2, 2^(m+1)-2], and

@@ -848,9 +848,10 @@ def test_triangle_fails_when_one_gcd_flips(capsys, monkeypatch):
 
 
 def test_triangle_checks_every_scalar_multiple(capsys, monkeypatch):
-    # Euclid runs once per pair of monic forms, but the masks are still read
-    # for every polynomial: give the non-monic 2X over GF(4) the rows of
-    # X + 1, and only pairs that hold [0,2] can disagree
+    # Euclid and the mask ANDs run once per pair of monic forms, but every
+    # multiple's band row space is compared with its form's: give the
+    # non-monic 2X over GF(4) the rows of X + 1, and only a line that names
+    # [0,2] can report it
     real = cli.build_matrix
 
     def planted(p, b):
@@ -884,6 +885,45 @@ def test_triangle_runs_one_gcd_per_pair_of_monic_forms(monkeypatch, l, maxdeg, f
     monkeypatch.setattr(cli, "poly_gcd", counted)
     assert cli._check_triangle(field(l), maxdeg)[0]
     assert len(calls) == forms
+
+
+@pytest.mark.parametrize("l,maxdeg,solves", [(1, 3, 25), (2, 2, 26)])
+def test_triangle_solves_one_kernel_per_monic_form_and_window(monkeypatch, l, maxdeg, solves):
+    # a form of degree d is solved at each window from max(d, 1) to maxdeg:
+    # 3 + 2*3 + 4*2 + 8 over GF(2), 2 + 4*2 + 16 over GF(4)
+    calls = []
+    real = cli.kernel
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(cli, "kernel", counted)
+    assert cli._check_triangle(field(l), maxdeg)[0]
+    assert len(calls) == solves
+
+
+def test_triangle_catches_a_fault_on_a_whole_scalar_class(capsys, monkeypatch):
+    # give every c*X over GF(4), the form X among them, the band rows of
+    # c*(X + 1): each span equality still holds, and the pair of forms X
+    # and X + 1 reports the fault
+    real = cli.build_matrix
+
+    def planted(p, b):
+        if p.spec.l == 2 and len(p.coeffs) == 2 and p.coeffs[0] == 0:
+            c = p.coeffs[1]
+            return real(poly(p.spec, (c, c)), b)
+        return real(p, b)
+
+    monkeypatch.setattr(cli, "build_matrix", planted)
+    line = "[0,1] vs [1,1]: gcd=1 is True, invertible False, disjoint kernels False"
+    assert cli._check_triangle(field(2), 2) == (False, line)
+    assert cli._check_triangle(field(1), 3) == (True, "119 pairs agree")
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3] == f"coprimality triangle GF(4) deg<=2 ({line}): FAIL"
+    assert all(other.endswith(": PASS") for other in lines[:3] + lines[4:])
 
 
 def assert_module_verifies(module):

@@ -5,11 +5,11 @@ family catalog built on it.
 The references here work at the Poly level through poly_mul and a local
 coefficient XOR, so they share no code with the list-based reduction
 _reduce inside poly_gcd; poly_mul itself is checked against a schoolbook
-product through fe_mul, and monic and poly_gcd against scalar multiples
-made through fe_mul. The catalog reference scans every index tuple, so it
-shares no code with the clique walk. The EA test checks the development rank's
-EA-invariance on catalog functions, the property the classification rests
-on. The from_spread tests check its mask union against the set union of
+product through fe_mul, and monic, poly_gcd, band row spaces and kernels
+against scalar multiples made through fe_mul. The catalog reference scans
+every index tuple, so it shares no code with the clique walk. The EA test
+checks the development rank's EA-invariance on catalog functions, the
+property the classification rests on. The from_spread tests check its mask union against the set union of
 the kernels, and map catalog spreads through invertible matrices, basis
 vector by basis vector, to check Subspace's span, mask and equality
 against brute force, and that the images, like Desarguesian spreads that
@@ -181,6 +181,27 @@ def test_gcd_and_monic_ignore_nonzero_scalars(case):
     assert monic(scaled(c, f)) == F
     assert F.coeffs[-1] == 1
     assert scaled(f.coeffs[-1], F) == f
+
+
+@st.composite
+def scaled_windows(draw):
+    """A nonzero f over GF(2^l) of degree <= 8 // l, so that l*b <= 8 at
+    every window b from max(deg f, 1) up to 8 // l, and a nonzero scalar c."""
+    spec = draw(SPECS)
+    f = draw(polys(spec, 8 // spec.l, nonzero=True))
+    return f, draw(st.integers(1, spec.q - 1))
+
+
+@settings(deadline=None)
+@given(scaled_windows())
+def test_band_span_and_kernel_ignore_nonzero_scalars(case):
+    # the fact behind verify's coprimality triangle, which solves one kernel
+    # per monic form and window and checks each multiple by span equality
+    f, c = case
+    for b in range(max(int(f.degree), 1), 8 // f.spec.l + 1):
+        rows, scaled_rows = build_matrix(f, b), build_matrix(scaled(c, f), b)
+        assert Subspace(scaled_rows) == Subspace(rows)
+        assert kernel(scaled_rows) == kernel(rows)
 
 
 @settings(deadline=None)
