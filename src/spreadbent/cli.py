@@ -173,10 +173,11 @@ def cmd_build(args):
     spec = _checked_field(args.l, args.b)
     n = 2 * args.l * args.b
     if n > rank2.MAX_RANK_ARITY:
-        # the rank's 2^n x 2^n int64 index takes 2^(2n+3) bytes
+        # the bit-packed matrix takes 2^(2n-3) bytes, and the rank sweeps its 2^n columns
         raise SpreadbentError(
             f"build at l*b = {n // 2} (n = {n}) is refused: its 2^{n} x 2^{n} "
-            f"development matrix needs a {2 ** (2 * n - 27)} GiB index temporary"
+            f"development matrix is {2 ** (2 * n - 23)} MiB bit-packed, and its rank "
+            f"sweeps {1 << n} columns"
         )
     plus = args.type == "ps+"
     if args.family_id is not None:

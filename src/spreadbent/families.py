@@ -276,14 +276,13 @@ class Catalog:
     """The admissible size-t families of a pool, indexed by family_id.
 
     walk(k) yields (family_id, member indices) pairs from family k on,
-    without building a FamilySpec; catalog[k] is the first of them, and
-    iteration walks from 0, so none lists the catalog. size is the exact
-    count and may exceed sys.maxsize, where len() cannot report it. build()
-    turns a list of pairs into their bent functions from the pool's
+    without building a FamilySpec or listing the catalog; family(*pair)
+    builds the FamilySpec, and catalog[k] is the first pair's. size is the
+    exact count and may exceed sys.maxsize, where len() cannot report it.
+    build() turns a list of pairs into their bent functions from the pool's
     kernels. The package and its demos read only size, walk, family and
     build: __len__ and __getitem__ stay for the benchmark's len() and
-    catalog[family_id] (perfbench/workloads.py:115,140, perfbench/spans.py:174),
-    and no perfbench line reads __iter__.
+    catalog[family_id] (perfbench/workloads.py:115,140, perfbench/spans.py:174).
     """
 
     def __init__(self, pool: CandidatePool, t: int):
@@ -337,10 +336,6 @@ class Catalog:
         if not 0 <= k < self.size:
             raise IndexError(f"family id {k} out of range for {self.size} families")
         return self.family(*next(self.walk(k)))
-
-    def __iter__(self):
-        for family_id, combo in self.walk():
-            yield self.family(family_id, combo)
 
 
 def enumerate_families(pool: CandidatePool, t: int) -> Catalog:

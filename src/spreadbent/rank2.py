@@ -3,11 +3,13 @@
 The development of a Boolean function f is the 2^n x 2^n binary matrix with
 entry (x, y) = f(x XOR y). Its GF(2) rank is invariant under affine input
 changes plus addition of affine functions, so differing ranks prove two
-functions inequivalent. Rows are bit-packed eight columns per byte and the
-elimination XORs whole packed rows at once. One 256 x 256 rank is most
-of the work per function of the table1 sweep: 1.1 ms, 85% of the pass, in
-the traced perfbench run that README § Performance cites (--trace 1,
-seed 1, one worker, unscaled; a shared 2-vCPU Xeon, numpy 2.4.6).
+functions inequivalent. Rows are bit-packed eight columns per byte, each
+byte gathered whole from one of eight bit-permuted copies of the table, and
+the elimination XORs whole packed rows at once. One 256 x 256 rank is most
+of the work per function of the table1 sweep: 0.95 ms, 92% of the pass,
+against 3.5% for building its matrix, in the traced perfbench run that
+README § Performance cites (--trace 1, seed 1, one worker, unscaled; a
+shared 2-vCPU Xeon, numpy 2.4.6).
 
 Known rank windows for two reference families, for half-arity m >= 2: bent
 functions of Maiorana-McFarland type have ranks in [2m+2, 2^(m+1)-2], and
@@ -32,8 +34,18 @@ from .errors import check_int
 WITHIN_MM_RANGE = "within-MM-range"
 BEYOND_MM = "beyond-MM"
 BEYOND_DS = "beyond-DS"
-# The largest arity ranked: development_matrix's index is 2 GiB at n = 14
+# The largest arity ranked: at n = 14 the packed matrix is 32 MiB and the
+# rank sweeps 16384 columns of it
 MAX_RANK_ARITY = 14
+
+# _PERMUTED[c, v] is byte v, which holds f(8k + i) at bit i, with
+# f(8k + (i ^ c)) moved to bit 7 - i, where packbits puts column 8k + i
+_PERMUTED = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0, bitorder="little")[
+        np.arange(8)[:, None] ^ np.arange(8)
+    ],
+    axis=1,
+)[:, 0]
 
 
 def development_matrix(tt: TruthTable) -> np.ndarray:
@@ -41,12 +53,13 @@ def development_matrix(tt: TruthTable) -> np.ndarray:
     MAX_RANK_ARITY, the bound the CLI's builds read too, is refused before
     anything is allocated."""
     check_int("development matrix arity n", tt.n, 0, MAX_RANK_ARITY)
-    size = 1 << tt.n
-    # f(8j + i) is bit i of byte j
-    raw = np.frombuffer(tt.bits.to_bytes(max(size >> 3, 1), "little"), dtype=np.uint8)
-    table = np.unpackbits(raw, bitorder="little")[:size]
-    idx = np.arange(size, dtype=np.int64)
-    return np.packbits(table[idx[:, None] ^ idx[None, :]], axis=1)
+    nb = max(1 << tt.n >> 3, 1)
+    raw = np.frombuffer(tt.bits.to_bytes(nb, "little"), dtype=np.uint8)
+    # byte j of row 8a + c is table byte a ^ j read through _PERMUTED[c];
+    # a sub-byte table keeps its first 2^n rows, and its pad bits read 0
+    a = np.arange(nb)
+    rows = _PERMUTED[:, raw[a[:, None] ^ a]].transpose(1, 0, 2)
+    return rows.reshape(8 * nb, nb)[: 1 << tt.n]
 
 
 def rank_gf2(packed: np.ndarray, ncols: int) -> int:
@@ -56,7 +69,7 @@ def rank_gf2(packed: np.ndarray, ncols: int) -> int:
     r = 0
     for col in range(ncols):
         byte, mask = col >> 3, 0x80 >> (col & 7)
-        hits = np.nonzero(p[r:, byte] & mask)[0]
+        hits = (p[r:, byte] & mask).nonzero()[0]
         if hits.size == 0:
             continue
         pivot = r + int(hits[0])

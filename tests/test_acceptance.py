@@ -153,8 +153,9 @@ def test_counting_cross_checks():
 
     def buckets(t):
         shape = Counter()
-        for fs in enumerate_families(pool, t):
-            tags = {tag_of[p] for p in fs.polys}
+        catalog = enumerate_families(pool, t)
+        for item in catalog.walk():
+            tags = {tag_of[p] for p in catalog.family(*item).polys}
             if TAG_PRODUCT not in tags:
                 shape["plain"] += 1
             elif TAG_SQUARE in tags:

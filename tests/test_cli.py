@@ -291,7 +291,7 @@ INPUT_ERRORS = {
                                     "m must be an int in [2, 8], got 2.0"),
     "desarguesian_spread.above-8": (lambda: _without_field(desarguesian_spread, 9),
                                     "m must be an int in [2, 8], got 9"),
-    # refused before numpy is asked for a 2^16 x 2^16 int64 index (32 GiB)
+    # refused before numpy is asked for the 512 MiB packed 2^16 x 2^16 matrix
     "development_matrix.n16": (lambda: development_matrix(TruthTable(16, 0)),
                                "development matrix arity n must be an int in [0, 14], got 16"),
     "mm_rank_bounds": (lambda: mm_rank_bounds(1), "m must be an int >= 2, got 1"),
@@ -429,7 +429,8 @@ def test_every_build_shape_finishes_or_is_refused(capsys, monkeypatch, l, b, plu
             "--type", "ps+" if plus else "ps-", "--family-id", "0"]
     start = time.perf_counter()
     if (l, b) == (7, 1):
-        # n=14: the lookup is checked, the build (a 2 GiB rank temporary) is not run
+        # n=14: the lookup is checked, the build (about 4 s, mostly the rank's
+        # 16384-column sweep) is not run; CI runs it and checks its rank and RSS
         def stop(catalog, items):
             (item,) = items
             raise LookupDone(catalog.family(*item))
@@ -466,8 +467,8 @@ def test_nonpositive_shape_refused(capsys, guarded, argv):
 
 @pytest.mark.parametrize("module, bound, argv, message", [
     (rank2, "MAX_RANK_ARITY", ("build", "--l", "7", "--b", "1", "--family-id", "0"),
-     "build at l*b = 7 (n = 14) is refused: its 2^14 x 2^14 development matrix needs a "
-     "2 GiB index temporary"),
+     "build at l*b = 7 (n = 14) is refused: its 2^14 x 2^14 development matrix is 32 MiB "
+     "bit-packed, and its rank sweeps 16384 columns"),
     (boolfun, "MAX_ARITY", ("polys", "--l", "7", "--b", "1"),
      "l*b = 7 exceeds the supported capacity l*b <= 6 (function arity n = 2*l*b <= 12)"),
 ], ids=["rank2", "boolfun"])
@@ -556,10 +557,10 @@ def test_table2_csv_deterministic_across_jobs(capsys):
 
 
 def test_commands_read_no_catalog_dunder(capsys, monkeypatch):
-    # Catalog's len() and indexing stay for the benchmark only, and its
-    # iteration for tests: verify, build --family-id for every (l, b, type)
-    # the build-catalog deck draws, and the table2 sweep read size, walk,
-    # family and build
+    # Catalog's len() and indexing stay for the benchmark only (forbidding
+    # __getitem__ also forbids iterating by index): verify, build --family-id
+    # for every (l, b, type) the build-catalog deck draws, and the table2
+    # sweep read size, walk, family and build
     shapes = [(l, b, spread_type) for l, b in ((4, 1), (2, 2), (3, 1), (2, 1), (1, 2), (1, 3))
               for spread_type in ("ps-", "ps+")]
     sizes = {
@@ -568,7 +569,7 @@ def test_commands_read_no_catalog_dunder(capsys, monkeypatch):
         ).size
         for l, b, spread_type in shapes
     }
-    for dunder in ("__len__", "__getitem__", "__iter__"):
+    for dunder in ("__len__", "__getitem__"):
         monkeypatch.setattr(Catalog, dunder, forbidden)
     code, out, _ = run(capsys, "verify")
     assert code == 0

@@ -55,6 +55,10 @@ def coprime(*polys):
     return all(poly_gcd(f, g) == one(f.spec) for f, g in itertools.combinations(polys, 2))
 
 
+def every_family(catalog):
+    return [catalog.family(*item) for item in catalog.walk()]
+
+
 def tag_counts(pool):
     counts = {}
     for tag in pool.tags:
@@ -113,7 +117,7 @@ def test_catalog_sizes():
 
 def test_catalog_indexing():
     catalog = enumerate_families(candidate_pool(GF4, 2), 9)
-    listed = list(catalog)
+    listed = every_family(catalog)
     assert [catalog[k] for k in range(64)] == listed
     for k in (64, -1):
         with pytest.raises(IndexError):
@@ -253,8 +257,8 @@ def test_catalog_rejects_other_sizes():
 
 def test_family_ids_are_serial_and_stable():
     pool = candidate_pool(GF4, 2)
-    first = enumerate_families(pool, 8)
-    second = enumerate_families(pool, 8)
+    first = every_family(enumerate_families(pool, 8))
+    second = every_family(enumerate_families(pool, 8))
     assert [fs.polys for fs in first] == [fs.polys for fs in second]
     assert [fs.family_id for fs in first] == list(range(174))
     assert all(fs.spread_type == "PS-" and fs.n == 8 and fs.m == 4 for fs in first)
@@ -264,7 +268,7 @@ def test_product_members_require_full_irreducible_block():
     pool = candidate_pool(GF4, 2)
     irreducibles = {p for p, tag in zip(pool.members, pool.tags) if tag == TAG_IRREDUCIBLE}
     products = {p for p, tag in zip(pool.members, pool.tags) if tag == TAG_PRODUCT}
-    for fs in enumerate_families(pool, 8):
+    for fs in every_family(enumerate_families(pool, 8)):
         chosen = set(fs.polys)
         if chosen & products:
             assert irreducibles <= chosen
@@ -288,7 +292,7 @@ def test_nonzero_constant_members():
 
 
 def test_build_bent_properties():
-    for fs in enumerate_families(candidate_pool(GF2, 3), 4):
+    for fs in every_family(enumerate_families(candidate_pool(GF2, 3), 4)):
         tt = build_bent(fs)
         assert tt.n == 6
         assert tt.weight() == 2**5 - 2**2

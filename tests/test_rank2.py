@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,36 @@ def test_development_matrix_symmetry():
     unpacked = np.unpackbits(packed, axis=1)[:, :16]
     assert np.array_equal(unpacked, unpacked.T)
     assert list(unpacked[0]) == [tt.bits >> k & 1 for k in range(16)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_development_matrix_is_f_of_x_xor_y(n):
+    size = 1 << n
+    rng = random.Random(n)
+    draws = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(3)]
+    x = np.arange(size)
+    for bits in draws:
+        packed = development_matrix(TruthTable(n, bits))
+        assert packed.dtype == np.uint8
+        assert packed.shape == (size, max(size >> 3, 1))
+        unpacked = np.unpackbits(packed, axis=1)
+        values = np.array([bits >> k & 1 for k in range(size)], dtype=np.uint8)
+        assert np.array_equal(unpacked[:, :size], values[x[:, None] ^ x])
+        # n < 3: the bits past column 2^n of the one byte per row are zero
+        assert not unpacked[:, size:].any()
+
+
+def test_development_matrix_n12_stays_small():
+    tt = TruthTable(12, random.Random(12).getrandbits(1 << 12))
+    tracemalloc.start()
+    try:
+        packed = development_matrix(tt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2 MiB packed matrix and its gather; a 2^12 x 2^12 int64 index is 128 MiB
+    assert peak < 16 << 20
+    assert packed.shape == (4096, 512)
 
 
 def test_rank_gf2_matches_naive_random():
